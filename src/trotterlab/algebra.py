@@ -232,6 +232,29 @@ def _op_norm_ratio(op: Superoperator, b: np.ndarray) -> float:
     return float(np.linalg.norm(op.apply(b), 2) / nb)
 
 
+def _norm_candidates(op: Superoperator, directions: int) -> np.ndarray:
+    """Starting directions of :func:`superop_norm`, stacked as (k, d, d).
+
+    The identity, all matrix units, the Hilbert-Schmidt maximizer (top
+    right singular vector of the representation) and ``directions``
+    seeded complex Gaussian matrices.
+    """
+    d = op.dim
+    _, _, vh = np.linalg.svd(op.rep)
+    fixed = [unit_element(d), *(matrix_unit(d, i, j) for i in range(d) for j in range(d)),
+             unvec(vh[0].conj(), d)]
+    draws = np.random.default_rng(_NORM_SEED).standard_normal((directions, 2, d, d))
+    return np.concatenate([np.stack(fixed), draws[:, 0] + 1j * draws[:, 1]])
+
+
+def _candidate_ratios(op: Superoperator, candidates: np.ndarray) -> np.ndarray:
+    """``|A(b)| / |b|`` in operator norm for each stacked nonzero ``b``."""
+    d = op.dim
+    vecs = np.swapaxes(candidates, 1, 2).reshape(len(candidates), d * d)
+    images = np.swapaxes((vecs @ op.rep.T).reshape(len(candidates), d, d), 1, 2)
+    return np.linalg.norm(images, 2, axis=(1, 2)) / np.linalg.norm(candidates, 2, axis=(1, 2))
+
+
 def superop_norm(op: Superoperator, *, directions: int = _NORM_DIRECTIONS,
                  refine_from: int = 8, max_iter: int = 80, rtol: float = 1e-12) -> float:
     """Estimate the operator-norm-induced map norm ``sup |A(b)| / |b|``.
@@ -244,18 +267,9 @@ def superop_norm(op: Superoperator, *, directions: int = _NORM_DIRECTIONS,
     accuracy ~1e-8 on the local maxima it finds.
     """
     d = op.dim
-    rng = np.random.default_rng(_NORM_SEED)
-    candidates = [unit_element(d)]
-    for i in range(d):
-        for j in range(d):
-            candidates.append(matrix_unit(d, i, j))
-    # Hilbert-Schmidt maximizer: top right singular vector of the representation.
-    _, _, vh = np.linalg.svd(op.rep)
-    candidates.append(unvec(vh[0].conj(), d))
-    for _ in range(directions):
-        candidates.append(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-
-    scored = sorted(candidates, key=lambda b: _op_norm_ratio(op, b), reverse=True)
+    candidates = _norm_candidates(op, directions)
+    ratios = _candidate_ratios(op, candidates)
+    scored = candidates[np.argsort(-ratios, kind="stable")]
     best = _op_norm_ratio(op, scored[0])
     if best == 0.0:
         return 0.0

@@ -1,6 +1,6 @@
 """Command line front end: run scenario files, validate kernel documents.
 
-    trotterlab run SCENARIO [--out DIR] [--seed N] [--threads N]
+    trotterlab run SCENARIO [--out DIR] [--seed N]
                             [--schedule dyadic:MIN:MAX | random:COUNT]
     trotterlab validate KERNEL.json
     trotterlab version
@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
         report = convergence_verdict(
             expression, generator, scenario.horizon, schedule,
             candidate=candidate, extension=extension,
-            thresholds=thresholds, threads=args.threads, seed=seed)
+            thresholds=thresholds, seed=seed)
         report.write_csv(out_dir / f"{name}.csv")
         report.write_json(out_dir / f"{name}.json")
         against = f"candidate {candidate!r}" if candidate else f"adjoined {report.target!r}"
@@ -182,7 +182,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("scenario")
     run_parser.add_argument("--out", default=None, help="output directory")
     run_parser.add_argument("--seed", type=int, default=None)
-    run_parser.add_argument("--threads", type=int, default=1)
     run_parser.add_argument("--schedule", default=None,
                             help="dyadic:MIN:MAX or random:COUNT")
     run_parser.set_defaults(func=cmd_run)

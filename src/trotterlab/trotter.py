@@ -18,17 +18,25 @@ right-side twist, whose exponent scales with the interval width) enters
 at its interval's earliest position, the left multiplier (and left-side
 twist) at the latest position.
 
-Multi-term expressions are handled by a transfer-matrix walk: between
-interval boundaries the active term of each side is part of the state,
-and at a boundary the corresponding sum is folded.  This keeps the cost
-linear in the refinement size for arbitrary partition pairs.
+:func:`eval_pairing` picks one of three evaluations from the partitions.
+When both sides use the same partition, which is every caller in this
+module, the refinement is that partition and the pairing is the ordered
+product ``B(w_1) @ ... @ B(w_n)`` of blocks that depend only on the
+interval width.  A uniform partition of more than 8 parts is one block
+raised to the n-th power: O(log n) d^2 x d^2 products.  Any other shared
+partition builds the blocks of all distinct widths with stacked matrix
+exponentials and multiplies them by pairwise halving: O(n) work in
+O(log n) numpy calls and O(n d^4) memory.  Different partitions on the
+two sides go through a transfer-matrix walk: between interval
+boundaries the active term of each side is part of the state, and at a
+boundary the corresponding sum is folded.  It takes O(N) Python steps
+for a refinement of N intervals and O(d^4) memory per pair of terms.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,7 +44,14 @@ import scipy.linalg
 
 from .algebra import Superoperator, dagger, superop_norm, unit_element
 from .kernels import CpdSemigroup, OperatorKernel
-from .units import ExtendedGenerator, UnitExpression, extend_generator, unit_expression
+from .units import (
+    ExtendedGenerator,
+    Term,
+    UnitExpression,
+    _merged_segments,
+    extend_generator,
+    unit_expression,
+)
 
 __all__ = [
     "Partition",
@@ -162,13 +177,122 @@ def random_schedule(length: float, count: int, seed: int = 0) -> list[Partition]
 # -- pairing evaluation -------------------------------------------------------
 
 
+def _open_mult(term: Term, width) -> np.ndarray:
+    """Multiplier entering at an interval's earliest end (right factor).
+
+    ``width`` is one interval width or an array of them; an array gives
+    the multipliers stacked along a leading axis.
+    """
+    if term.twist_side == "right":
+        return scipy.linalg.expm(np.asarray(width)[..., None, None] * term.twist) @ term.right
+    return term.right
+
+
+def _close_mult(term: Term, width) -> np.ndarray:
+    """Multiplier entering at an interval's latest end (left factor); see :func:`_open_mult`."""
+    if term.twist_side == "left":
+        return term.left @ scipy.linalg.expm(np.asarray(width)[..., None, None] * term.twist)
+    return term.left
+
+
+def _pair_kron(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """``np.kron(m2.T, dagger(m1))``, the map ``b -> m1* b m2``, over stacked leading axes."""
+    a = np.swapaxes(m2, -1, -2)
+    b = np.conj(np.swapaxes(m1, -1, -2))
+    d2 = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], d2, d2)
+
+
+def _tree_product(stack: np.ndarray) -> np.ndarray:
+    """The ordered product ``stack[0] @ stack[1] @ ...`` by pairwise halving."""
+    while len(stack) > 1:
+        even = len(stack) - len(stack) % 2
+        paired = stack[0:even:2] @ stack[1:even:2]
+        stack = np.concatenate([paired, stack[even:]]) if even < len(stack) else paired
+    return stack[0]
+
+
+def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
+                 semigroup: CpdSemigroup) -> Superoperator:
+    """The map ``b -> <x composed over p1, b * (y composed over p2)>``.
+
+    Exact up to matrix-exponential accuracy: every interval of the common
+    refinement contributes the entry exponential for the two sides' active
+    labels, with multipliers and twists inserted at the proper boundaries.
+    One of three evaluations runs, chosen from the partitions:
+
+    * the same uniform partition of more than 8 parts on both sides: the
+      one-interval block, from a recursive call, raised to the n-th power;
+      O(log n) products of d^2 x d^2 matrices;
+    * the same partition on both sides: every interval's block at once,
+      then their ordered product (:func:`_batched_pairing`); O(n) work in
+      O(log n) stacked numpy calls and O(n d^4) memory;
+    * different partitions: the transfer walk over the common refinement
+      (:func:`_walk_pairing`); O(N) Python steps for a refinement of N
+      intervals, O(d^4) memory per pair of terms.
+    """
+    length = p1.length
+    if abs(length - p2.length) > _LENGTH_TOL * max(1.0, length):
+        raise ValueError(f"partition lengths differ: {length} vs {p2.length}")
+    if e1.dim != semigroup.dim or e2.dim != semigroup.dim:
+        raise ValueError("expression and semigroup dimensions disagree")
+    e1.require_labels(semigroup.labels)
+    e2.require_labels(semigroup.labels)
+
+    # Same uniform partition on both sides: one interval block, then a power.
+    if (p1.size == p2.size and p1.size > 8
+            and max(p1.parts) - min(p1.parts) <= _LENGTH_TOL
+            and max(p2.parts) - min(p2.parts) <= _LENGTH_TOL):
+        w = length / p1.size
+        block = eval_pairing(e1, Partition((w,)), e2, Partition((w,)), semigroup)
+        return Superoperator(semigroup.dim, np.linalg.matrix_power(block.rep, p1.size))
+    if p1.parts == p2.parts:
+        return _batched_pairing(e1, e2, p1, semigroup)
+    return _walk_pairing(e1, p1, e2, p2, semigroup)
+
+
+def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partition,
+                     semigroup: CpdSemigroup) -> Superoperator:
+    """Pairing over the same partition on both sides, as a product of interval blocks.
+
+    On an interval of width w the pairing is the block
+    ``B(w) = sum over term pairs of open @ (product of segment exponentials) @ close``,
+    with the segments of a term pair taken over the union of its two
+    terms' cut fractions.  The blocks of all distinct widths are built
+    with one stacked ``expm`` per (label pair, segment fraction) and per
+    twisted term, and multiplied in time order, earliest leftmost.
+    """
+    widths, inverse = np.unique(np.asarray(partition.time_widths), return_inverse=True)
+    exps: dict[tuple[str, str, float], np.ndarray] = {}
+
+    def segment_exp(s: str, t: str, fraction: float) -> np.ndarray:
+        key = (s, t, fraction)
+        if key not in exps:
+            exps[key] = scipy.linalg.expm(
+                (fraction * widths)[:, None, None] * semigroup.generator[(s, t)].rep)
+        return exps[key]
+
+    d2 = semigroup.dim ** 2
+    blocks = np.zeros((widths.size, d2, d2), dtype=complex)
+    mults2 = [(_open_mult(t2, widths), _close_mult(t2, widths)) for t2 in e2.terms]
+    for t1 in e1.terms:
+        open1, close1 = _open_mult(t1, widths), _close_mult(t1, widths)
+        for t2, (open2, close2) in zip(e2.terms, mults2):
+            acc = _pair_kron(open1, open2)
+            for fraction, s, t in _merged_segments(t1, t2):
+                acc = acc @ segment_exp(s, t, fraction)
+            blocks += acc @ _pair_kron(close1, close2)
+    return Superoperator(semigroup.dim, _tree_product(blocks[inverse]))
+
+
 class _Side:
     """Per-side bookkeeping for the transfer walk."""
 
     def __init__(self, expr: UnitExpression, partition: Partition):
         self.expr = expr
         widths = partition.time_widths
-        self.bounds = [0.0, *np.cumsum(widths)]
+        self.bounds = np.concatenate(([0.0], np.cumsum(widths)))
         self.widths = widths
 
     def segment_cuts(self, index: int) -> list[float]:
@@ -184,54 +308,29 @@ class _Side:
         return self.expr.terms[term_index].label_at((position - lo) / (hi - lo))
 
     def open_mult(self, term_index: int, interval_index: int) -> np.ndarray:
-        """Multiplier entering at the interval's earliest end (right factor)."""
-        term = self.expr.terms[term_index]
-        m = term.right
-        if term.twist_side == "right":
-            m = scipy.linalg.expm(self.widths[interval_index] * term.twist) @ m
-        return m
+        return _open_mult(self.expr.terms[term_index], self.widths[interval_index])
 
     def close_mult(self, term_index: int, interval_index: int) -> np.ndarray:
-        """Multiplier entering at the interval's latest end (left factor)."""
-        term = self.expr.terms[term_index]
-        m = term.left
-        if term.twist_side == "left":
-            m = m @ scipy.linalg.expm(self.widths[interval_index] * term.twist)
-        return m
+        return _close_mult(self.expr.terms[term_index], self.widths[interval_index])
 
 
-def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
-                 semigroup: CpdSemigroup, *, _power_fast_path: bool = True) -> Superoperator:
-    """The map ``b -> <x composed over p1, b * (y composed over p2)>``.
+def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
+                  semigroup: CpdSemigroup) -> Superoperator:
+    """Pairing over arbitrary partitions by a transfer walk over the common refinement.
 
-    Exact up to matrix-exponential accuracy: every interval of the common
-    refinement contributes the entry exponential for the two sides' active
-    labels, with multipliers and twists inserted at the proper boundaries.
+    Between interval boundaries the active term of each side is part of
+    the state, and at a boundary the corresponding sum is folded, so the
+    cost stays linear in the refinement size.  Inputs are those
+    :func:`eval_pairing` has validated.
     """
     length = p1.length
-    if abs(length - p2.length) > _LENGTH_TOL * max(1.0, length):
-        raise ValueError(f"partition lengths differ: {length} vs {p2.length}")
-    if e1.dim != semigroup.dim or e2.dim != semigroup.dim:
-        raise ValueError("expression and semigroup dimensions disagree")
-    e1.require_labels(semigroup.labels)
-    e2.require_labels(semigroup.labels)
     d = semigroup.dim
     eye = np.eye(d)
-
-    # Same uniform partition on both sides: one interval block, then a power.
-    if (_power_fast_path and p1.size == p2.size and p1.size > 8
-            and max(p1.parts) - min(p1.parts) <= _LENGTH_TOL
-            and max(p2.parts) - min(p2.parts) <= _LENGTH_TOL):
-        w = length / p1.size
-        block = eval_pairing(e1, Partition((w,)), e2, Partition((w,)),
-                             semigroup, _power_fast_path=False)
-        return Superoperator(d, np.linalg.matrix_power(block.rep, p1.size))
-
     side1 = _Side(e1, p1)
     side2 = _Side(e2, p2)
     tol = _LENGTH_TOL * max(1.0, length)
 
-    events = list(side1.bounds) + list(side2.bounds)
+    events = [*side1.bounds.tolist(), *side2.bounds.tolist()]
     for i in range(p1.size):
         events.extend(side1.segment_cuts(i))
     for i in range(p2.size):
@@ -240,7 +339,7 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
     if abs(events[0]) > tol or abs(events[-1] - length) > tol:
         raise AssertionError("event grid must span the full horizon")
 
-    def is_boundary(bounds: list[float], value: float) -> bool:
+    def is_boundary(bounds: np.ndarray, value: float) -> bool:
         idx = int(np.searchsorted(bounds, value))
         for j in (idx - 1, idx, idx + 1):
             if 0 <= j < len(bounds) and abs(bounds[j] - value) <= tol:
@@ -438,7 +537,7 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
                         candidate: str | None = None,
                         extension: ExtendedGenerator | None = None,
                         thresholds: VerdictThresholds | None = None,
-                        threads: int = 1, seed: int | None = None) -> ConvergenceReport:
+                        seed: int | None = None) -> ConvergenceReport:
     """Run the full convergence analysis of a section over a schedule.
 
     The limit data comes from the adjoined label of the section's
@@ -481,11 +580,7 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
             ambient[s] = float(np.linalg.norm(pairing - ambient_limits[s], 2))
         return gram_defect, criterion_defect, norm_defect, ambient
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(defects_for, schedule))
-    else:
-        results = [defects_for(p) for p in schedule]
+    results = [defects_for(p) for p in schedule]
 
     gram = [r[0] for r in results]
     crit = [r[1] for r in results]

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from trotterlab.algebra import (
     Superoperator,
+    _candidate_ratios,
+    _norm_candidates,
+    _op_norm_ratio,
     choi_matrix,
     choi_min_eigenvalue,
     commutation_matrix,
@@ -165,6 +168,33 @@ def test_norm_of_conjugation_map():
     value = superop_norm(op)
     assert value == pytest.approx(4.0, rel=1e-8)
     assert value >= brute - 1e-9
+
+
+def per_candidate_ranking(op, directions=500):
+    """Oracle: candidates drawn one at a time and ranked by one ratio call each."""
+    d = op.dim
+    rng = np.random.default_rng(1729)
+    candidates = [np.eye(d, dtype=complex)]
+    candidates += [matrix_unit(d, i, j) for i in range(d) for j in range(d)]
+    _, _, vh = np.linalg.svd(op.rep)
+    candidates.append(unvec(vh[0].conj(), d))
+    for _ in range(directions):
+        candidates.append(random_matrix(rng, d))
+    ratios = [_op_norm_ratio(op, b) for b in candidates]
+    order = sorted(range(len(candidates)), key=ratios.__getitem__, reverse=True)
+    return np.stack(candidates), np.array(ratios), order
+
+
+def test_batched_norm_scoring_matches_per_candidate_ranking():
+    rng = np.random.default_rng(13)
+    for k in range(30):
+        op = random_superop(rng, 1 + k % 3)
+        candidates, ratios, order = per_candidate_ranking(op)
+        batched = _candidate_ratios(op, _norm_candidates(op, 500))
+        assert np.array_equal(_norm_candidates(op, 500), candidates)
+        np.testing.assert_allclose(batched, ratios, rtol=1e-12, atol=0.0)
+        assert list(np.argsort(-batched, kind="stable")[:8]) == order[:8]
+        assert superop_norm(op) >= ratios[order[0]]
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,6 +6,7 @@ from trotterlab.algebra import dagger, superop_norm, unit_element
 from trotterlab.kernels import CpdSemigroup, random_christensen_evans, scalar_kernel
 from trotterlab.trotter import (
     Partition,
+    _walk_pairing,
     VerdictThresholds,
     convergence_verdict,
     dyadic_schedule,
@@ -16,6 +17,9 @@ from trotterlab.trotter import (
     refine,
 )
 from trotterlab.units import (
+    Segment,
+    Term,
+    UnitExpression,
     affine_expression,
     concat_expression,
     extend_generator,
@@ -171,8 +175,45 @@ def test_power_fast_path_matches_generic_walk():
     y = affine_expression([2, -1], ["a", "b"], 2)
     partition = Partition.uniform(1.0, 32)
     fast = eval_pairing(y, partition, y, partition, semigroup)
-    slow = eval_pairing(y, partition, y, partition, semigroup, _power_fast_path=False)
+    slow = _walk_pairing(y, partition, y, partition, semigroup)
     assert superop_norm(fast - slow) <= 1e-11
+
+
+def random_unit_section(rng, dim, n_terms):
+    """Terms with random multipliers summing to the unit, random twists and concat chains."""
+    def draw(scale):
+        return scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+    rest = np.eye(dim, dtype=complex)
+    terms = []
+    for k in range(n_terms):
+        if k < n_terms - 1:
+            left, right = draw(0.5), draw(0.5)
+            rest = rest - left @ right
+        else:
+            left, right = rest, np.eye(dim)
+        weights = rng.uniform(0.2, 1.0, size=int(rng.integers(1, 4)))
+        segments = tuple(Segment(str(rng.choice(["a", "b"])), float(f))
+                         for f in weights / weights.sum())
+        side = ("none", "left", "right")[int(rng.integers(3))]
+        twist = None if side == "none" else draw(0.3)
+        terms.append(Term(left, right, segments, twist=twist, twist_side=side))
+    return UnitExpression(dim, tuple(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 256))
+def test_batched_pairing_matches_walk(seed, dim, terms1, terms2, parts):
+    rng = np.random.default_rng(seed)
+    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), dim, rng, scale=0.5))
+    e1 = random_unit_section(rng, dim, terms1)
+    e2 = random_unit_section(rng, dim, terms2)
+    widths = rng.uniform(0.1, 1.0, size=parts)
+    partition = Partition(tuple(widths / widths.sum()))
+    batched = eval_pairing(e1, partition, e2, partition, semigroup).rep
+    walk = _walk_pairing(e1, partition, e2, partition, semigroup).rep
+    assert np.max(np.abs(batched - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
 
 
 # -- convergence verdicts ----------------------------------------------------------
@@ -253,17 +294,6 @@ def test_verdict_series_on_refinement_chain():
     report = convergence_verdict(y, gen, 1.0, chain, candidate="w")
     assert all(np.isfinite(report.criterion_defects))
     assert report.norms == tuple(sorted(report.norms, reverse=True))
-
-
-def test_threads_do_not_change_results():
-    rng = np.random.default_rng(8)
-    gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.3)
-    y = affine_expression([2, -1], ["a", "b"], 2)
-    schedule = dyadic_schedule(1.0, 3, 6)
-    single = convergence_verdict(y, gen, 1.0, schedule, threads=1)
-    multi = convergence_verdict(y, gen, 1.0, schedule, threads=4)
-    assert single.criterion_defects == multi.criterion_defects
-    assert single.gram_defects == multi.gram_defects
 
 
 def test_report_serialization(tmp_path):
