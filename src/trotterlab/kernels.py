@@ -10,18 +10,26 @@ conditionally completely positive definite generator kernel, and that
 correspondence (Schoenberg-type) is what the tests here exercise in both
 directions.
 
-The primary decision procedure is deterministic: a kernel is completely
-positive definite exactly when the block Choi matrix, whose (s, t) block
-is the Choi matrix of the (s, t) entry, is positive semidefinite.  A
-negative eigenvector yields a concrete witness tuple violating the
-quadratic form, which is re-evaluated directly so that every negative
-verdict carries a certificate.  Raw sampling of the quadratic form is
-kept alongside as an independent oracle.
+Both decision procedures are deterministic eigenvalue tests.  A kernel
+is completely positive definite exactly when the block Choi matrix,
+whose (s, t) block is the Choi matrix of the (s, t) entry, is positive
+semidefinite; it is conditionally completely positive definite exactly
+when that matrix is positive semidefinite on the orthogonal complement
+of ``(Omega, ..., Omega)``, one copy of ``Omega = sum_i e_i (x) e_i``
+per label (:func:`is_conditionally_cpd` proves the equivalence).
+Tolerances are relative to the largest absolute eigenvalue of the block
+Choi matrix, so neither verdict changes when the kernel is multiplied by
+a positive constant.  A negative eigenvector yields a concrete witness
+tuple violating the quadratic form (for the conditional test, one
+satisfying the constraint), which is re-evaluated directly so that every
+negative verdict carries a certificate.  Sampling the constrained
+quadratic form and testing the exponentials on a small-time grid remain
+in the test suite as independent oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -85,6 +93,8 @@ class OperatorKernel:
 
     def __post_init__(self):
         labels = tuple(self.labels)
+        if not labels:
+            raise ValueError("a kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
         entries = dict(self.entries)
@@ -116,7 +126,7 @@ class OperatorKernel:
         return worst
 
     def require_hermitian(self, tol: float = 1e-9) -> None:
-        scale = max(1.0, max(float(np.max(np.abs(op.rep))) for op in self.entries.values()))
+        scale = max(float(np.max(np.abs(op.rep))) for op in self.entries.values())
         defect = self.hermitian_defect()
         if defect > tol * scale:
             raise KernelSymmetryError(
@@ -280,7 +290,7 @@ def is_cpd(kernel: OperatorKernel, tol: float = 1e-10) -> CpdResult:
     block = kernel.block_choi()
     herm = (block + dagger(block)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
-    scale = max(1.0, float(np.max(np.abs(eigvals))) if eigvals.size else 0.0)
+    scale = float(np.max(np.abs(eigvals)))
     min_eig = float(eigvals[0])
     if min_eig >= -tol * scale:
         return CpdResult(True, min_eig, scale, None)
@@ -290,111 +300,83 @@ def is_cpd(kernel: OperatorKernel, tol: float = 1e-10) -> CpdResult:
 
 @dataclass(frozen=True)
 class ConditionallyCpdReport:
-    """Outcome of the two-sided conditional positivity test.
+    """Outcome of the exact conditional positivity test.
 
-    ``direct_ok`` is the constrained-tuple sampler verdict, ``schoenberg_ok``
-    the verdict of exponentiating over a small-time grid and testing each
-    exponential for complete positive definiteness.  Both are recorded; a
-    disagreement is a diagnostic failure and makes the overall verdict
-    negative.  The sampler is a sound but sampled check: coverage is
-    reported through ``samples`` and ``seed`` rather than claimed complete.
+    ``min_scaled_eigenvalue`` is the smallest eigenvalue of the hermitian
+    block Choi matrix compressed onto the constrained subspace, divided by
+    ``scale``, the largest absolute eigenvalue of the uncompressed matrix.
+    It is the margin of a pass and the depth of a failure, and it does not
+    change when the kernel is multiplied by a positive constant.  A
+    negative verdict carries a witness tuple with ``sum a_i b_i = 0`` whose
+    quadratic form was re-evaluated and found negative.
     """
 
     ok: bool
-    direct_ok: bool
-    schoenberg_ok: bool
-    agree: bool
     min_scaled_eigenvalue: float
-    samples: int
-    seed: int
-    grid: tuple[float, ...]
-    schoenberg_failures: tuple[tuple[float, float], ...]
+    scale: float
     witness: CpdWitness | None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _constrained_tuple(kernel: OperatorKernel, rng: np.random.Generator):
-    """Draw (sigmas, lefts, rights) with ``sum_i a_i b_i = 0``.
+def is_conditionally_cpd(kernel: OperatorKernel, *,
+                         tol: float = 1e-8) -> ConditionallyCpdReport:
+    """Conditional complete positive definiteness by one compressed eigendecomposition.
 
-    The last left factor is drawn invertible (condition number < 1e3) and
-    the last right factor solves the constraint.
-    """
-    d = kernel.dim
-    n = int(rng.integers(2, 4))
-    sigmas = [str(rng.choice(kernel.labels)) for _ in range(n)]
+    Let H be the hermitian block Choi matrix of ``kernel`` and
+    ``omega = (Omega, ..., Omega)`` over the labels, with
+    ``Omega = sum_i e_i (x) e_i`` (the vector ``vec`` of the identity in
+    the Choi index ``i*d + k``).  The kernel is conditionally completely
+    positive definite exactly when ``V* H V`` is positive semidefinite, V
+    an orthonormal basis of the orthogonal complement of ``omega``; it
+    passes when the smallest eigenvalue is at least ``-tol * scale``.
 
-    def draw():
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return m / max(np.linalg.norm(m, 2), 1e-12)
+    Proof of the equivalence.  Write a vector v in label blocks v_s, each
+    reshaped to a d x d matrix ``V_s[i, k] = v[s, i*d + k]``.
 
-    lefts = [draw() for _ in range(n)]
-    rights = [draw() for _ in range(n - 1)]
-    while np.linalg.cond(lefts[-1]) >= 1e3:
-        lefts[-1] = draw()
-    acc = sum(lefts[i] @ rights[i] for i in range(n - 1))
-    rights.append(-np.linalg.solve(lefts[-1], acc))
-    return sigmas, lefts, rights
+    (=>) Split every ``V_s`` by SVD into rank-one terms ``sigma u v^T``
+    and take the tuple members ``a = e_1 (sigma u)^T``, ``b = v e_1^T``
+    (:func:`_witness_from_eigenvector`).  Then ``sum a_i b_i`` is
+    ``e_11`` times ``sum_s trace(V_s)``, a multiple of ``<omega, v>``, so
+    the tuple is admissible whenever v is orthogonal to omega, and the
+    (1, 1) entry of its quadratic form is ``<v, H v>``.  A positive form
+    has non-negative diagonal, hence ``<v, H v> >= 0`` on the complement.
 
+    (<=) With P the projection onto the complement and w = omega/|omega|,
+    ``H = P H P + |w><X| + |X><w|`` for ``X = P H w + <w, H w> w / 2``.
+    ``P H P`` is positive semidefinite, so it is the block Choi matrix of
+    a completely positive definite kernel.  In this Choi convention
+    ``|w><X| + |X><w|`` is the block Choi matrix of
+    ``(s, t): b -> b beta_t + beta_s* b`` with ``beta_t[j, l]`` the
+    conjugate of ``X[t, j*d + l] / |omega|`` (the Christensen-Evans
+    form), whose quadratic form is
+    ``(sum a_i b_i)* (...) + (...)* (sum a_i b_i)`` and vanishes under
+    the constraint.  So the constrained form is that of a
+    completely positive definite kernel, which is positive.
 
-def is_conditionally_cpd(kernel: OperatorKernel, *, tol: float = 1e-8,
-                         samples: int = 500, seed: int = 7,
-                         grid: Sequence[float] | None = None,
-                         cpd_tol: float = 1e-10) -> ConditionallyCpdReport:
-    """Conditional complete positive definiteness, tested two ways.
-
-    (i) direct: ``samples`` constrained tuples with ``sum a_i b_i = 0``
-    must give a quadratic form bounded below by ``-tol`` (relative to the
-    tuple magnitude); (ii) the exponentials over a geometric small-time
-    grid must all be completely positive definite.
+    This is the Christensen-Evans characterisation of conditionally
+    completely positive definite kernels (Barreto, Bhat, Liebscher and
+    Skeide, J. Funct. Anal. 212, 2004); for one label it is the
+    Omega-complement criterion of Wolf and Cirac (Commun. Math. Phys. 279,
+    2008).  The zero kernel passes exactly, and so does any kernel of one
+    label over the scalars, whose complement is empty.
     """
     kernel.require_hermitian()
-    if grid is None:
-        grid = tuple(np.geomspace(1e-3, 1.0, 12))
-    grid = tuple(float(t) for t in grid)
-
-    rng = np.random.default_rng(seed)
-    entry_scale = max(float(np.linalg.norm(op.rep, 2)) for op in kernel.entries.values())
-    worst = 0.0
-    witness = None
-    for _ in range(samples):
-        sigmas, lefts, rights = _constrained_tuple(kernel, rng)
-        form = evaluate_positivity_form(kernel, sigmas, lefts, rights)
-        min_eig = float(np.linalg.eigvalsh((form + dagger(form)) / 2.0)[0])
-        magnitude = sum(np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
-                        for a, b in zip(lefts, rights))
-        scale = max(1.0, entry_scale * magnitude ** 2)
-        scaled = min_eig / scale
-        if scaled < worst:
-            worst = scaled
-            if scaled < -tol:
-                witness = CpdWitness(tuple(sigmas), tuple(lefts), tuple(rights), min_eig)
-    direct_ok = worst >= -tol
-
-    semigroup = CpdSemigroup(kernel)
-    failures = []
-    for t in grid:
-        result = is_cpd(semigroup.evaluate(t), tol=cpd_tol)
-        if not result.ok:
-            failures.append((t, result.min_eigenvalue))
-            if witness is None:
-                witness = result.witness
-    schoenberg_ok = not failures
-
-    agree = direct_ok == schoenberg_ok
-    return ConditionallyCpdReport(
-        ok=direct_ok and schoenberg_ok,
-        direct_ok=direct_ok,
-        schoenberg_ok=schoenberg_ok,
-        agree=agree,
-        min_scaled_eigenvalue=worst,
-        samples=samples,
-        seed=seed,
-        grid=grid,
-        schoenberg_failures=tuple(failures),
-        witness=witness,
-    )
+    block = kernel.block_choi()
+    herm = (block + dagger(block)) / 2.0
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(herm))))
+    d, n = kernel.dim, len(kernel.labels)
+    if scale == 0.0 or n * d * d == 1:
+        return ConditionallyCpdReport(True, 0.0, scale, None)
+    omega = np.tile(np.eye(d).reshape(-1), n) / np.sqrt(n * d)
+    complement = np.linalg.svd(omega[None, :])[2][1:].T
+    eigvals, eigvecs = np.linalg.eigh(dagger(complement) @ herm @ complement)
+    min_eig = float(eigvals[0])
+    if min_eig >= -tol * scale:
+        return ConditionallyCpdReport(True, min_eig / scale, scale, None)
+    witness = _witness_from_eigenvector(kernel, complement @ eigvecs[:, 0])
+    return ConditionallyCpdReport(False, min_eig / scale, scale, witness)
 
 
 @dataclass(frozen=True)
@@ -402,13 +384,12 @@ class CpdSemigroup:
     """The entrywise exponential family ``t -> exp(t * generator)``.
 
     Each entry is its own one-parameter semigroup under composition; there
-    is no joint exponential of a stacked operator.  Evaluations are cached;
-    the cache is only ever filled with identical recomputed values, so
-    concurrent use is safe.
+    is no joint exponential of a stacked operator.  Nothing is cached:
+    every call exponentiates, and a caller that revisits the same times
+    keeps its own table.
     """
 
     generator: OperatorKernel
-    _exp_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -420,12 +401,7 @@ class CpdSemigroup:
 
     def entry_rep(self, s: str, t: str, time: float) -> np.ndarray:
         """Representation matrix of ``exp(time * generator[s, t])``."""
-        key = (s, t, float(time))
-        cached = self._exp_cache.get(key)
-        if cached is None:
-            cached = superop_exp(self.generator[(s, t)], float(time)).rep
-            self._exp_cache[key] = cached
-        return cached
+        return superop_exp(self.generator[(s, t)], float(time)).rep
 
     def entry(self, s: str, t: str, time: float) -> Superoperator:
         return Superoperator(self.dim, self.entry_rep(s, t, time))
@@ -498,8 +474,7 @@ def kolmogorov_decompose(kernel: OperatorKernel, tol: float = 1e-10) -> Kolmogor
     block = kernel.block_choi()
     herm = (block + dagger(block)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
-    top = max(float(eigvals[-1]), 1.0)
-    keep = eigvals > 1e-14 * top
+    keep = eigvals > 1e-14 * float(eigvals[-1])
     d = kernel.dim
     d2 = d * d
     rank = int(np.count_nonzero(keep))

@@ -17,7 +17,7 @@ One directive per line; ``#`` starts a comment; blank lines are ignored:
     candidate EXPRNAME LABEL        # test EXPR against an ambient unit
     expect EXPRNAME VERDICT         # norm-convergent | weak-only | divergent
     threshold FIELD VALUE           # override a verdict threshold field
-    seed N
+    seed N                          # draws random schedules; recorded in reports
 
 Matrices are nested bracket lists of Python numeric literals; complex
 entries like ``(0.5+0.25j)`` are allowed.  Expressions follow the unit

@@ -320,8 +320,9 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
 
     Between interval boundaries the active term of each side is part of
     the state, and at a boundary the corresponding sum is folded, so the
-    cost stays linear in the refinement size.  Inputs are those
-    :func:`eval_pairing` has validated.
+    cost stays linear in the refinement size.  Entry exponentials are
+    tabled for the duration of the call, since a refinement repeats
+    widths.  Inputs are those :func:`eval_pairing` has validated.
     """
     length = p1.length
     d = semigroup.dim
@@ -346,6 +347,14 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
                 return True
         return False
 
+    exps: dict[tuple[str, str, float], np.ndarray] = {}
+
+    def entry_exp(s: str, t: str, width: float) -> np.ndarray:
+        key = (s, t, width)
+        if key not in exps:
+            exps[key] = semigroup.entry_rep(s, t, width)
+        return exps[key]
+
     n1, n2 = len(e1.terms), len(e2.terms)
     total = np.eye(d * d, dtype=complex)
     states: dict[tuple[int, int], np.ndarray] | None = None
@@ -364,7 +373,7 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
         for (m1, m2), acc in states.items():
             s = side1.label_at(m1, i1, mid)
             t = side2.label_at(m2, i2, mid)
-            states[(m1, m2)] = acc @ semigroup.entry_rep(s, t, width)
+            states[(m1, m2)] = acc @ entry_exp(s, t, width)
 
         b1 = is_boundary(side1.bounds, hi)
         b2 = is_boundary(side2.bounds, hi)
@@ -545,7 +554,7 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
     against that ambient unit instead, which tests whether the section
     converges to it; the limit gram stays the one the extension predicts.
     """
-    ext = extension or extend_generator(section, generator, seed=seed or 7)
+    ext = extension or extend_generator(section, generator)
     semigroup = ext.semigroup()
     d = generator.dim
     eye = unit_element(d)

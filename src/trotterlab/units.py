@@ -282,8 +282,7 @@ def _fresh_label(taken: Sequence[str], stem: str = "zeta") -> str:
 
 def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
                      zeta_label: str | None = None, unit_tol: float = 1e-9,
-                     positivity_tol: float = 1e-8, seed: int = 7,
-                     samples: int = 500) -> ExtendedGenerator:
+                     positivity_tol: float = 1e-8) -> ExtendedGenerator:
     """Adjoin the limit-unit label of ``section`` to ``generator``.
 
     The diagonal entry of the new row is the derivative of the section's
@@ -312,7 +311,7 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
         entries[(s, zeta)] = cross[s].star_conjugate()
     kernel = OperatorKernel(generator.labels + (zeta,), generator.dim, entries)
 
-    report = is_conditionally_cpd(kernel, tol=positivity_tol, seed=seed, samples=samples)
+    report = is_conditionally_cpd(kernel, tol=positivity_tol)
     if not report.ok:
         magnitude = abs(report.min_scaled_eigenvalue)
         kind = ("hypothesis violation" if magnitude > 1e-3

@@ -42,6 +42,8 @@ from trotterlab.units import (
     unit_expression,
 )
 
+from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
+
 _SUITE_START = time.perf_counter()
 
 
@@ -245,9 +247,12 @@ def test_criterion_8_property_suites():
         labels = tuple(f"s{i}" for i in range(int(rng.integers(1, 4))))
         d = int(rng.integers(1, 4))
         generator = random_christensen_evans(labels, d, rng, scale=0.8)
-        verdict = is_conditionally_cpd(generator, samples=60,
-                                       seed=int(rng.integers(1 << 30)))
-        assert verdict.schoenberg_ok and verdict.direct_ok and verdict.agree
+        verdict = is_conditionally_cpd(generator)
+        assert verdict.ok and verdict.min_scaled_eigenvalue >= -1e-8
+        assert schoenberg_grid_ok(generator)
+        sampled_ok, worst, _ = sampled_conditional_form(
+            generator, samples=60, seed=int(rng.integers(1 << 30)))
+        assert sampled_ok and worst >= -1e-8
 
     # (b) Block-Choi verdict against direct sampling of the positivity form
     # on 100 random kernels (half built positive, half generic hermitian).

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from trotterlab.algebra import Superoperator, dagger
 from trotterlab.kernels import (
@@ -21,6 +23,8 @@ from trotterlab.kernels import (
     scalar_kernel,
     zero_kernel,
 )
+
+from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
 
 
 def exponential_unit_gamma(params):
@@ -91,34 +95,173 @@ def test_is_cpd_invariant_under_relabeling():
 # -- conditional positivity ----------------------------------------------------
 
 def test_zero_kernel_is_conditionally_cpd():
-    assert is_conditionally_cpd(zero_kernel(("a", "b"), 2), samples=200).ok
+    report = is_conditionally_cpd(zero_kernel(("a", "b"), 2))
+    assert report.ok and report.scale == 0.0 and report.witness is None
 
 
 def test_christensen_evans_form_is_conditionally_cpd():
     rng = np.random.default_rng(2)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=1.0)
-    report = is_conditionally_cpd(gen, samples=500, seed=3)
-    assert report.ok and report.direct_ok and report.schoenberg_ok and report.agree
+    report = is_conditionally_cpd(gen)
+    assert report.ok and report.witness is None
+    assert report.min_scaled_eigenvalue >= -1e-8
+    # Both oracles accept it too.
+    sampled_ok, worst, _ = sampled_conditional_form(gen, samples=500, seed=3)
+    assert sampled_ok and worst >= -1e-8
+    assert schoenberg_grid_ok(gen)
 
 
-def test_broken_generator_fails_with_reusable_witness():
+def _broken_generator():
     rng = np.random.default_rng(3)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=1.0)
     bump = Superoperator.left_right(np.diag([1.0, 0.4]), np.diag([1.0, 0.4]))
     entries = dict(gen.entries)
     for s in ("a", "b"):
         entries[(s, s)] = entries[(s, s)] - 3.0 * bump
-    broken = OperatorKernel(("a", "b"), 2, entries)
-    report = is_conditionally_cpd(broken, samples=500, seed=3)
+    return OperatorKernel(("a", "b"), 2, entries)
+
+
+def test_broken_generator_fails_with_reusable_witness():
+    broken = _broken_generator()
+    report = is_conditionally_cpd(broken)
     assert not report.ok
     assert report.witness is not None
     form = report.witness.form(broken)
     assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] < -1e-6
 
 
+def _scaled(kernel, factor):
+    return OperatorKernel(kernel.labels, kernel.dim,
+                          {pair: Superoperator(kernel.dim, factor * op.rep)
+                           for pair, op in kernel.entries.items()})
+
+
 def test_conditional_report_records_coverage():
-    report = is_conditionally_cpd(zero_kernel(("a",), 1), samples=64, seed=11)
-    assert report.samples == 64 and report.seed == 11 and len(report.grid) == 12
+    # The report covers the whole constrained subspace: its margin is the
+    # smallest eigenvalue there, recomputed here from an independent basis.
+    rng = np.random.default_rng(12)
+    for labels, d in ((("a",), 2), (("a", "b"), 2), (("a", "b", "c"), 3)):
+        gen = random_christensen_evans(labels, d, rng)
+        for kernel in (gen, _scaled(gen, -1.0)):
+            block = kernel.block_choi()
+            herm = (block + dagger(block)) / 2
+            omega = np.tile(np.eye(d).reshape(-1), len(labels))
+            basis = scipy.linalg.null_space(omega[None, :])
+            assert basis.shape[1] == len(labels) * d * d - 1
+            scale = np.linalg.norm(herm, 2)
+            lowest = np.linalg.eigvalsh(dagger(basis) @ herm @ basis)[0]
+            report = is_conditionally_cpd(kernel)
+            assert report.scale == pytest.approx(scale, rel=1e-12)
+            assert report.min_scaled_eigenvalue == pytest.approx(lowest / scale, abs=1e-12)
+            assert report.ok == (lowest >= -1e-8 * scale)
+    # One label over the scalars has an empty constrained subspace.
+    report = is_conditionally_cpd(scalar_kernel(np.array([[-5.0]]), ("a",)))
+    assert report.ok and report.min_scaled_eigenvalue == 0.0 and report.witness is None
+    assert report.scale == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("factor", [1e-12, 1.0, 1e6])
+def test_positivity_verdicts_are_scale_invariant(factor):
+    rng = np.random.default_rng(13)
+    gen = random_christensen_evans(("a", "b"), 2, rng)
+    broken = _broken_generator()
+    reference = is_conditionally_cpd(broken).min_scaled_eigenvalue
+
+    assert is_conditionally_cpd(_scaled(gen, factor)).ok
+    report = is_conditionally_cpd(_scaled(broken, factor))
+    assert not report.ok
+    assert report.min_scaled_eigenvalue == pytest.approx(reference, rel=1e-9)
+
+    value = CpdSemigroup(gen).evaluate(0.5)
+    assert is_cpd(_scaled(value, factor)).ok
+    assert not is_cpd(_scaled(broken, factor)).ok
+    factored = kolmogorov_decompose(_scaled(value, factor))
+    assert factored.rank == kolmogorov_decompose(value).rank
+    assert factored.max_reconstruction_error(_scaled(value, factor)) <= 1e-9 * factor
+
+    lopsided = OperatorKernel(("a", "b"), 2, {
+        ("a", "a"): Superoperator.identity(2),
+        ("a", "b"): Superoperator.left_mul(np.diag([1.0, 2.0])),
+        ("b", "a"): Superoperator.zero(2),
+        ("b", "b"): Superoperator.identity(2)})
+    with pytest.raises(KernelSymmetryError):
+        is_conditionally_cpd(_scaled(lopsided, factor))
+
+
+def _perturbed_generator(rng, labels, d, size):
+    """A random Christensen-Evans kernel plus a random hermitian kernel of ``size``."""
+    entries = dict(random_christensen_evans(labels, d, rng, scale=0.8).entries)
+    for i, s in enumerate(labels):
+        for t in labels[i:]:
+            raw = Superoperator(d, size * (rng.standard_normal((d * d, d * d))
+                                           + 1j * rng.standard_normal((d * d, d * d))))
+            if s == t:
+                raw = Superoperator(d, (raw.rep + raw.star_conjugate().rep) / 2)
+            entries[(s, t)] = entries[(s, t)] + raw
+            if s != t:
+                entries[(t, s)] = entries[(t, s)] + raw.star_conjugate()
+    return OperatorKernel(labels, d, entries)
+
+
+# Depths (in units of the gate's scale) beyond which each oracle is
+# expected to see a violation.  The grid starts at t = 1e-3, where the
+# O(t^2) term of exp(tK) can still mask a shallow negative direction
+# (largest miss seen: -8.3e-5 over 600 kernels).  The sampler's tuples
+# reach only part of the constrained subspace: for d = 1 the first
+# members all have modulus one (largest miss seen: -0.023 over 292
+# violations).
+GRID_RESOLUTION = 1e-3
+SAMPLER_RESOLUTION = 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3),
+       st.sampled_from((0.0, 0.01, 0.1, 0.5)))
+def test_exact_gate_agrees_with_sampler_and_schoenberg(seed, dim, n_labels, size):
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"s{i}" for i in range(n_labels))
+    kernel = _perturbed_generator(rng, labels, dim, size)
+    report = is_conditionally_cpd(kernel)
+    if size == 0.0:
+        assert report.ok
+    sampled_ok, _, sampled_witness = sampled_conditional_form(kernel, seed=seed % 1000)
+    grid_ok = schoenberg_grid_ok(kernel)
+    # Both oracles are sound: a violation either finds refutes the kernel.
+    if not sampled_ok:
+        assert not report.ok
+        form = sampled_witness.form(kernel)
+        assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] < 0
+    if not grid_ok:
+        assert not report.ok
+    # Beyond their resolution they also find every violation.
+    if report.ok or report.min_scaled_eigenvalue < -GRID_RESOLUTION:
+        assert grid_ok == report.ok
+    if report.ok or report.min_scaled_eigenvalue < -SAMPLER_RESOLUTION:
+        assert sampled_ok == report.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3))
+def test_conditional_witness_satisfies_constraint_and_is_negative(seed, dim, n_labels):
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"s{i}" for i in range(n_labels))
+    kernel = _perturbed_generator(rng, labels, dim, 0.5)
+    report = is_conditionally_cpd(kernel)
+    if report.ok:
+        assert report.witness is None
+        return
+    witness = report.witness
+    magnitude = sum(np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+                    for a, b in zip(witness.lefts, witness.rights))
+    constraint = sum(a @ b for a, b in zip(witness.lefts, witness.rights))
+    assert np.linalg.norm(constraint, 2) <= 1e-10 * magnitude
+    form = witness.form(kernel)
+    lowest = np.linalg.eigvalsh((form + dagger(form)) / 2)[0]
+    assert lowest < 0
+    assert witness.form_min_eigenvalue == pytest.approx(lowest, rel=1e-9, abs=1e-12)
+    # The (1, 1) entry of the form is the compressed Rayleigh quotient.
+    assert form[0, 0].real == pytest.approx(
+        report.min_scaled_eigenvalue * report.scale, rel=1e-9)
 
 
 # -- semigroup evaluation ------------------------------------------------------
@@ -177,12 +320,14 @@ def test_schoenberg_forward_and_converse_over_random_instances():
         d = int(rng.integers(1, 4))
         labels = tuple(f"s{i}" for i in range(n_labels))
         gen = random_christensen_evans(labels, d, rng, scale=0.8)
-        report = is_conditionally_cpd(gen, samples=60, seed=int(rng.integers(1 << 30)))
+        report = is_conditionally_cpd(gen)
+        assert report.ok and report.min_scaled_eigenvalue >= -1e-8
         # forward: exponentials are all CPD; converse: the constrained
-        # sampler finds nothing below the tolerance.  Both must agree.
-        assert report.schoenberg_ok
-        assert report.direct_ok and report.min_scaled_eigenvalue >= -1e-8
-        assert report.agree
+        # sampler finds nothing below the tolerance.  Both agree with the gate.
+        assert schoenberg_grid_ok(gen)
+        sampled_ok, worst, _ = sampled_conditional_form(
+            gen, samples=60, seed=int(rng.integers(1 << 30)))
+        assert sampled_ok and worst >= -1e-8
 
 
 def test_generator_recovered_from_small_time_differences():
@@ -266,6 +411,8 @@ def test_json_round_trip_is_exact():
 def test_json_codec_rejects_bad_documents():
     with pytest.raises(ValueError):
         kernel_from_json_dict({"dim": 2})
+    with pytest.raises(ValueError, match="at least one label"):
+        kernel_from_json_dict({"dim": 1, "labels": [], "entries": {}})
     with pytest.raises(ValueError):
         kernel_from_json_dict({"dim": 1, "labels": ["a"], "entries": {}})
     with pytest.raises(ValueError):

@@ -23,6 +23,8 @@ from trotterlab.units import (
     unit_expression,
 )
 
+from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
+
 
 @pytest.fixture
 def ce_generator():
@@ -167,7 +169,11 @@ def test_extension_restricts_to_base(ce_generator):
 def test_affine_extension_passes_conditional_positivity(ce_generator):
     y = affine_expression([2, -1], ["x1", "x2"], 2)
     ext = extend_generator(y, ce_generator)
-    assert ext.report.ok and ext.report.agree
+    assert ext.report.ok and ext.report.min_scaled_eigenvalue >= -1e-8
+    # Both oracles accept the extended kernel too.
+    sampled_ok, worst, _ = sampled_conditional_form(ext.kernel)
+    assert sampled_ok and worst >= -1e-8
+    assert schoenberg_grid_ok(ext.kernel)
 
 
 def test_extension_requires_unit_section(ce_generator):
