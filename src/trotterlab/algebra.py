@@ -8,6 +8,7 @@ Conventions used throughout the package:
 * A linear map on the algebra (a "superoperator") is stored as its
   d^2 x d^2 matrix acting on column-stacked vectorizations: ``vec(b)``
   stacks the columns of ``b``, so ``vec(p @ b @ q) == kron(q.T, p) @ vec(b)``.
+  :func:`left_right_rep` is the one place that builds such a matrix.
 * The Choi matrix of a map ``T`` is the d^2 x d^2 block matrix whose
   (i, j) block is ``T(e_ij)``.  ``T`` is completely positive exactly when
   its Choi matrix is positive semidefinite.
@@ -37,6 +38,7 @@ __all__ = [
     "unvec",
     "commutation_matrix",
     "dagger",
+    "left_right_rep",
     "unit_element",
     "embed_scalar",
     "matrix_unit",
@@ -53,6 +55,15 @@ __all__ = [
 # Seed for the deterministic direction set used by the norm estimator.
 _NORM_SEED = 1729
 _NORM_DIRECTIONS = 500
+# The norm estimator refines its _NORM_REFINE_FROM best candidates, each
+# for at most _NORM_MAX_ITER steps or until a step gains less than _NORM_RTOL.
+_NORM_REFINE_FROM = 8
+_NORM_MAX_ITER = 80
+_NORM_RTOL = 1e-12
+# Relative tolerances of the complete positivity test: Choi eigenvalues
+# and the hermiticity defect, both against the largest |eigenvalue|.
+_CP_TOL = 1e-10
+_CP_HERMITIAN_TOL = 1e-8
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -80,8 +91,20 @@ def commutation_matrix(dim: int) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
+
+
+def left_right_rep(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Representation ``kron(q.T, p)`` of the map ``b -> p @ b @ q``.
+
+    ``p`` and ``q`` may carry stacked leading axes, which broadcast; the
+    result then stacks one d^2 x d^2 matrix per broadcast index.
+    """
+    p, q = np.asarray(p), np.asarray(q)
+    out = q.swapaxes(-1, -2)[..., :, None, :, None] * p[..., None, :, None, :]
+    d2 = out.shape[-4] * out.shape[-3]
+    return out.reshape(*out.shape[:-4], d2, d2)
 
 
 def unit_element(dim: int) -> np.ndarray:
@@ -148,7 +171,7 @@ class Superoperator:
         q = np.asarray(q, dtype=complex)
         if p.shape != q.shape or p.shape[0] != p.shape[1]:
             raise ValueError("left/right factors must be square and of equal size")
-        return cls(p.shape[0], np.kron(q.T, p))
+        return cls(p.shape[0], left_right_rep(p, q))
 
     @classmethod
     def left_mul(cls, p: np.ndarray) -> "Superoperator":
@@ -255,8 +278,7 @@ def _candidate_ratios(op: Superoperator, candidates: np.ndarray) -> np.ndarray:
     return np.linalg.norm(images, 2, axis=(1, 2)) / np.linalg.norm(candidates, 2, axis=(1, 2))
 
 
-def superop_norm(op: Superoperator, *, directions: int = _NORM_DIRECTIONS,
-                 refine_from: int = 8, max_iter: int = 80, rtol: float = 1e-12) -> float:
+def superop_norm(op: Superoperator) -> float:
     """Estimate the operator-norm-induced map norm ``sup |A(b)| / |b|``.
 
     Deterministic: a fixed seeded direction set (plus the identity, all
@@ -267,20 +289,20 @@ def superop_norm(op: Superoperator, *, directions: int = _NORM_DIRECTIONS,
     accuracy ~1e-8 on the local maxima it finds.
     """
     d = op.dim
-    candidates = _norm_candidates(op, directions)
+    candidates = _norm_candidates(op, _NORM_DIRECTIONS)
     ratios = _candidate_ratios(op, candidates)
     scored = candidates[np.argsort(-ratios, kind="stable")]
     best = _op_norm_ratio(op, scored[0])
     if best == 0.0:
         return 0.0
     adjoint = Superoperator(d, op.rep.conj().T)  # Hilbert-Schmidt adjoint
-    for b0 in scored[:refine_from]:
+    for b0 in scored[:_NORM_REFINE_FROM]:
         nb0 = np.linalg.norm(b0, 2)
         if nb0 == 0.0:
             continue
         b = b0 / nb0
         val = _op_norm_ratio(op, b)
-        for _ in range(max_iter):
+        for _ in range(_NORM_MAX_ITER):
             image = op.apply(b)
             u, _, vh_img = np.linalg.svd(image)
             # Ascent direction for b -> Re <u1, A(b) v1>; its maximizer over the
@@ -291,7 +313,7 @@ def superop_norm(op: Superoperator, *, directions: int = _NORM_DIRECTIONS,
                 break
             b_new = ug @ vgh
             val_new = _op_norm_ratio(op, b_new)
-            if val_new <= val * (1.0 + rtol):
+            if val_new <= val * (1.0 + _NORM_RTOL):
                 break
             b, val = b_new, val_new
         best = max(best, val)
@@ -314,18 +336,21 @@ def choi_min_eigenvalue(op: Superoperator) -> float:
     return float(np.linalg.eigvalsh((c + dagger(c)) / 2.0)[0])
 
 
-def is_completely_positive(op: Superoperator, tol: float = 1e-10) -> bool:
+def is_completely_positive(op: Superoperator) -> bool:
     """Choi-matrix positivity test.
 
-    The verdict uses the eigenvalue threshold ``-tol * max(1, |C|)``; maps
-    whose Choi matrix is not hermitian (not hermiticity-preserving) are
-    rejected outright.
+    With H the hermitian part of the Choi matrix and scale its largest
+    absolute eigenvalue, the map passes when the smallest eigenvalue of H
+    is at least ``-_CP_TOL * scale``.  Maps whose Choi matrix is not
+    hermitian (not hermiticity-preserving) are rejected outright.  Both
+    thresholds are relative, so the verdict does not change when the map
+    is multiplied by a positive constant; the zero map passes.
     """
     c = choi_matrix(op)
     herm = (c + dagger(c)) / 2.0
     eigs = np.linalg.eigvalsh(herm)
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
+    scale = float(np.max(np.abs(eigs)))
     herm_defect = float(np.linalg.norm(c - dagger(c), 2)) / 2.0
-    if herm_defect > 1e-8 * scale:
+    if herm_defect > _CP_HERMITIAN_TOL * scale:
         return False
-    return bool(eigs[0] >= -tol * scale)
+    return bool(eigs[0] >= -_CP_TOL * scale)

@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import (
     Superoperator,
     dagger,
-    matrix_unit,
+    left_right_rep,
     superop_exp,
     unit_element,
 )
@@ -63,6 +63,13 @@ __all__ = [
     "kernel_to_json_dict",
     "kernel_from_json_dict",
 ]
+
+# Relative tolerances, each against the size of the kernel under test: of
+# hermitian symmetry, of block-Choi positivity, and of positivity on the
+# constrained subspace.
+_HERMITIAN_TOL = 1e-9
+_CPD_TOL = 1e-10
+_CONDITIONAL_TOL = 1e-8
 
 
 class KernelSymmetryError(ValueError):
@@ -125,13 +132,13 @@ class OperatorKernel:
                 worst = max(worst, float(np.max(np.abs(diff))))
         return worst
 
-    def require_hermitian(self, tol: float = 1e-9) -> None:
+    def require_hermitian(self) -> None:
         scale = max(float(np.max(np.abs(op.rep))) for op in self.entries.values())
         defect = self.hermitian_defect()
-        if defect > tol * scale:
+        if defect > _HERMITIAN_TOL * scale:
             raise KernelSymmetryError(
                 f"not a kernel candidate: hermitian symmetry defect {defect:.3e} "
-                f"exceeds {tol:.1e} * scale {scale:.3e}")
+                f"exceeds {_HERMITIAN_TOL:.1e} * scale {scale:.3e}")
 
     def block_choi(self) -> np.ndarray:
         """Block matrix whose (s, t) block is the Choi matrix of entry (s, t)."""
@@ -192,9 +199,9 @@ def christensen_evans_kernel(labels: Sequence[str], dim: int,
     eye = np.eye(dim)
 
     def entry(s: str, t: str) -> Superoperator:
-        rep = (np.kron(np.asarray(eta[t], dtype=complex).T, dagger(eta[s]))
-               + np.kron(np.asarray(beta[t], dtype=complex).T, eye)
-               + np.kron(eye, dagger(beta[s])))
+        rep = (left_right_rep(dagger(eta[s]), np.asarray(eta[t], dtype=complex))
+               + left_right_rep(eye, np.asarray(beta[t], dtype=complex))
+               + left_right_rep(dagger(beta[s]), eye))
         return Superoperator(dim, rep)
 
     return OperatorKernel.build(labels, dim, entry)
@@ -279,23 +286,39 @@ def _witness_from_eigenvector(kernel: OperatorKernel, vector: np.ndarray) -> Cpd
     return CpdWitness(tuple(sigmas), tuple(lefts), tuple(rights), min_eig)
 
 
-def is_cpd(kernel: OperatorKernel, tol: float = 1e-10) -> CpdResult:
-    """Complete positive definiteness via block-Choi positivity.
+def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hermitian block Choi matrix H of a kernel and ``eigh(H)``.
 
     Raises :class:`KernelSymmetryError` when the kernel is not hermitian
-    symmetric.  On a negative verdict the result carries a witness tuple
-    whose quadratic form has a negative eigenvalue.
+    symmetric.  Every positivity question about the kernel is answered
+    from this one eigendecomposition.
     """
     kernel.require_hermitian()
     block = kernel.block_choi()
     herm = (block + dagger(block)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
+    return herm, eigvals, eigvecs
+
+
+def _cpd_result(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
+                tol: float) -> CpdResult:
     scale = float(np.max(np.abs(eigvals)))
     min_eig = float(eigvals[0])
     if min_eig >= -tol * scale:
         return CpdResult(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
     return CpdResult(False, min_eig, scale, witness)
+
+
+def is_cpd(kernel: OperatorKernel, tol: float = _CPD_TOL) -> CpdResult:
+    """Complete positive definiteness via block-Choi positivity.
+
+    Raises :class:`KernelSymmetryError` when the kernel is not hermitian
+    symmetric.  On a negative verdict the result carries a witness tuple
+    whose quadratic form has a negative eigenvalue.
+    """
+    _, eigvals, eigvecs = _choi_spectrum(kernel)
+    return _cpd_result(kernel, eigvals, eigvecs, tol)
 
 
 @dataclass(frozen=True)
@@ -320,8 +343,7 @@ class ConditionallyCpdReport:
         return self.ok
 
 
-def is_conditionally_cpd(kernel: OperatorKernel, *,
-                         tol: float = 1e-8) -> ConditionallyCpdReport:
+def is_conditionally_cpd(kernel: OperatorKernel) -> ConditionallyCpdReport:
     """Conditional complete positive definiteness by one compressed eigendecomposition.
 
     Let H be the hermitian block Choi matrix of ``kernel`` and
@@ -330,7 +352,8 @@ def is_conditionally_cpd(kernel: OperatorKernel, *,
     the Choi index ``i*d + k``).  The kernel is conditionally completely
     positive definite exactly when ``V* H V`` is positive semidefinite, V
     an orthonormal basis of the orthogonal complement of ``omega``; it
-    passes when the smallest eigenvalue is at least ``-tol * scale``.
+    passes when the smallest eigenvalue is at least
+    ``-_CONDITIONAL_TOL * scale``.
 
     Proof of the equivalence.  Write a vector v in label blocks v_s, each
     reshaped to a d x d matrix ``V_s[i, k] = v[s, i*d + k]``.
@@ -362,10 +385,8 @@ def is_conditionally_cpd(kernel: OperatorKernel, *,
     2008).  The zero kernel passes exactly, and so does any kernel of one
     label over the scalars, whose complement is empty.
     """
-    kernel.require_hermitian()
-    block = kernel.block_choi()
-    herm = (block + dagger(block)) / 2.0
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(herm))))
+    herm, eigvals, _ = _choi_spectrum(kernel)
+    scale = float(np.max(np.abs(eigvals)))
     d, n = kernel.dim, len(kernel.labels)
     if scale == 0.0 or n * d * d == 1:
         return ConditionallyCpdReport(True, 0.0, scale, None)
@@ -373,7 +394,7 @@ def is_conditionally_cpd(kernel: OperatorKernel, *,
     complement = np.linalg.svd(omega[None, :])[2][1:].T
     eigvals, eigvecs = np.linalg.eigh(dagger(complement) @ herm @ complement)
     min_eig = float(eigvals[0])
-    if min_eig >= -tol * scale:
+    if min_eig >= -_CONDITIONAL_TOL * scale:
         return ConditionallyCpdReport(True, min_eig / scale, scale, None)
     witness = _witness_from_eigenvector(kernel, complement @ eigvecs[:, 0])
     return ConditionallyCpdReport(False, min_eig / scale, scale, witness)
@@ -446,9 +467,7 @@ class KolmogorovDecomposition:
         return {s: np.asarray(f).reshape(-1) for s, f in self.factors.items()}
 
     def reconstruct_entry(self, s: str, t: str) -> Superoperator:
-        rep = np.zeros((self.dim ** 2, self.dim ** 2), dtype=complex)
-        for fs, ft in zip(self.factors[s], self.factors[t]):
-            rep += np.kron(ft.T, dagger(fs))
+        rep = left_right_rep(dagger(self.factors[s]), self.factors[t]).sum(axis=0)
         return Superoperator(self.dim, rep)
 
     def max_reconstruction_error(self, kernel: OperatorKernel) -> float:
@@ -460,20 +479,19 @@ class KolmogorovDecomposition:
         return worst
 
 
-def kolmogorov_decompose(kernel: OperatorKernel, tol: float = 1e-10) -> KolmogorovDecomposition:
+def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
     """Single-time Kolmogorov-type factorization via the block Choi matrix.
 
-    Requires the kernel to be completely positive definite; eigenvalues
-    below the positivity tolerance raise, tiny negative ripple is clipped.
+    Requires the kernel to be completely positive definite (the test of
+    :func:`is_cpd`, from the same eigendecomposition); eigenvalues below
+    the positivity tolerance raise, tiny negative ripple is clipped.
     """
-    result = is_cpd(kernel, tol=tol)
+    _, eigvals, eigvecs = _choi_spectrum(kernel)
+    result = _cpd_result(kernel, eigvals, eigvecs, _CPD_TOL)
     if not result.ok:
         raise NotCompletelyPositiveError(
             f"kernel is not completely positive definite "
             f"(min eigenvalue {result.min_eigenvalue:.3e})", result)
-    block = kernel.block_choi()
-    herm = (block + dagger(block)) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(herm)
     keep = eigvals > 1e-14 * float(eigvals[-1])
     d = kernel.dim
     d2 = d * d

@@ -27,10 +27,12 @@ raised to the n-th power: O(log n) d^2 x d^2 products.  Any other shared
 partition builds the blocks of all distinct widths with stacked matrix
 exponentials and multiplies them by pairwise halving: O(n) work in
 O(log n) numpy calls and O(n d^4) memory.  Different partitions on the
-two sides go through a transfer-matrix walk: between interval
-boundaries the active term of each side is part of the state, and at a
-boundary the corresponding sum is folded.  It takes O(N) Python steps
-for a refinement of N intervals and O(d^4) memory per pair of terms.
+two sides go through a transfer walk over the N events of the grid that
+merges both sides' bounds and segment cuts.  Its state is one map per
+pair of terms, and each side has one open step (sum over its term axis,
+then its stacked open multipliers) and one close step; it takes O(N)
+numpy steps, multiplier stacks of O(n * terms * d^4) and entry
+exponentials of O(N * terms1 * terms2 * d^4), all built up front.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import Superoperator, dagger, superop_norm, unit_element
+from .algebra import Superoperator, dagger, left_right_rep, superop_norm, unit_element
 from .kernels import CpdSemigroup, OperatorKernel
 from .units import (
     ExtendedGenerator,
@@ -69,6 +71,12 @@ __all__ = [
 ]
 
 _LENGTH_TOL = 1e-12
+# Defects at or below this are rounding noise and do not enter rate fits.
+_RATE_FLOOR = 1e-13
+# Small times of the second-order estimate, and the fractions of the
+# horizon at which the Prop 3.3 bound is checked.
+_SECOND_ORDER_TIMES = (1e-1, 1e-2, 1e-3, 1e-4)
+_HORIZON_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -195,15 +203,6 @@ def _close_mult(term: Term, width) -> np.ndarray:
     return term.left
 
 
-def _pair_kron(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """``np.kron(m2.T, dagger(m1))``, the map ``b -> m1* b m2``, over stacked leading axes."""
-    a = np.swapaxes(m2, -1, -2)
-    b = np.conj(np.swapaxes(m1, -1, -2))
-    d2 = a.shape[-1] * b.shape[-1]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], d2, d2)
-
-
 def _tree_product(stack: np.ndarray) -> np.ndarray:
     """The ordered product ``stack[0] @ stack[1] @ ...`` by pairwise halving."""
     while len(stack) > 1:
@@ -228,9 +227,12 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
     * the same partition on both sides: every interval's block at once,
       then their ordered product (:func:`_batched_pairing`); O(n) work in
       O(log n) stacked numpy calls and O(n d^4) memory;
-    * different partitions: the transfer walk over the common refinement
-      (:func:`_walk_pairing`); O(N) Python steps for a refinement of N
-      intervals, O(d^4) memory per pair of terms.
+    * different partitions: the transfer walk over the N events of the
+      common refinement and the segment cuts (:func:`_walk_pairing`);
+      O(N) numpy steps on a (terms1, terms2, d^2, d^2) state, with the
+      multipliers stacked per interval, O(n * terms * d^4), and the entry
+      exponentials per event, O(N * terms1 * terms2 * d^4), each built
+      by one stacked call.
     """
     length = p1.length
     if abs(length - p2.length) > _LENGTH_TOL * max(1.0, length):
@@ -279,145 +281,93 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     for t1 in e1.terms:
         open1, close1 = _open_mult(t1, widths), _close_mult(t1, widths)
         for t2, (open2, close2) in zip(e2.terms, mults2):
-            acc = _pair_kron(open1, open2)
+            acc = left_right_rep(dagger(open1), open2)
             for fraction, s, t in _merged_segments(t1, t2):
                 acc = acc @ segment_exp(s, t, fraction)
-            blocks += acc @ _pair_kron(close1, close2)
+            blocks += acc @ left_right_rep(dagger(close1), close2)
     return Superoperator(semigroup.dim, _tree_product(blocks[inverse]))
-
-
-class _Side:
-    """Per-side bookkeeping for the transfer walk."""
-
-    def __init__(self, expr: UnitExpression, partition: Partition):
-        self.expr = expr
-        widths = partition.time_widths
-        self.bounds = np.concatenate(([0.0], np.cumsum(widths)))
-        self.widths = widths
-
-    def segment_cuts(self, index: int) -> list[float]:
-        lo, hi = self.bounds[index], self.bounds[index + 1]
-        span = hi - lo
-        cuts = []
-        for term in self.expr.terms:
-            cuts.extend(lo + f * span for f in term.cut_fractions())
-        return cuts
-
-    def label_at(self, term_index: int, interval_index: int, position: float) -> str:
-        lo, hi = self.bounds[interval_index], self.bounds[interval_index + 1]
-        return self.expr.terms[term_index].label_at((position - lo) / (hi - lo))
-
-    def open_mult(self, term_index: int, interval_index: int) -> np.ndarray:
-        return _open_mult(self.expr.terms[term_index], self.widths[interval_index])
-
-    def close_mult(self, term_index: int, interval_index: int) -> np.ndarray:
-        return _close_mult(self.expr.terms[term_index], self.widths[interval_index])
 
 
 def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
                   semigroup: CpdSemigroup) -> Superoperator:
     """Pairing over arbitrary partitions by a transfer walk over the common refinement.
 
-    Between interval boundaries the active term of each side is part of
-    the state, and at a boundary the corresponding sum is folded, so the
-    cost stays linear in the refinement size.  Entry exponentials are
-    tabled for the duration of the call, since a refinement repeats
-    widths.  Inputs are those :func:`eval_pairing` has validated.
+    The walk visits, in time order, the events of the grid that merges
+    both sides' interval bounds and segment cuts.  Its state holds one map
+    per pair of active terms, shape (n1, n2, d^2, d^2).  Where a side's
+    interval starts, the state is summed over that side's term axis and
+    multiplied by the stacked open multipliers; on every event it is
+    multiplied by the entry exponentials of the two sides' labels; where
+    the interval ends, by the stacked close multipliers.  Side-1 factors
+    ``b -> m* b`` and side-2 factors ``b -> b m`` act on opposite slots
+    and commute, so bounds the two sides share need no step of their own.
+    Inputs are those :func:`eval_pairing` has validated.
     """
-    length = p1.length
-    d = semigroup.dim
-    eye = np.eye(d)
-    side1 = _Side(e1, p1)
-    side2 = _Side(e2, p2)
-    tol = _LENGTH_TOL * max(1.0, length)
+    d, labels = semigroup.dim, semigroup.labels
+    bounds = [np.concatenate(([0.0], np.cumsum(p.time_widths))) for p in (p1, p2)]
+    events = [*bounds[0], *bounds[1]]
+    for expr, b in zip((e1, e2), bounds):
+        for term in expr.terms:
+            cuts = b[:-1, None] + np.asarray(term.cut_fractions()) * np.diff(b)[:, None]
+            events.extend(cuts.ravel())
+    grid = np.array(_merge_cuts(events, _LENGTH_TOL * max(1.0, p1.length)))
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    i1, start1, end1, codes1, open1, close1 = _walk_side(e1, bounds[0], mids, labels, 0)
+    i2, start2, end2, codes2, open2, close2 = _walk_side(e2, bounds[1], mids, labels, 1)
 
-    events = [*side1.bounds.tolist(), *side2.bounds.tolist()]
-    for i in range(p1.size):
-        events.extend(side1.segment_cuts(i))
-    for i in range(p2.size):
-        events.extend(side2.segment_cuts(i))
-    events = _merge_cuts(events, tol)
-    if abs(events[0]) > tol or abs(events[-1] - length) > tol:
-        raise AssertionError("event grid must span the full horizon")
+    gens = np.array([[semigroup.generator[(s, t)].rep for t in labels] for s in labels])
+    exps = scipy.linalg.expm(np.diff(grid)[:, None, None, None, None]
+                             * gens[codes1[:, :, None], codes2[:, None, :]])
 
-    def is_boundary(bounds: np.ndarray, value: float) -> bool:
-        idx = int(np.searchsorted(bounds, value))
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < len(bounds) and abs(bounds[j] - value) <= tol:
-                return True
-        return False
+    state = np.eye(d * d, dtype=complex)[None, None]
+    for k in range(mids.size):
+        if start1[k]:
+            state = state.sum(axis=0, keepdims=True) @ open1[i1[k]]
+        if start2[k]:
+            state = state.sum(axis=1, keepdims=True) @ open2[i2[k]]
+        state = state @ exps[k]
+        if end1[k]:
+            state = state @ close1[i1[k]]
+        if end2[k]:
+            state = state @ close2[i2[k]]
+    return Superoperator(d, state.sum(axis=(0, 1)))
 
-    exps: dict[tuple[str, str, float], np.ndarray] = {}
 
-    def entry_exp(s: str, t: str, width: float) -> np.ndarray:
-        key = (s, t, width)
-        if key not in exps:
-            exps[key] = semigroup.entry_rep(s, t, width)
-        return exps[key]
+def _walk_side(expr: UnitExpression, bounds: np.ndarray, mids: np.ndarray,
+               labels: Sequence[str], axis: int):
+    """One side of :func:`_walk_pairing`, read off the midpoints of the event grid.
 
-    n1, n2 = len(e1.terms), len(e2.terms)
-    total = np.eye(d * d, dtype=complex)
-    states: dict[tuple[int, int], np.ndarray] | None = None
-    i1 = i2 = 0  # current interval index on each side
-
-    for lo, hi in zip(events[:-1], events[1:]):
-        if states is None:
-            states = {}
-            for m1 in range(n1):
-                op1 = side1.open_mult(m1, i1)
-                for m2 in range(n2):
-                    op2 = side2.open_mult(m2, i2)
-                    states[(m1, m2)] = total @ np.kron(op2.T, dagger(op1))
-        width = hi - lo
-        mid = (lo + hi) / 2.0
-        for (m1, m2), acc in states.items():
-            s = side1.label_at(m1, i1, mid)
-            t = side2.label_at(m2, i2, mid)
-            states[(m1, m2)] = acc @ entry_exp(s, t, width)
-
-        b1 = is_boundary(side1.bounds, hi)
-        b2 = is_boundary(side2.bounds, hi)
-        if b1 and b2:
-            total = np.zeros((d * d, d * d), dtype=complex)
-            for (m1, m2), acc in states.items():
-                cl1 = side1.close_mult(m1, i1)
-                cl2 = side2.close_mult(m2, i2)
-                total += acc @ np.kron(cl2.T, dagger(cl1))
-            states = None
-            i1 += 1
-            i2 += 1
-        elif b1:
-            collapsed = {}
-            for m2 in range(n2):
-                acc = sum(states[(m1, m2)] @ np.kron(eye, dagger(side1.close_mult(m1, i1)))
-                          for m1 in range(n1))
-                collapsed[m2] = acc
-            i1 += 1
-            states = {(m1, m2): collapsed[m2] @ np.kron(eye, dagger(side1.open_mult(m1, i1)))
-                      for m1 in range(n1) for m2 in range(n2)}
-        elif b2:
-            collapsed = {}
-            for m1 in range(n1):
-                acc = sum(states[(m1, m2)] @ np.kron(side2.close_mult(m2, i2).T, eye)
-                          for m2 in range(n2))
-                collapsed[m1] = acc
-            i2 += 1
-            states = {(m1, m2): collapsed[m1] @ np.kron(side2.open_mult(m2, i2).T, eye)
-                      for m1 in range(n1) for m2 in range(n2)}
-    if states is not None:
-        raise AssertionError("walk ended inside an interval")
-    return Superoperator(d, total)
+    Per event: the side's interval index, whether that interval starts or
+    ends there, and the label index of every term (events x terms).  Per
+    interval: the open and close factors of every term, shaped to act on
+    the side's own term axis of the state, (intervals, terms, 1, d^2, d^2)
+    for side 1 (``axis`` 0, ``b -> m* b``) and (intervals, 1, terms, d^2,
+    d^2) for side 2 (``b -> b m``).
+    """
+    index = np.searchsorted(bounds, mids, side="right") - 1
+    change = index[1:] != index[:-1]
+    fractions = (mids - bounds[index]) / (bounds[index + 1] - bounds[index])
+    codes = np.stack([np.array([labels.index(seg.label) for seg in term.segments])
+                      [term.segment_index(fractions)] for term in expr.terms], axis=1)
+    widths = np.diff(bounds)
+    eye = np.eye(expr.dim)
+    factors = []
+    for mult in (_open_mult, _close_mult):
+        stack = np.stack([np.broadcast_to(mult(term, widths), (widths.size, *eye.shape))
+                          for term in expr.terms], axis=1)
+        rep = left_right_rep(dagger(stack), eye) if axis == 0 else left_right_rep(eye, stack)
+        factors.append(np.expand_dims(rep, 2 - axis))
+    return index, np.r_[True, change], np.r_[change, True], codes, *factors
 
 
 # -- reports ------------------------------------------------------------------
 
 
-def fit_rate(norms: Sequence[float], defects: Sequence[float],
-             floor: float = 1e-13) -> float | None:
+def fit_rate(norms: Sequence[float], defects: Sequence[float]) -> float | None:
     """Log-log slope of defect against partition norm, ignoring noise-floor points."""
     xs, ys = [], []
     for nrm, dft in zip(norms, defects):
-        if dft > floor:
+        if dft > _RATE_FLOOR:
             xs.append(np.log(nrm))
             ys.append(np.log(dft))
     if len(xs) < 3:
@@ -638,14 +588,13 @@ class Prop33Report:
         return self.bounds_hold and self.eventually_bounded
 
 
-def estimate_second_order(section: UnitExpression, extension: ExtendedGenerator,
-                          times: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)) -> float:
+def estimate_second_order(section: UnitExpression, extension: ExtendedGenerator) -> float:
     """Max of ``|<y_t, . y_t> - id - t K| / t^2`` over a small-time grid."""
     semigroup = extension.semigroup()
     d = semigroup.dim
     ident = Superoperator.identity(d)
     worst = 0.0
-    for t in times:
+    for t in _SECOND_ORDER_TIMES:
         part = Partition((float(t),))
         pairing = eval_pairing(section, part, section, part, semigroup)
         remainder = pairing - ident - float(t) * extension.diagonal
@@ -654,9 +603,7 @@ def estimate_second_order(section: UnitExpression, extension: ExtendedGenerator,
 
 
 def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
-                       horizon: float, schedule: Sequence[Partition], *,
-                       horizon_fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
-                       ) -> Prop33Report:
+                       horizon: float, schedule: Sequence[Partition]) -> Prop33Report:
     """Check the first-order-in-norm bound on the gram defect, report only."""
     semigroup = extension.semigroup()
     k_norm = superop_norm(extension.diagonal)
@@ -670,7 +617,7 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
     eventually_bounded = True
     gram_series: list[float] = []
     norm_series: list[float] = []
-    for fraction in horizon_fractions:
+    for fraction in _HORIZON_FRACTIONS:
         t = horizon * fraction
         t_rows = []
         for base in schedule:
@@ -690,13 +637,13 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
                 "pairing_norm": size, "pairing_norm_bound": size_bound,
                 "bounded_ok": bounded,
             })
-            if fraction == horizon_fractions[-1]:
+            if fraction == _HORIZON_FRACTIONS[-1]:
                 gram_series.append(defect)
                 norm_series.append(part.norm)
         rows[t] = tuple(t_rows)
     gram_rate = fit_rate(norm_series, gram_series)
     return Prop33Report(
         k_norm=k_norm, second_order=second, assembled_constant=assembled,
-        horizons=tuple(horizon * f for f in horizon_fractions), rows=rows,
+        horizons=tuple(horizon * f for f in _HORIZON_FRACTIONS), rows=rows,
         gram_rate=gram_rate, bounds_hold=bounds_hold,
         eventually_bounded=eventually_bounded)

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Superoperator, dagger, unit_element
+from .algebra import Superoperator, dagger, left_right_rep, unit_element
 from .kernels import (
     ConditionallyCpdReport,
     CpdSemigroup,
@@ -58,6 +58,12 @@ __all__ = [
 ]
 
 _FRACTION_TOL = 1e-9
+# A section's value at t = 0 may differ from the unit by this much.
+_UNIT_TOL = 1e-9
+# Normalization: relative tolerance of the selfadjointness and unitality
+# checks, and the times at which the normalized semigroup must be unital.
+_NORMALIZE_TOL = 1e-10
+_UNITALITY_TIMES = (0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -112,13 +118,13 @@ class Term:
         cuts = np.cumsum([seg.fraction for seg in self.segments])[:-1]
         return tuple(float(c) for c in cuts)
 
+    def segment_index(self, fraction):
+        """Index of the segment containing ``fraction``, elementwise for an array."""
+        ends = np.cumsum([seg.fraction for seg in self.segments])
+        return np.minimum(np.searchsorted(ends, fraction, side="right"), len(ends) - 1)
+
     def label_at(self, fraction: float) -> str:
-        acc = 0.0
-        for seg in self.segments:
-            acc += seg.fraction
-            if fraction < acc:
-                return seg.label
-        return self.segments[-1].label
+        return self.segments[int(self.segment_index(fraction))].label
 
 
 @dataclass(frozen=True)
@@ -226,11 +232,11 @@ def pair_derivative(e1: UnitExpression, e2: UnitExpression,
             for width, s, t in _merged_segments(t1, t2):
                 inner += width * generator[(s, t)].rep
             if t1.twist is not None:
-                inner += np.kron(eye, dagger(t1.twist))
+                inner += left_right_rep(dagger(t1.twist), eye)
             if t2.twist is not None:
-                inner += np.kron(t2.twist.T, eye)
-            outer_rep = np.kron(t2.right.T, dagger(t1.right))
-            deep_rep = np.kron(t2.left.T, dagger(t1.left))
+                inner += left_right_rep(eye, t2.twist)
+            outer_rep = left_right_rep(dagger(t1.right), t2.right)
+            deep_rep = left_right_rep(dagger(t1.left), t2.left)
             total += outer_rep @ inner @ deep_rep
     return Superoperator(d, total)
 
@@ -281,8 +287,7 @@ def _fresh_label(taken: Sequence[str], stem: str = "zeta") -> str:
 
 
 def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
-                     zeta_label: str | None = None, unit_tol: float = 1e-9,
-                     positivity_tol: float = 1e-8) -> ExtendedGenerator:
+                     zeta_label: str | None = None) -> ExtendedGenerator:
     """Adjoin the limit-unit label of ``section`` to ``generator``.
 
     The diagonal entry of the new row is the derivative of the section's
@@ -292,7 +297,7 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
     with the witness attached.
     """
     defect = section.unit_section_defect()
-    if defect > unit_tol:
+    if defect > _UNIT_TOL:
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
@@ -311,7 +316,7 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
         entries[(s, zeta)] = cross[s].star_conjugate()
     kernel = OperatorKernel(generator.labels + (zeta,), generator.dim, entries)
 
-    report = is_conditionally_cpd(kernel, tol=positivity_tol)
+    report = is_conditionally_cpd(kernel)
     if not report.ok:
         magnitude = abs(report.min_scaled_eigenvalue)
         kind = ("hypothesis violation" if magnitude > 1e-3
@@ -331,15 +336,13 @@ class NormalizedUnit:
 
 
 def normalize_unit(label: str, generator: OperatorKernel,
-                   h: np.ndarray | None = None, *, side: str = "right",
-                   check_times: Sequence[float] = (0.25, 0.5, 1.0),
-                   tol: float = 1e-10) -> NormalizedUnit:
+                   h: np.ndarray | None = None, *, side: str = "right") -> NormalizedUnit:
     """Twist a unit so that the limit unit generates a unital CP semigroup.
 
     With ``q = generator[label, label](1)`` (which must be selfadjoint),
     the twist is ``beta = -q/2 + i h`` for an arbitrary selfadjoint ``h``.
     Unitality of the extended diagonal, ``K(1) = 0`` and hence
-    ``exp(tK)(1) = 1``, is asserted on ``check_times``.
+    ``exp(tK)(1) = 1``, is asserted at the times ``_UNITALITY_TIMES``.
     """
     if label not in generator.labels:
         raise KeyError(f"unknown unit label {label!r}")
@@ -347,12 +350,12 @@ def normalize_unit(label: str, generator: OperatorKernel,
     eye = unit_element(d)
     q_one = generator[(label, label)].apply(eye)
     scale = max(1.0, float(np.linalg.norm(q_one, 2)))
-    if float(np.linalg.norm(q_one - dagger(q_one), 2)) > tol * scale:
+    if float(np.linalg.norm(q_one - dagger(q_one), 2)) > _NORMALIZE_TOL * scale:
         raise ValueError("malformed generator: diagonal value at the unit is not selfadjoint")
     if h is None:
         h = np.zeros((d, d))
     h = np.asarray(h, dtype=complex)
-    if float(np.linalg.norm(h - dagger(h), 2)) > tol * max(1.0, float(np.linalg.norm(h, 2))):
+    if float(np.linalg.norm(h - dagger(h), 2)) > _NORMALIZE_TOL * max(1.0, float(np.linalg.norm(h, 2))):
         raise ValueError("h must be selfadjoint")
 
     beta = -q_one / 2.0 + 1j * h
@@ -360,11 +363,11 @@ def normalize_unit(label: str, generator: OperatorKernel,
     extension = extend_generator(expression, generator)
 
     k_at_one = extension.diagonal.apply(eye)
-    if float(np.linalg.norm(k_at_one, 2)) > tol * scale:
+    if float(np.linalg.norm(k_at_one, 2)) > _NORMALIZE_TOL * scale:
         raise ArithmeticError(
             f"normalization failed: K(1) has norm {np.linalg.norm(k_at_one, 2):.3e}")
-    for t in check_times:
+    for t in _UNITALITY_TIMES:
         drift = extension.diagonal.expm(t).apply(eye) - eye
-        if float(np.linalg.norm(drift, 2)) > 10 * tol * max(1.0, scale):
+        if float(np.linalg.norm(drift, 2)) > 10 * _NORMALIZE_TOL * max(1.0, scale):
             raise ArithmeticError(f"normalized semigroup is not unital at t={t}")
     return NormalizedUnit(expression, extension, beta)

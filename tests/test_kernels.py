@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import Superoperator, dagger
+from trotterlab.algebra import Superoperator, dagger, is_completely_positive
 from trotterlab.kernels import (
     CpdSemigroup,
     KernelSymmetryError,
@@ -178,6 +178,13 @@ def test_positivity_verdicts_are_scale_invariant(factor):
     factored = kolmogorov_decompose(_scaled(value, factor))
     assert factored.rank == kolmogorov_decompose(value).rank
     assert factored.max_reconstruction_error(_scaled(value, factor)) <= 1e-9 * factor
+
+    # Single maps: the transpose on 2x2 matrices (Choi spectrum {1, 1, 1, -1})
+    # is not completely positive at any scale; the identity and zero maps are.
+    transpose = Superoperator.from_function(lambda b: b.T, 2)
+    assert not is_completely_positive(factor * transpose)
+    assert is_completely_positive(factor * Superoperator.identity(2))
+    assert is_completely_positive(Superoperator.zero(2))
 
     lopsided = OperatorKernel(("a", "b"), 2, {
         ("a", "a"): Superoperator.identity(2),

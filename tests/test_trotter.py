@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import dagger, superop_norm, unit_element
+from trotterlab.algebra import Superoperator, dagger, superop_norm, unit_element
 from trotterlab.kernels import CpdSemigroup, random_christensen_evans, scalar_kernel
 from trotterlab.trotter import (
     Partition,
@@ -214,6 +217,81 @@ def test_batched_pairing_matches_walk(seed, dim, terms1, terms2, parts):
     batched = eval_pairing(e1, partition, e2, partition, semigroup).rep
     walk = _walk_pairing(e1, partition, e2, partition, semigroup).rep
     assert np.max(np.abs(batched - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
+
+
+def brute_force_pairing(e1, p1, e2, p2, semigroup):
+    """The pairing as a sum of single-term chains, one per assignment of terms to intervals.
+
+    Each chain is the time-ordered product, over the grid of both sides'
+    bounds and every term's segment cuts, of the entry exponential of the
+    two assigned terms' labels, with a side's right multiplier (and right
+    twist) entering where its interval starts and its left multiplier (and
+    left twist) where it ends.
+    """
+    d = semigroup.dim
+    eye = np.eye(d)
+    sides = []
+    points = set()
+    for expr, p in ((e1, p1), (e2, p2)):
+        bounds = np.concatenate(([0.0], np.cumsum(p.time_widths)))
+        points.update(bounds)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            points.update(lo + f * (hi - lo) for term in expr.terms for f in term.cut_fractions())
+        sides.append((expr, bounds))
+    grid = [0.0]
+    for x in sorted(points):
+        if x - grid[-1] > 1e-12:
+            grid.append(x)
+
+    def multipliers(term, width):
+        twist = np.eye(d) if term.twist is None else scipy.linalg.expm(width * term.twist)
+        right = twist @ term.right if term.twist_side == "right" else term.right
+        left = term.left @ twist if term.twist_side == "left" else term.left
+        return right, left
+
+    total = np.zeros((d * d, d * d), dtype=complex)
+    choices = [itertools.product(range(len(expr.terms)), repeat=len(b) - 1) for expr, b in sides]
+    for assignment in itertools.product(*choices):
+        rep = np.eye(d * d, dtype=complex)
+        for lo, hi in zip(grid[:-1], grid[1:]):
+            mid = (lo + hi) / 2
+            pieces = []
+            for (expr, bounds), chosen in zip(sides, assignment):
+                i = int(np.searchsorted(bounds, mid)) - 1
+                term = expr.terms[chosen[i]]
+                width = bounds[i + 1] - bounds[i]
+                right, left = multipliers(term, width)
+                label = term.label_at((mid - bounds[i]) / width)
+                pieces.append((right, left, label, abs(lo - bounds[i]) <= 1e-12,
+                               abs(hi - bounds[i + 1]) <= 1e-12))
+            (r1, l1, s, open1, close1), (r2, l2, t, open2, close2) = pieces
+            if open1:
+                rep = rep @ Superoperator.left_right(dagger(r1), eye).rep
+            if open2:
+                rep = rep @ Superoperator.left_right(eye, r2).rep
+            rep = rep @ semigroup.entry_rep(s, t, hi - lo)
+            if close1:
+                rep = rep @ Superoperator.left_right(dagger(l1), eye).rep
+            if close2:
+                rep = rep @ Superoperator.left_right(eye, l2).rep
+        total += rep
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2)), st.integers(1, 2),
+       st.integers(1, 2), st.integers(1, 3), st.integers(1, 3))
+def test_walk_matches_brute_force_chains_on_mismatched_partitions(seed, dim, terms1, terms2,
+                                                                  parts1, parts2):
+    rng = np.random.default_rng(seed)
+    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), dim, rng, scale=0.5))
+    e1 = random_unit_section(rng, dim, terms1)
+    e2 = random_unit_section(rng, dim, terms2)
+    w1, w2 = rng.uniform(0.1, 1.0, size=parts1), rng.uniform(0.1, 1.0, size=parts2)
+    p1, p2 = Partition(tuple(w1 / w1.sum())), Partition(tuple(w2 / w2.sum()))
+    oracle = brute_force_pairing(e1, p1, e2, p2, semigroup)
+    walk = _walk_pairing(e1, p1, e2, p2, semigroup).rep
+    assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
 # -- convergence verdicts ----------------------------------------------------------
