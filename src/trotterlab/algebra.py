@@ -45,6 +45,7 @@ __all__ = [
     "Superoperator",
     "compose",
     "superop_exp",
+    "expm_times",
     "superop_norm",
     "frobenius_norm",
     "choi_matrix",
@@ -64,6 +65,8 @@ _NORM_RTOL = 1e-12
 # and the hermiticity defect, both against the largest |eigenvalue|.
 _CP_TOL = 1e-10
 _CP_HERMITIAN_TOL = 1e-8
+# Unit roundoff of float64, the target of expm_times' Taylor truncation.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -243,16 +246,79 @@ def superop_exp(generator: Superoperator, t: float) -> Superoperator:
     return Superoperator(generator.dim, scipy.linalg.expm(t * generator.rep))
 
 
+def _taylor_degree(r: float) -> int:
+    """Smallest K >= 1 with ``r^(K+1)/(K+1)! * (K+2)/(K+2-r) <= 2^-53 * exp(-r)``, for r <= 1."""
+    bound = _UNIT_ROUNDOFF * np.exp(-r)
+    degree, term = 1, r  # term = r^degree / degree!
+    while True:
+        term *= r / (degree + 1)
+        if term * (degree + 2) / (degree + 2 - r) <= bound:
+            return degree
+        degree += 1
+
+
+def expm_times(rep: np.ndarray, times) -> np.ndarray:
+    """``exp(t * rep)`` for every ``t`` in ``times``, shape ``times.shape + rep.shape``.
+
+    ``rep`` is one square matrix or a table of them stacked on leading
+    axes, e.g. a generator kernel as (labels, labels, d^2, d^2).  The
+    one-parameter structure makes the whole batch one Taylor evaluation:
+
+    * ``rho = max|t| * max ||rep||_1`` over the table, and ``s`` the
+      smallest ``s >= 0`` with ``r = rho / 2^s <= 1``;
+    * K the smallest degree K >= 1 whose Taylor tail bound (below) is at most
+      ``2^-53 * exp(-r)``;
+    * the powers ``rep^1 .. rep^K`` once, the coefficients
+      ``(t / 2^s)^k / k!`` by one ``cumprod``, and the deviation
+      ``D = exp(t rep / 2^s) - I`` as the single product ``coef @ powers``;
+    * ``s`` stacked squarings in deviation form, ``D <- 2 D + D @ D``
+      (``(I + D)^2 - I``), and the identity added once, last.
+
+    Keeping I out until the end matters: near the identity, D is small
+    and carries all its significant bits, while ``I + D`` rounded early
+    loses the last bit of the diagonal, and the pairings raise blocks to
+    powers of up to 4096.  1 x 1 generators give ``np.exp(t * rep)``.
+
+    Truncation error.  Let ``X = t rep / 2^s``; ``||.||_1`` is an induced,
+    hence submultiplicative, norm with ``||I||_1 = 1``, and
+    ``||X||_1 <= r``.  The Taylor remainder after degree K obeys
+    ``||R_K||_1 <= sum_{k>K} r^k / k!
+    <= r^(K+1)/(K+1)! * sum_{j>=0} (r/(K+2))^j
+    = r^(K+1)/(K+1)! * (K+2)/(K+2-r)``, because the ratio of consecutive
+    terms ``r/(k+1)`` is at most ``r/(K+2)`` for ``k > K``.  Also
+    ``1 = ||exp(X) exp(-X)||_1 <= ||exp(X)||_1 * e^r``, so
+    ``||exp(X)||_1 >= e^-r``.  With the degree chosen above,
+    ``||R_K||_1 <= 2^-53 ||exp(X)||_1``: the truncation is below the unit
+    roundoff relative to the result, before the squarings.  For r <= 1
+    this needs K <= 18; the cost is K - 1 products of the table, one
+    (times, K) x (K, table) matmul and s stacked squarings.
+    """
+    rep = np.asarray(rep)
+    times = np.asarray(times, dtype=float)
+    if not (np.isfinite(rep).all() and np.isfinite(times).all()):
+        raise ValueError("non-finite generator or time")
+    n = rep.shape[-1]
+    if n == 1:
+        return np.exp(times[(...,) + (None,) * rep.ndim] * rep)
+    rho = float(np.max(np.abs(times), initial=0.0)
+                * np.max(np.abs(rep).sum(axis=-2), initial=0.0))
+    s = 0
+    while rho > 2.0 ** s:
+        s += 1
+    degree = _taylor_degree(rho / 2.0 ** s)
+    powers = [rep]
+    for _ in range(degree - 1):
+        powers.append(powers[-1] @ rep)
+    coef = np.cumprod(times.reshape(-1, 1) / 2.0 ** s / np.arange(1, degree + 1), axis=1)
+    dev = (coef @ np.reshape(powers, (degree, -1))).reshape(*times.shape, *rep.shape)
+    for _ in range(s):
+        dev = 2.0 * dev + dev @ dev
+    return dev + np.eye(n)
+
+
 def frobenius_norm(op: Superoperator) -> float:
     """Exact map norm with Hilbert-Schmidt geometry on the algebra."""
     return float(np.linalg.norm(op.rep, 2))
-
-
-def _op_norm_ratio(op: Superoperator, b: np.ndarray) -> float:
-    nb = np.linalg.norm(b, 2)
-    if nb == 0.0:
-        return 0.0
-    return float(np.linalg.norm(op.apply(b), 2) / nb)
 
 
 def _norm_candidates(op: Superoperator, directions: int) -> np.ndarray:
@@ -270,11 +336,16 @@ def _norm_candidates(op: Superoperator, directions: int) -> np.ndarray:
     return np.concatenate([np.stack(fixed), draws[:, 0] + 1j * draws[:, 1]])
 
 
+def _apply_stack(rep: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``A(b)`` for each b of a (k, d, d) stack, with A given by its representation."""
+    k, d = len(stack), stack.shape[-1]
+    vecs = np.swapaxes(stack, 1, 2).reshape(k, d * d)
+    return np.swapaxes((vecs @ rep.T).reshape(k, d, d), 1, 2)
+
+
 def _candidate_ratios(op: Superoperator, candidates: np.ndarray) -> np.ndarray:
     """``|A(b)| / |b|`` in operator norm for each stacked nonzero ``b``."""
-    d = op.dim
-    vecs = np.swapaxes(candidates, 1, 2).reshape(len(candidates), d * d)
-    images = np.swapaxes((vecs @ op.rep.T).reshape(len(candidates), d, d), 1, 2)
+    images = _apply_stack(op.rep, candidates)
     return np.linalg.norm(images, 2, axis=(1, 2)) / np.linalg.norm(candidates, 2, axis=(1, 2))
 
 
@@ -283,41 +354,37 @@ def superop_norm(op: Superoperator) -> float:
 
     Deterministic: a fixed seeded direction set (plus the identity, all
     matrix units and the Hilbert-Schmidt maximizer) is scored, and the top
-    candidates are refined by alternating maximization over the unit ball.
-    Each refinement step is exact, so the iteration is monotone; the value
-    returned is a lower bound on the true norm, converged to relative
-    accuracy ~1e-8 on the local maxima it finds.
+    ``_NORM_REFINE_FROM`` candidates are refined by alternating
+    maximization over the unit ball, all in lockstep on one stack.  A
+    step takes the polar factor of the gradient of ``b -> Re <u1, A(b) v1>``
+    (u1, v1 the top singular pair of ``A(b)``), which is exact and keeps
+    ``|b| = 1``, so the ratio is the top singular value of ``A(b)``.  A
+    candidate stops when the gradient vanishes, when a step gains less
+    than ``_NORM_RTOL`` relative, or after ``_NORM_MAX_ITER`` steps.  The
+    iteration is monotone; the value returned is a lower bound on the
+    true norm, converged to relative accuracy ~1e-8 on the local maxima
+    it finds.
     """
-    d = op.dim
     candidates = _norm_candidates(op, _NORM_DIRECTIONS)
     ratios = _candidate_ratios(op, candidates)
-    scored = candidates[np.argsort(-ratios, kind="stable")]
-    best = _op_norm_ratio(op, scored[0])
+    order = np.argsort(-ratios, kind="stable")
+    best = float(ratios[order[0]])
     if best == 0.0:
         return 0.0
-    adjoint = Superoperator(d, op.rep.conj().T)  # Hilbert-Schmidt adjoint
-    for b0 in scored[:_NORM_REFINE_FROM]:
-        nb0 = np.linalg.norm(b0, 2)
-        if nb0 == 0.0:
-            continue
-        b = b0 / nb0
-        val = _op_norm_ratio(op, b)
-        for _ in range(_NORM_MAX_ITER):
-            image = op.apply(b)
-            u, _, vh_img = np.linalg.svd(image)
-            # Ascent direction for b -> Re <u1, A(b) v1>; its maximizer over the
-            # operator-norm unit ball is the polar factor of the gradient.
-            grad = adjoint.apply(np.outer(u[:, 0], vh_img[0]))
-            ug, sg, vgh = np.linalg.svd(grad)
-            if sg[0] == 0.0:
-                break
-            b_new = ug @ vgh
-            val_new = _op_norm_ratio(op, b_new)
-            if val_new <= val * (1.0 + _NORM_RTOL):
-                break
-            b, val = b_new, val_new
-        best = max(best, val)
-    return best
+    adjoint = dagger(op.rep)  # Hilbert-Schmidt adjoint
+    starts = candidates[order[:_NORM_REFINE_FROM]]
+    starts = starts / np.linalg.norm(starts, 2, axis=(1, 2))[:, None, None]
+    u, sv, vh = np.linalg.svd(_apply_stack(op.rep, starts))
+    val = sv[:, 0]
+    active = np.ones(len(starts), dtype=bool)
+    for _ in range(_NORM_MAX_ITER):
+        ug, sg, vgh = np.linalg.svd(_apply_stack(adjoint, u[:, :, :1] * vh[:, :1, :]))
+        u_new, sv_new, vh_new = np.linalg.svd(_apply_stack(op.rep, ug @ vgh))
+        active &= (sg[:, 0] != 0.0) & (sv_new[:, 0] > val * (1.0 + _NORM_RTOL))
+        if not active.any():
+            break
+        val[active], u[active], vh[active] = sv_new[active, 0], u_new[active], vh_new[active]
+    return max(best, float(val.max()))
 
 
 def choi_matrix(op: Superoperator) -> np.ndarray:

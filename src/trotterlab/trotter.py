@@ -33,6 +33,12 @@ pair of terms, and each side has one open step (sum over its term axis,
 then its stacked open multipliers) and one close step; it takes O(N)
 numpy steps, multiplier stacks of O(n * terms * d^4) and entry
 exponentials of O(N * terms1 * terms2 * d^4), all built up front.
+
+Every matrix exponential here is a semigroup ``exp(w L)`` at many times
+``w``, which :func:`trotterlab.algebra.expm_times` evaluates as one batch:
+one (times x degree) by (degree x table) matmul per (label pair, segment
+fraction), per twisted term, or per generator table, plus s stacked
+squarings, with s the scaling exponent of the largest time.
 """
 
 from __future__ import annotations
@@ -42,9 +48,15 @@ from dataclasses import dataclass, field, asdict
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import Superoperator, dagger, left_right_rep, superop_norm, unit_element
+from .algebra import (
+    Superoperator,
+    dagger,
+    expm_times,
+    left_right_rep,
+    superop_norm,
+    unit_element,
+)
 from .kernels import CpdSemigroup, OperatorKernel
 from .units import (
     ExtendedGenerator,
@@ -192,14 +204,14 @@ def _open_mult(term: Term, width) -> np.ndarray:
     the multipliers stacked along a leading axis.
     """
     if term.twist_side == "right":
-        return scipy.linalg.expm(np.asarray(width)[..., None, None] * term.twist) @ term.right
+        return expm_times(term.twist, width) @ term.right
     return term.right
 
 
 def _close_mult(term: Term, width) -> np.ndarray:
     """Multiplier entering at an interval's latest end (left factor); see :func:`_open_mult`."""
     if term.twist_side == "left":
-        return term.left @ scipy.linalg.expm(np.asarray(width)[..., None, None] * term.twist)
+        return term.left @ expm_times(term.twist, width)
     return term.left
 
 
@@ -231,8 +243,13 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
       common refinement and the segment cuts (:func:`_walk_pairing`);
       O(N) numpy steps on a (terms1, terms2, d^2, d^2) state, with the
       multipliers stacked per interval, O(n * terms * d^4), and the entry
-      exponentials per event, O(N * terms1 * terms2 * d^4), each built
-      by one stacked call.
+      exponentials per event, O(N * terms1 * terms2 * d^4), gathered from
+      one exponential of the generator table at every event width.
+
+    The exponentials come from :func:`trotterlab.algebra.expm_times`: one
+    matmul per (label pair, segment fraction) and per twisted term, plus
+    s stacked squarings (2^s bounds the largest time times the generator's
+    1-norm).
     """
     length = p1.length
     if abs(length - p2.length) > _LENGTH_TOL * max(1.0, length):
@@ -262,8 +279,10 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     ``B(w) = sum over term pairs of open @ (product of segment exponentials) @ close``,
     with the segments of a term pair taken over the union of its two
     terms' cut fractions.  The blocks of all distinct widths are built
-    with one stacked ``expm`` per (label pair, segment fraction) and per
-    twisted term, and multiplied in time order, earliest leftmost.
+    with one :func:`trotterlab.algebra.expm_times` call per (label pair,
+    segment fraction) and per twisted term, each one matmul over the
+    distinct widths plus s stacked squarings, and multiplied in time
+    order, earliest leftmost.
     """
     widths, inverse = np.unique(np.asarray(partition.time_widths), return_inverse=True)
     exps: dict[tuple[str, str, float], np.ndarray] = {}
@@ -271,8 +290,7 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     def segment_exp(s: str, t: str, fraction: float) -> np.ndarray:
         key = (s, t, fraction)
         if key not in exps:
-            exps[key] = scipy.linalg.expm(
-                (fraction * widths)[:, None, None] * semigroup.generator[(s, t)].rep)
+            exps[key] = expm_times(semigroup.generator[(s, t)].rep, fraction * widths)
         return exps[key]
 
     d2 = semigroup.dim ** 2
@@ -297,10 +315,12 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
     per pair of active terms, shape (n1, n2, d^2, d^2).  Where a side's
     interval starts, the state is summed over that side's term axis and
     multiplied by the stacked open multipliers; on every event it is
-    multiplied by the entry exponentials of the two sides' labels; where
-    the interval ends, by the stacked close multipliers.  Side-1 factors
-    ``b -> m* b`` and side-2 factors ``b -> b m`` act on opposite slots
-    and commute, so bounds the two sides share need no step of their own.
+    multiplied by the entry exponentials of the two sides' labels,
+    gathered by label code from the generator table exponentiated at
+    every event width; where the interval ends, by the stacked close
+    multipliers.  Side-1 factors ``b -> m* b`` and side-2 factors
+    ``b -> b m`` act on opposite slots and commute, so bounds the two
+    sides share need no step of their own.
     Inputs are those :func:`eval_pairing` has validated.
     """
     d, labels = semigroup.dim, semigroup.labels
@@ -316,8 +336,8 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
     i2, start2, end2, codes2, open2, close2 = _walk_side(e2, bounds[1], mids, labels, 1)
 
     gens = np.array([[semigroup.generator[(s, t)].rep for t in labels] for s in labels])
-    exps = scipy.linalg.expm(np.diff(grid)[:, None, None, None, None]
-                             * gens[codes1[:, :, None], codes2[:, None, :]])
+    table = expm_times(gens, np.diff(grid))
+    exps = table[np.arange(mids.size)[:, None, None], codes1[:, :, None], codes2[:, None, :]]
 
     state = np.eye(d * d, dtype=complex)[None, None]
     for k in range(mids.size):

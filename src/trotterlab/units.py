@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Superoperator, dagger, left_right_rep, unit_element
+from .algebra import Superoperator, dagger, frobenius_norm, left_right_rep, unit_element
 from .kernels import (
     ConditionallyCpdReport,
     CpdSemigroup,
@@ -343,31 +343,38 @@ def normalize_unit(label: str, generator: OperatorKernel,
     the twist is ``beta = -q/2 + i h`` for an arbitrary selfadjoint ``h``.
     Unitality of the extended diagonal, ``K(1) = 0`` and hence
     ``exp(tK)(1) = 1``, is asserted at the times ``_UNITALITY_TIMES``.
+    The selfadjointness checks and the ``K(1)`` check are relative to the
+    size of their own inputs, so they do not change when the generator
+    (or ``h``) is multiplied by a positive constant.
     """
     if label not in generator.labels:
         raise KeyError(f"unknown unit label {label!r}")
     d = generator.dim
     eye = unit_element(d)
     q_one = generator[(label, label)].apply(eye)
-    scale = max(1.0, float(np.linalg.norm(q_one, 2)))
+    scale = float(np.linalg.norm(q_one, 2))
     if float(np.linalg.norm(q_one - dagger(q_one), 2)) > _NORMALIZE_TOL * scale:
         raise ValueError("malformed generator: diagonal value at the unit is not selfadjoint")
     if h is None:
         h = np.zeros((d, d))
     h = np.asarray(h, dtype=complex)
-    if float(np.linalg.norm(h - dagger(h), 2)) > _NORMALIZE_TOL * max(1.0, float(np.linalg.norm(h, 2))):
+    if float(np.linalg.norm(h - dagger(h), 2)) > _NORMALIZE_TOL * float(np.linalg.norm(h, 2)):
         raise ValueError("h must be selfadjoint")
 
     beta = -q_one / 2.0 + 1j * h
     expression = twisted_expression(label, beta, d, side=side)
     extension = extend_generator(expression, generator)
 
+    # K(1) = L(1) + beta* + beta cancels to zero; its rounding scales with the summands.
     k_at_one = extension.diagonal.apply(eye)
-    if float(np.linalg.norm(k_at_one, 2)) > _NORMALIZE_TOL * scale:
+    k_scale = frobenius_norm(generator[(label, label)]) + 2.0 * float(np.linalg.norm(beta, 2))
+    if float(np.linalg.norm(k_at_one, 2)) > _NORMALIZE_TOL * k_scale:
         raise ArithmeticError(
             f"normalization failed: K(1) has norm {np.linalg.norm(k_at_one, 2):.3e}")
     for t in _UNITALITY_TIMES:
         drift = extension.diagonal.expm(t).apply(eye) - eye
+        # The drift is measured against the unit, of norm 1, so rounding
+        # alone makes it ~1e-16 however small the generator: keep the floor.
         if float(np.linalg.norm(drift, 2)) > 10 * _NORMALIZE_TOL * max(1.0, scale):
             raise ArithmeticError(f"normalized semigroup is not unital at t={t}")
     return NormalizedUnit(expression, extension, beta)

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from trotterlab.algebra import (
     Superoperator,
     _candidate_ratios,
+    _NORM_DIRECTIONS,
+    _NORM_MAX_ITER,
+    _NORM_REFINE_FROM,
+    _NORM_RTOL,
     _norm_candidates,
-    _op_norm_ratio,
     choi_matrix,
     choi_min_eigenvalue,
     commutation_matrix,
     compose,
     dagger,
     embed_scalar,
+    expm_times,
     frobenius_norm,
     is_completely_positive,
     matrix_unit,
@@ -151,6 +156,86 @@ def test_exp_rejects_non_finite():
         superop_exp(Superoperator.identity(1), np.nan)
 
 
+# -- expm_times ---------------------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def scaled_generators(rng, size, table, times, rho):
+    """A random complex (table + (size, size)) stack with max|t| * max ||rep||_1 == rho."""
+    rep = rng.standard_normal((*table, size, size)) + 1j * rng.standard_normal((*table, size, size))
+    reach = np.max(np.abs(times)) * np.max(np.abs(rep).sum(axis=-2))
+    return rep * (rho / reach) if reach > 0 else rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)),
+       st.sampled_from(((), (2,), (2, 2), (3, 1))), st.integers(1, 5),
+       st.floats(0.0, 30.0))
+def test_expm_times_matches_scipy(seed, d, table, n_times, rho):
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(-1.0, 1.0, size=n_times)
+    times[rng.integers(n_times)] = 0.0
+    rep = scaled_generators(rng, d * d, table, times, rho)
+    got = expm_times(rep, times)
+    assert got.shape == times.shape + rep.shape
+    for k, t in enumerate(times):
+        for index in np.ndindex(*table):
+            want = scipy.linalg.expm(t * rep[index])
+            assert np.max(np.abs(got[k][index] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_expm_times_at_time_zero_is_exactly_the_identity():
+    rep = scaled_generators(np.random.default_rng(4), 4, (2, 2), [1.0], 25.0)
+    for t in (0.0, -0.0, [0.0, 0.0]):
+        got = expm_times(rep, t)
+        assert np.array_equal(got, np.broadcast_to(np.eye(4), got.shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_expm_times_semigroup_law(seed, s, t):
+    rep = scaled_generators(np.random.default_rng(seed), 4, (), [1.0], 3.0)
+    e_s, e_t, e_st = expm_times(rep, np.array([s, t, s + t]))
+    scale = np.linalg.norm(e_s, 1) * np.linalg.norm(e_t, 1)
+    assert np.max(np.abs(e_s @ e_t - e_st)) <= 1e-12 * scale
+
+
+def test_expm_times_scalar_generators_are_np_exp():
+    rep = np.array([[[0.3 - 0.8j]], [[-2.0 + 0.1j]]])
+    times = np.array([[0.0, 1.5], [-0.25, 40.0]])
+    got = expm_times(rep, times)
+    assert got.shape == (2, 2, 2, 1, 1)
+    assert np.array_equal(got, np.exp(times[..., None, None, None] * rep))
+
+
+def test_expm_times_rejects_non_finite():
+    with pytest.raises(ValueError):
+        expm_times(np.eye(2), [0.5, np.nan])
+    with pytest.raises(ValueError):
+        expm_times(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
+
+
+def test_expm_times_error_against_high_precision():
+    # Truth: exp(t rep) in 34-digit arithmetic from the exact float inputs.
+    # scipy's Pade scaling-and-squaring stays within 1.97 unit roundoffs here.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    with mp.workdps(34):
+        for k in range(24):
+            size = (2, 4)[k % 2]
+            times = rng.uniform(-1.0, 1.0, size=3)
+            rep = scaled_generators(rng, size, (), times, rng.uniform(0.0, 0.5))
+            got = expm_times(rep, times)
+            exact = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rep])
+            for t, value in zip(times, got):
+                truth = mp.expm(mp.mpf(float(t)) * exact)
+                err = max(abs(mp.mpc(complex(value[i, j])) - truth[i, j])
+                          for i in range(size) for j in range(size))
+                top = max(abs(truth[i, j]) for i in range(size) for j in range(size))
+                assert err <= 3 * UNIT_ROUNDOFF * top
+
+
 def test_norm_of_identity_and_zero():
     assert superop_norm(Superoperator.identity(3)) == pytest.approx(1.0, abs=1e-12)
     assert superop_norm(Superoperator.zero(3)) == 0.0
@@ -168,6 +253,13 @@ def test_norm_of_conjugation_map():
     value = superop_norm(op)
     assert value == pytest.approx(4.0, rel=1e-8)
     assert value >= brute - 1e-9
+
+
+def _op_norm_ratio(op, b):
+    nb = np.linalg.norm(b, 2)
+    if nb == 0.0:
+        return 0.0
+    return float(np.linalg.norm(op.apply(b), 2) / nb)
 
 
 def per_candidate_ranking(op, directions=500):
@@ -195,6 +287,40 @@ def test_batched_norm_scoring_matches_per_candidate_ranking():
         np.testing.assert_allclose(batched, ratios, rtol=1e-12, atol=0.0)
         assert list(np.argsort(-batched, kind="stable")[:8]) == order[:8]
         assert superop_norm(op) >= ratios[order[0]]
+
+
+def per_candidate_norm(op):
+    """Oracle: the refinement one candidate at a time, each step on single matrices."""
+    candidates = _norm_candidates(op, _NORM_DIRECTIONS)
+    scored = candidates[np.argsort(-_candidate_ratios(op, candidates), kind="stable")]
+    best = _op_norm_ratio(op, scored[0])
+    if best == 0.0:
+        return 0.0
+    adjoint = Superoperator(op.dim, op.rep.conj().T)
+    for b0 in scored[:_NORM_REFINE_FROM]:
+        b = b0 / np.linalg.norm(b0, 2)
+        val = _op_norm_ratio(op, b)
+        for _ in range(_NORM_MAX_ITER):
+            u, _, vh_img = np.linalg.svd(op.apply(b))
+            grad = adjoint.apply(np.outer(u[:, 0], vh_img[0]))
+            ug, sg, vgh = np.linalg.svd(grad)
+            if sg[0] == 0.0:
+                break
+            b_new = ug @ vgh
+            val_new = _op_norm_ratio(op, b_new)
+            if val_new <= val * (1.0 + _NORM_RTOL):
+                break
+            b, val = b_new, val_new
+        best = max(best, val)
+    return best
+
+
+def test_lockstep_norm_refinement_matches_per_candidate_loop():
+    rng = np.random.default_rng(21)
+    for k in range(60):
+        op = random_superop(rng, 1 + k % 3)
+        assert superop_norm(op) == pytest.approx(per_candidate_norm(op), rel=1e-12, abs=0.0)
+    assert superop_norm(Superoperator.zero(2)) == per_candidate_norm(Superoperator.zero(2)) == 0.0
 
 
 @settings(max_examples=15, deadline=None)

@@ -278,3 +278,13 @@ def test_normalize_rejects_bad_inputs(ce_generator):
     malformed = OperatorKernel(("xi",), 2, {("xi", "xi"): skew})
     with pytest.raises(ValueError, match="malformed generator"):
         normalize_unit("xi", malformed)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12])
+def test_normalize_selfadjointness_checks_are_scale_invariant(c):
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    generator = OperatorKernel(("xi",), 2, {("xi", "xi"): Superoperator.left_mul(c * a)})
+    with pytest.raises(ValueError, match="not selfadjoint"):
+        normalize_unit("xi", generator)
+    with pytest.raises(ValueError, match="h must be selfadjoint"):
+        normalize_unit("xi", scalar_kernel(np.array([[0.0]]), ("xi",)), h=np.array([[c * 1j]]))
