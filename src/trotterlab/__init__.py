@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebra import (
     Superoperator,
     choi_matrix,
-    compose,
     frobenius_norm,
     is_completely_positive,
     superop_exp,
@@ -49,7 +48,6 @@ from .trotter import (
     dyadic_schedule,
     eval_pairing,
     prop33_bound_check,
-    refine,
 )
 from .fock import (
     ExponentialUnit,
@@ -63,7 +61,7 @@ from .fock import (
 
 __all__ = [
     "__version__",
-    "Superoperator", "choi_matrix", "compose", "frobenius_norm",
+    "Superoperator", "choi_matrix", "frobenius_norm",
     "is_completely_positive", "superop_exp", "superop_norm",
     "CpdSemigroup", "OperatorKernel", "christensen_evans_kernel",
     "identity_kernel", "is_conditionally_cpd", "is_cpd",
@@ -74,7 +72,7 @@ __all__ = [
     "pair_derivative", "twisted_expression", "unit_expression",
     "ConvergenceReport", "Partition", "VerdictThresholds",
     "convergence_verdict", "dyadic_schedule", "eval_pairing",
-    "prop33_bound_check", "refine",
+    "prop33_bound_check",
     "ExponentialUnit", "ExponentialVector", "StepFunction",
     "counterexample_scenario", "covariance_kernel", "fock_inner",
     "trotter_vector",

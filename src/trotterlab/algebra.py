@@ -18,7 +18,7 @@ Two superoperator norms appear:
 * ``frobenius_norm`` is the largest singular value of the representation
   matrix, i.e. the map norm with the algebra carrying the Hilbert-Schmidt
   inner product.  It is exact and cheap.
-* ``operator_norm`` targets the norm induced by the usual matrix operator
+* ``superop_norm`` targets the norm induced by the usual matrix operator
   norm on the algebra.  It maximizes ``|A(b)| / |b|`` over a fixed seeded
   set of directions and refines the best candidates by alternating
   maximization.  The result is a lower bound that is tight in practice at
@@ -36,20 +36,16 @@ import scipy.linalg
 __all__ = [
     "vec",
     "unvec",
-    "commutation_matrix",
     "dagger",
     "left_right_rep",
     "unit_element",
-    "embed_scalar",
     "matrix_unit",
     "Superoperator",
-    "compose",
     "superop_exp",
     "expm_times",
     "superop_norm",
     "frobenius_norm",
     "choi_matrix",
-    "choi_min_eigenvalue",
     "is_completely_positive",
 ]
 
@@ -84,15 +80,6 @@ def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def commutation_matrix(dim: int) -> np.ndarray:
-    """Permutation K with ``K @ vec(b) == vec(b.T)``."""
-    k = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            k[j + i * dim, i + j * dim] = 1.0
-    return k
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.asarray(a).conj().swapaxes(-1, -2)
@@ -115,11 +102,6 @@ def unit_element(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def embed_scalar(value: complex, dim: int) -> np.ndarray:
-    """Embed a scalar as ``value * 1``."""
-    return complex(value) * np.eye(dim, dtype=complex)
-
-
 def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
     """The matrix unit e_ij."""
     e = np.zeros((dim, dim), dtype=complex)
@@ -139,6 +121,8 @@ class Superoperator:
     rep: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         rep = np.asarray(self.rep, dtype=complex)
         d2 = self.dim * self.dim
         if rep.shape != (d2, d2):
@@ -158,16 +142,6 @@ class Superoperator:
         return cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
 
     @classmethod
-    def from_function(cls, func, dim: int) -> "Superoperator":
-        """Build the representation by applying ``func`` to every matrix unit."""
-        rep = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for j in range(dim):
-            for i in range(dim):
-                col = vec(np.asarray(func(matrix_unit(dim, i, j)), dtype=complex))
-                rep[:, i + j * dim] = col
-        return cls(dim, rep)
-
-    @classmethod
     def left_right(cls, p: np.ndarray, q: np.ndarray) -> "Superoperator":
         """The map ``b -> p @ b @ q``."""
         p = np.asarray(p, dtype=complex)
@@ -176,21 +150,10 @@ class Superoperator:
             raise ValueError("left/right factors must be square and of equal size")
         return cls(p.shape[0], left_right_rep(p, q))
 
-    @classmethod
-    def left_mul(cls, p: np.ndarray) -> "Superoperator":
-        return cls.left_right(p, np.eye(p.shape[0]))
-
-    @classmethod
-    def right_mul(cls, q: np.ndarray) -> "Superoperator":
-        return cls.left_right(np.eye(q.shape[0]), q)
-
     # -- algebra -----------------------------------------------------------
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         return unvec(self.rep @ vec(b), self.dim)
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        return self.apply(b)
 
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
@@ -212,24 +175,21 @@ class Superoperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Superoperator":
-        return Superoperator(self.dim, -self.rep)
-
     def star_conjugate(self) -> "Superoperator":
-        """The map ``b -> (T(b*))*``, the involution-conjugated partner of T."""
-        k = commutation_matrix(self.dim)
-        return Superoperator(self.dim, k @ self.rep.conj() @ k)
+        """The map ``b -> (T(b*))*``, the involution-conjugated partner of T.
+
+        Entry ``(a + b*d, i + j*d)`` of its representation is the conjugate
+        of T's entry ``(b + a*d, j + i*d)``: both vec indices transposed.
+        """
+        d = self.dim
+        rep = self.rep.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        return Superoperator(d, rep.conj())
 
     def expm(self, t: float) -> "Superoperator":
         return superop_exp(self, t)
 
     def choi(self) -> np.ndarray:
         return choi_matrix(self)
-
-
-def compose(a: Superoperator, b: Superoperator) -> Superoperator:
-    """Composition ``(a o b)(x) = a(b(x))``."""
-    return a @ b
 
 
 def superop_exp(generator: Superoperator, t: float) -> Superoperator:
@@ -388,19 +348,14 @@ def superop_norm(op: Superoperator) -> float:
 
 
 def choi_matrix(op: Superoperator) -> np.ndarray:
-    """The d^2 x d^2 block matrix with (i, j) block ``op(e_ij)``."""
+    """The d^2 x d^2 block matrix with (i, j) block ``op(e_ij)``.
+
+    Entry (a, b) of ``op(e_ij)`` is the representation's entry
+    ``(a + b*d, i + j*d)``, so the Choi matrix is the representation with
+    its four d-sized axes permuted.
+    """
     d = op.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            c[i * d:(i + 1) * d, j * d:(j + 1) * d] = op.apply(matrix_unit(d, i, j))
-    return c
-
-
-def choi_min_eigenvalue(op: Superoperator) -> float:
-    """Smallest eigenvalue of the hermitian part of the Choi matrix."""
-    c = choi_matrix(op)
-    return float(np.linalg.eigvalsh((c + dagger(c)) / 2.0)[0])
+    return op.rep.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def is_completely_positive(op: Superoperator) -> bool:

@@ -39,7 +39,6 @@ from .algebra import (
     dagger,
     left_right_rep,
     superop_exp,
-    unit_element,
 )
 
 __all__ = [
@@ -148,20 +147,6 @@ class OperatorKernel:
             for b, t in enumerate(self.labels):
                 block[a * d2:(a + 1) * d2, b * d2:(b + 1) * d2] = self.entries[(s, t)].choi()
         return block
-
-    def restrict(self, labels: Sequence[str]) -> "OperatorKernel":
-        labels = tuple(labels)
-        missing = set(labels) - set(self.labels)
-        if missing:
-            raise KeyError(f"unknown labels {sorted(missing)}")
-        return OperatorKernel(labels, self.dim,
-                              {(s, t): self.entries[(s, t)] for s in labels for t in labels})
-
-    def relabel(self, mapping: Mapping[str, str]) -> "OperatorKernel":
-        new_labels = tuple(mapping.get(s, s) for s in self.labels)
-        return OperatorKernel(
-            new_labels, self.dim,
-            {(mapping.get(s, s), mapping.get(t, t)): op for (s, t), op in self.entries.items()})
 
 
 def identity_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
@@ -433,18 +418,6 @@ class CpdSemigroup:
         return OperatorKernel.build(
             self.labels, self.dim, lambda s, t: self.entry(s, t, time))
 
-    def diagonal_unitality(self, times: Sequence[float]) -> dict[str, float]:
-        """Record, per label, the worst deviation of the diagonal from unitality."""
-        eye = unit_element(self.dim)
-        out = {}
-        for s in self.labels:
-            worst = 0.0
-            for t in times:
-                worst = max(worst, float(np.linalg.norm(
-                    self.entry(s, s, t).apply(eye) - eye, 2)))
-            out[s] = worst
-        return out
-
 
 @dataclass(frozen=True)
 class KolmogorovDecomposition:
@@ -526,11 +499,15 @@ def kernel_to_json_dict(kernel: OperatorKernel) -> dict:
 
 def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         labels = tuple(str(s) for s in data["labels"])
         raw = data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or bad field {exc}") from exc
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     d2 = dim * dim
     entries = {}
     for s in labels:

@@ -57,8 +57,6 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "parse_expression",
-    "scenario_to_text",
-    "scenario_equal",
     "build_generator",
     "build_schedule",
 ]
@@ -87,7 +85,6 @@ class Scenario:
     kernel_path: str | None = None
     matrices: dict = field(default_factory=dict)
     expressions: dict = field(default_factory=dict)
-    expression_text: dict = field(default_factory=dict)
     horizon: float = 1.0
     schedule_kind: str = "dyadic"
     schedule_args: tuple[int, ...] = (3, 10)
@@ -269,6 +266,14 @@ def _parse_matrix(text: str, line: int) -> np.ndarray:
     return matrix
 
 
+def _parse_number(kind, text: str, line: int):
+    """``kind(text)`` for ``kind`` int or float, or a parse error at ``line``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ScenarioParseError(f"expected {kind.__name__}, got {text!r}", line) from None
+
+
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     seen_dim = False
@@ -280,7 +285,7 @@ def parse_scenario(text: str) -> Scenario:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "dim":
-            sc.dim = int(rest)
+            sc.dim = _parse_number(int, rest, line_no)
             if sc.dim < 1:
                 raise ScenarioParseError("dim must be positive", line_no)
             seen_dim = True
@@ -315,18 +320,18 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError("expression needs a name", line_no)
             pending_expressions.append((line_no, name, expr_text.strip()))
         elif head == "horizon":
-            sc.horizon = float(rest)
-            if sc.horizon <= 0:
-                raise ScenarioParseError("horizon must be positive", line_no)
+            sc.horizon = _parse_number(float, rest, line_no)
+            if not 0 < sc.horizon < np.inf:
+                raise ScenarioParseError("horizon must be positive and finite", line_no)
         elif head == "schedule":
             parts = rest.split()
             if not parts:
                 raise ScenarioParseError("schedule needs a kind", line_no)
             sc.schedule_kind = parts[0]
             if parts[0] == "dyadic" and len(parts) == 3:
-                sc.schedule_args = (int(parts[1]), int(parts[2]))
+                sc.schedule_args = tuple(_parse_number(int, p, line_no) for p in parts[1:])
             elif parts[0] == "random" and len(parts) == 2:
-                sc.schedule_args = (int(parts[1]),)
+                sc.schedule_args = (_parse_number(int, parts[1], line_no),)
             else:
                 raise ScenarioParseError(f"bad schedule spec {rest!r}", line_no)
         elif head == "candidate":
@@ -344,9 +349,9 @@ def parse_scenario(text: str) -> Scenario:
             parts = rest.split()
             if len(parts) != 2:
                 raise ScenarioParseError("threshold needs: FIELD VALUE", line_no)
-            sc.thresholds[parts[0]] = float(parts[1])
+            sc.thresholds[parts[0]] = _parse_number(float, parts[1], line_no)
         elif head == "seed":
-            sc.seed = int(rest)
+            sc.seed = _parse_number(int, rest, line_no)
         else:
             raise ScenarioParseError(f"unknown directive {head!r}", line_no)
 
@@ -359,7 +364,6 @@ def parse_scenario(text: str) -> Scenario:
     for line_no, name, expr_text in pending_expressions:
         sc.expressions[name] = parse_expression(expr_text, sc.dim, sc.labels,
                                                 sc.matrices, line_no)
-        sc.expression_text[name] = expr_text
     for name in sc.candidates:
         if name not in sc.expressions:
             raise ScenarioParseError(f"candidate for unknown expression {name!r}")
@@ -369,90 +373,6 @@ def parse_scenario(text: str) -> Scenario:
         if name not in sc.expressions:
             raise ScenarioParseError(f"expectation for unknown expression {name!r}")
     return sc
-
-
-# -- serialization ------------------------------------------------------------
-
-def _fmt_number(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return repr(z.real)
-    return repr(z)
-
-
-def _fmt_matrix(matrix: np.ndarray) -> str:
-    rows = ["[" + ", ".join(_fmt_number(z) for z in row) + "]" for row in np.asarray(matrix)]
-    return "[" + ", ".join(rows) + "]"
-
-
-def scenario_to_text(sc: Scenario) -> str:
-    lines = [f"dim {sc.dim}", "labels " + " ".join(sc.labels)]
-    if sc.generator_kind == "gamma":
-        lines.append(f"generator gamma {_fmt_matrix(sc.gamma)}")
-    elif sc.generator_kind == "kernel":
-        lines.append(f"generator kernel {sc.kernel_path}")
-    else:
-        lines.append("generator ce")
-        for label in sorted(sc.eta):
-            lines.append(f"eta {label} {_fmt_matrix(sc.eta[label])}")
-        for label in sorted(sc.beta):
-            lines.append(f"beta {label} {_fmt_matrix(sc.beta[label])}")
-    for name in sorted(sc.matrices):
-        lines.append(f"matrix {name} {_fmt_matrix(sc.matrices[name])}")
-    for name, text in sc.expression_text.items():
-        lines.append(f"expression {name} = {text}")
-    lines.append(f"horizon {sc.horizon!r}")
-    lines.append("schedule " + sc.schedule_kind + " "
-                 + " ".join(str(a) for a in sc.schedule_args))
-    for name, label in sc.candidates.items():
-        lines.append(f"candidate {name} {label}")
-    for name, verdict in sc.expectations.items():
-        lines.append(f"expect {name} {verdict}")
-    for name, value in sc.thresholds.items():
-        lines.append(f"threshold {name} {value!r}")
-    lines.append(f"seed {sc.seed}")
-    return "\n".join(lines) + "\n"
-
-
-def scenario_equal(a: Scenario, b: Scenario) -> bool:
-    def arrays_equal(x, y):
-        if (x is None) != (y is None):
-            return False
-        return x is None or np.array_equal(x, y)
-
-    def dict_arrays_equal(x, y):
-        return set(x) == set(y) and all(np.array_equal(x[k], y[k]) for k in x)
-
-    def expressions_equal(x, y):
-        if set(x) != set(y):
-            return False
-        for key in x:
-            tx, ty = x[key].terms, y[key].terms
-            if len(tx) != len(ty):
-                return False
-            for t1, t2 in zip(tx, ty):
-                if (t1.segments != t2.segments or t1.twist_side != t2.twist_side
-                        or not np.array_equal(t1.left, t2.left)
-                        or not np.array_equal(t1.right, t2.right)
-                        or not arrays_equal(t1.twist, t2.twist)):
-                    return False
-        return True
-
-    return (a.dim == b.dim and a.labels == b.labels
-            and a.generator_kind == b.generator_kind
-            and arrays_equal(a.gamma, b.gamma)
-            and dict_arrays_equal(a.eta, b.eta)
-            and dict_arrays_equal(a.beta, b.beta)
-            and a.kernel_path == b.kernel_path
-            and dict_arrays_equal(a.matrices, b.matrices)
-            and expressions_equal(a.expressions, b.expressions)
-            and a.horizon == b.horizon
-            and a.schedule_kind == b.schedule_kind
-            and a.schedule_args == b.schedule_args
-            and a.candidates == b.candidates
-            and a.expectations == b.expectations
-            and a.thresholds == b.thresholds
-            and a.seed == b.seed)
 
 
 # -- realization --------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 the customary reversed order (latest interval first); ``parts[-1]`` covers
-``[0, parts[-1])``.  Partitions of equal length form a lattice under
-common refinement of their cut-point sets.
+``[0, parts[-1])``.  Partitions of equal length are paired over their
+common refinement, the union of their cut points, which the transfer walk
+merges into its own event grid; no partition object is built for it.
 
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
@@ -69,7 +70,6 @@ from .units import (
 
 __all__ = [
     "Partition",
-    "refine",
     "dyadic_schedule",
     "random_schedule",
     "eval_pairing",
@@ -132,32 +132,8 @@ class Partition:
         """Widths in time order, earliest first."""
         return self.parts[::-1]
 
-    def cuts(self) -> tuple[float, ...]:
-        """Interior cut points in increasing order."""
-        return tuple(float(c) for c in np.cumsum(self.time_widths)[:-1])
-
     def scaled(self, factor: float) -> "Partition":
         return Partition(tuple(p * factor for p in self.parts))
-
-    def refine(self, other: "Partition") -> "Partition":
-        """Common refinement via the union of cut points."""
-        length = self.length
-        if abs(length - other.length) > _LENGTH_TOL * max(1.0, length):
-            raise ValueError(
-                f"cannot refine partitions of different lengths "
-                f"({length} vs {other.length})")
-        tol = _LENGTH_TOL * max(1.0, length)
-        merged = _merge_cuts((*self.cuts(), *other.cuts()), tol)
-        # When one side already contains every cut, return it unchanged so
-        # that idempotence and absorption hold exactly.
-        for side in (self, other):
-            own = side.cuts()
-            if len(own) == len(merged) and all(
-                    abs(a - b) <= tol for a, b in zip(own, merged)):
-                return side
-        grid = [0.0, *merged, length]
-        widths = [hi - lo for lo, hi in zip(grid[:-1], grid[1:]) if hi - lo > tol]
-        return Partition.from_time_widths(widths)
 
 
 def _merge_cuts(cuts: Sequence[float], tol: float) -> list[float]:
@@ -168,18 +144,17 @@ def _merge_cuts(cuts: Sequence[float], tol: float) -> list[float]:
     return out
 
 
-def refine(p: Partition, q: Partition) -> Partition:
-    """Lattice join: the common refinement of two partitions."""
-    return p.refine(q)
-
-
 def dyadic_schedule(length: float, k_min: int = 3, k_max: int = 12) -> list[Partition]:
     """Uniform partitions with 2^k parts, k = k_min..k_max."""
+    if k_min > k_max:
+        raise ValueError(f"empty dyadic schedule: k_min {k_min} > k_max {k_max}")
     return [Partition.uniform(length, 2 ** k) for k in range(k_min, k_max + 1)]
 
 
 def random_schedule(length: float, count: int, seed: int = 0) -> list[Partition]:
     """Random partitions with shrinking norms, exercising the net claim."""
+    if count < 1:
+        raise ValueError(f"a random schedule needs at least one partition, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):

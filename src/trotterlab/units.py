@@ -267,15 +267,6 @@ class ExtendedGenerator:
     def semigroup(self) -> CpdSemigroup:
         return CpdSemigroup(self.kernel)
 
-    def max_difference(self, other: "ExtendedGenerator") -> float:
-        """Largest entrywise representation difference between two extensions."""
-        if self.kernel.labels != other.kernel.labels:
-            raise ValueError("extensions have different label sets")
-        worst = 0.0
-        for pair, op in self.kernel.entries.items():
-            worst = max(worst, float(np.max(np.abs(op.rep - other.kernel[pair].rep))))
-        return worst
-
 
 def _fresh_label(taken: Sequence[str], stem: str = "zeta") -> str:
     if stem not in taken:

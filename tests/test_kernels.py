@@ -73,7 +73,7 @@ def test_exponential_unit_semigroup_kernels_are_cpd():
 
 def test_is_cpd_rejects_non_hermitian():
     entries = {("a", "a"): Superoperator.identity(2),
-               ("a", "b"): Superoperator.left_mul(np.diag([1.0, 2.0])),
+               ("a", "b"): Superoperator.left_right(np.diag([1.0, 2.0]), np.eye(2)),
                ("b", "a"): Superoperator.zero(2),
                ("b", "b"): Superoperator.identity(2)}
     kernel = OperatorKernel(("a", "b"), 2, entries)
@@ -85,10 +85,14 @@ def test_is_cpd_invariant_under_relabeling():
     rng = np.random.default_rng(1)
     gen = random_christensen_evans(("a", "b", "c"), 2, rng, scale=0.7)
     kernel = CpdSemigroup(gen).evaluate(0.4)
-    permuted = kernel.relabel({"a": "c", "c": "a"}).restrict(("a", "b", "c"))
+    swap = {"a": "c", "b": "b", "c": "a"}
+    permuted = OperatorKernel(("a", "b", "c"), 2, {
+        (swap[s], swap[t]): op for (s, t), op in kernel.entries.items()})
     assert is_cpd(kernel).ok == is_cpd(permuted).ok
     bad = scalar_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), ("u", "v"))
-    flipped = bad.relabel({"u": "v", "v": "u"})
+    flip = {"u": "v", "v": "u"}
+    flipped = OperatorKernel(("v", "u"), 1, {
+        (flip[s], flip[t]): op for (s, t), op in bad.entries.items()})
     assert is_cpd(bad).min_eigenvalue == pytest.approx(is_cpd(flipped).min_eigenvalue)
 
 
@@ -181,14 +185,14 @@ def test_positivity_verdicts_are_scale_invariant(factor):
 
     # Single maps: the transpose on 2x2 matrices (Choi spectrum {1, 1, 1, -1})
     # is not completely positive at any scale; the identity and zero maps are.
-    transpose = Superoperator.from_function(lambda b: b.T, 2)
+    transpose = Superoperator(2, np.eye(4)[[0, 2, 1, 3]])  # b -> b.T
     assert not is_completely_positive(factor * transpose)
     assert is_completely_positive(factor * Superoperator.identity(2))
     assert is_completely_positive(Superoperator.zero(2))
 
     lopsided = OperatorKernel(("a", "b"), 2, {
         ("a", "a"): Superoperator.identity(2),
-        ("a", "b"): Superoperator.left_mul(np.diag([1.0, 2.0])),
+        ("a", "b"): Superoperator.left_right(np.diag([1.0, 2.0]), np.eye(2)),
         ("b", "a"): Superoperator.zero(2),
         ("b", "b"): Superoperator.identity(2)})
     with pytest.raises(KernelSymmetryError):
@@ -360,11 +364,14 @@ def test_generator_recovered_from_small_time_differences():
 
 
 def test_diagonal_unitality_recording():
-    gamma = np.array([[0.0]])
-    semigroup = CpdSemigroup(scalar_kernel(gamma, ("u",)))
-    assert semigroup.diagonal_unitality((0.5, 1.0))["u"] == pytest.approx(0.0)
+    eye = np.eye(1)
+    semigroup = CpdSemigroup(scalar_kernel(np.array([[0.0]]), ("u",)))
+    for t in (0.5, 1.0):
+        drift = semigroup.entry("u", "u", t).apply(eye) - eye
+        assert np.linalg.norm(drift, 2) == pytest.approx(0.0)
     growing = CpdSemigroup(scalar_kernel(np.array([[1.0]]), ("v",)))
-    assert growing.diagonal_unitality((1.0,))["v"] == pytest.approx(np.e - 1.0)
+    drift = growing.entry("v", "v", 1.0).apply(eye) - eye
+    assert np.linalg.norm(drift, 2) == pytest.approx(np.e - 1.0)
 
 
 # -- factorization -------------------------------------------------------------
@@ -425,5 +432,8 @@ def test_json_codec_rejects_bad_documents():
     with pytest.raises(ValueError):
         kernel_from_json_dict({"dim": 1, "labels": ["a"],
                                "entries": {"a|a": [[0, 0], [0, 0]]}})
+    for dim, values in ((0, []), (-1, [[1.0, 0.0]]), (1.5, [[1.0, 0.0]])):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            kernel_from_json_dict({"dim": dim, "labels": ["a"], "entries": {"a|a": values}})
     with pytest.raises(ValueError):
         kernel_to_json_dict(identity_kernel(("a|b",), 1))

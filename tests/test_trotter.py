@@ -17,7 +17,6 @@ from trotterlab.trotter import (
     fit_rate,
     prop33_bound_check,
     random_schedule,
-    refine,
 )
 from trotterlab.units import (
     Segment,
@@ -47,58 +46,10 @@ def test_partition_basics():
     assert p.norm == 0.5
     assert p.size == 3
     assert p.time_widths == (0.5, 0.25, 0.25)
-    assert p.cuts() == (0.5, 0.75)
     with pytest.raises(ValueError):
         Partition(())
     with pytest.raises(ValueError):
         Partition((0.5, 0.0))
-
-
-def test_refine_idempotent():
-    p = Partition((0.3, 0.7))
-    assert refine(p, p).parts == p.parts
-
-
-def test_refine_cut_point_union():
-    joined = refine(Partition((0.5, 0.5)), Partition((0.25, 0.75)))
-    assert joined.parts == (0.25, 0.25, 0.5)
-
-
-def test_refine_length_mismatch():
-    with pytest.raises(ValueError):
-        refine(Partition((1.0,)), Partition((0.5,)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
-       st.lists(st.integers(1, 12), min_size=1, max_size=6),
-       st.lists(st.integers(1, 12), min_size=1, max_size=6))
-def test_refine_lattice_properties(a, b, c):
-    def build(weights):
-        total = sum(weights)
-        return Partition(tuple(w / total for w in weights))
-
-    def cuts_close(p, q):
-        return len(p.cuts()) == len(q.cuts()) and np.allclose(
-            p.cuts(), q.cuts(), atol=1e-12, rtol=0.0)
-
-    p, q, r = build(a), build(b), build(c)
-    pq = refine(p, q)
-    assert refine(p, p).parts == p.parts  # idempotence, exactly
-    assert cuts_close(refine(q, p), pq)
-    assert cuts_close(refine(pq, r), refine(p, refine(q, r)))
-    assert pq.norm <= min(p.norm, q.norm) + 1e-12
-    for cut in p.cuts():
-        assert np.min(np.abs(np.array(pq.cuts()) - cut)) <= 1e-12
-
-
-def test_refine_norm_bound_random_pairs():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        schedule = random_schedule(1.0, 2, seed=int(rng.integers(1 << 30)))
-        joined = refine(schedule[0], schedule[1])
-        assert joined.norm <= min(schedule[0].norm, schedule[1].norm) + 1e-12
-        assert joined.length == pytest.approx(1.0)
 
 
 # -- pairing evaluation -----------------------------------------------------------
@@ -413,11 +364,14 @@ def test_norm_defect_identity_reassembled_from_fresh_pairings():
 def test_verdict_series_on_refinement_chain():
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
+    # Each partition refines the last by the cut points of a random one.
+    cuts = {0.5}
     chain = [Partition.uniform(1.0, 2)]
     rng = np.random.default_rng(7)
     for _ in range(3):
         extra = random_schedule(1.0, 1, seed=int(rng.integers(1 << 30)))[0]
-        chain.append(refine(chain[-1], extra))
+        cuts |= set(np.cumsum(extra.time_widths)[:-1])
+        chain.append(Partition.from_time_widths(np.diff([0.0, *sorted(cuts), 1.0])))
     report = convergence_verdict(y, gen, 1.0, chain, candidate="w")
     assert all(np.isfinite(report.criterion_defects))
     assert report.norms == tuple(sorted(report.norms, reverse=True))
