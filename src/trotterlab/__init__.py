@@ -13,7 +13,6 @@ from .algebra import (
     Superoperator,
     choi_matrix,
     frobenius_norm,
-    is_completely_positive,
     superop_exp,
     superop_norm,
 )
@@ -61,8 +60,8 @@ from .fock import (
 
 __all__ = [
     "__version__",
-    "Superoperator", "choi_matrix", "frobenius_norm",
-    "is_completely_positive", "superop_exp", "superop_norm",
+    "Superoperator", "choi_matrix", "frobenius_norm", "superop_exp",
+    "superop_norm",
     "CpdSemigroup", "OperatorKernel", "christensen_evans_kernel",
     "identity_kernel", "is_conditionally_cpd", "is_cpd",
     "kernel_from_json_dict", "kernel_to_json_dict", "kolmogorov_decompose",

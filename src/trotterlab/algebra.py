@@ -11,7 +11,9 @@ Conventions used throughout the package:
   :func:`left_right_rep` is the one place that builds such a matrix.
 * The Choi matrix of a map ``T`` is the d^2 x d^2 block matrix whose
   (i, j) block is ``T(e_ij)``.  ``T`` is completely positive exactly when
-  its Choi matrix is positive semidefinite.
+  its Choi matrix is positive semidefinite (Choi, Linear Algebra Appl. 10,
+  1975), i.e. when the one-label kernel with entry ``T`` passes
+  :func:`trotterlab.kernels.is_cpd`.
 
 Two superoperator norms appear:
 
@@ -46,7 +48,6 @@ __all__ = [
     "superop_norm",
     "frobenius_norm",
     "choi_matrix",
-    "is_completely_positive",
 ]
 
 # Seed for the deterministic direction set used by the norm estimator.
@@ -57,10 +58,6 @@ _NORM_DIRECTIONS = 500
 _NORM_REFINE_FROM = 8
 _NORM_MAX_ITER = 80
 _NORM_RTOL = 1e-12
-# Relative tolerances of the complete positivity test: Choi eigenvalues
-# and the hermiticity defect, both against the largest |eigenvalue|.
-_CP_TOL = 1e-10
-_CP_HERMITIAN_TOL = 1e-8
 # Unit roundoff of float64, the target of expm_times' Taylor truncation.
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -113,8 +110,7 @@ def matrix_unit(dim: int, i: int, j: int) -> np.ndarray:
 class Superoperator:
     """A linear map on d x d matrices, stored as its d^2 x d^2 representation.
 
-    Instances are immutable; all operations return new objects, so values
-    may be shared freely between threads.
+    Instances are immutable; all operations return new objects.
     """
 
     dim: int
@@ -187,9 +183,6 @@ class Superoperator:
 
     def expm(self, t: float) -> "Superoperator":
         return superop_exp(self, t)
-
-    def choi(self) -> np.ndarray:
-        return choi_matrix(self)
 
 
 def superop_exp(generator: Superoperator, t: float) -> Superoperator:
@@ -356,23 +349,3 @@ def choi_matrix(op: Superoperator) -> np.ndarray:
     """
     d = op.dim
     return op.rep.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
-def is_completely_positive(op: Superoperator) -> bool:
-    """Choi-matrix positivity test.
-
-    With H the hermitian part of the Choi matrix and scale its largest
-    absolute eigenvalue, the map passes when the smallest eigenvalue of H
-    is at least ``-_CP_TOL * scale``.  Maps whose Choi matrix is not
-    hermitian (not hermiticity-preserving) are rejected outright.  Both
-    thresholds are relative, so the verdict does not change when the map
-    is multiplied by a positive constant; the zero map passes.
-    """
-    c = choi_matrix(op)
-    herm = (c + dagger(c)) / 2.0
-    eigs = np.linalg.eigvalsh(herm)
-    scale = float(np.max(np.abs(eigs)))
-    herm_defect = float(np.linalg.norm(c - dagger(c), 2)) / 2.0
-    if herm_defect > _CP_HERMITIAN_TOL * scale:
-        return False
-    return bool(eigs[0] >= -_CP_TOL * scale)

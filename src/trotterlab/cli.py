@@ -27,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,21 +45,13 @@ from .scenario import (
     build_schedule,
     parse_scenario,
 )
-from .trotter import VerdictThresholds, convergence_verdict
+from .trotter import convergence_verdict
 from .units import ExtensionPositivityError, extend_generator
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_GATE = 2
 EXIT_MALFORMED = 3
-
-
-def _thresholds_from(overrides: dict) -> VerdictThresholds:
-    thresholds = VerdictThresholds()
-    unknown = set(overrides) - set(vars(thresholds))
-    if unknown:
-        raise ScenarioParseError(f"unknown threshold fields {sorted(unknown)}")
-    return replace(thresholds, **overrides)
 
 
 def _print_witness(witness) -> None:
@@ -88,7 +79,6 @@ def cmd_run(args) -> int:
 
     try:
         generator = build_generator(scenario, base_dir=path.parent)
-        thresholds = _thresholds_from(scenario.thresholds)
         schedule = build_schedule(scenario, args.schedule, seed=seed)
     except (ScenarioParseError, OSError, ValueError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
@@ -114,7 +104,7 @@ def cmd_run(args) -> int:
         report = convergence_verdict(
             expression, generator, scenario.horizon, schedule,
             candidate=candidate, extension=extension,
-            thresholds=thresholds, seed=seed)
+            thresholds=scenario.thresholds, seed=seed)
         report.write_csv(out_dir / f"{name}.csv")
         report.write_json(out_dir / f"{name}.json")
         against = f"candidate {candidate!r}" if candidate else f"adjoined {report.target!r}"

@@ -29,6 +29,7 @@ in the test suite as independent oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from .algebra import (
     Superoperator,
+    choi_matrix,
     dagger,
     left_right_rep,
     superop_exp,
@@ -141,12 +143,8 @@ class OperatorKernel:
 
     def block_choi(self) -> np.ndarray:
         """Block matrix whose (s, t) block is the Choi matrix of entry (s, t)."""
-        n, d2 = len(self.labels), self.dim * self.dim
-        block = np.zeros((n * d2, n * d2), dtype=complex)
-        for a, s in enumerate(self.labels):
-            for b, t in enumerate(self.labels):
-                block[a * d2:(a + 1) * d2, b * d2:(b + 1) * d2] = self.entries[(s, t)].choi()
-        return block
+        return np.block([[choi_matrix(self.entries[(s, t)]) for t in self.labels]
+                         for s in self.labels])
 
 
 def identity_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
@@ -285,25 +283,25 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
     return herm, eigvals, eigvecs
 
 
-def _cpd_result(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
-                tol: float) -> CpdResult:
+def _cpd_result(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray) -> CpdResult:
     scale = float(np.max(np.abs(eigvals)))
     min_eig = float(eigvals[0])
-    if min_eig >= -tol * scale:
+    if min_eig >= -_CPD_TOL * scale:
         return CpdResult(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
     return CpdResult(False, min_eig, scale, witness)
 
 
-def is_cpd(kernel: OperatorKernel, tol: float = _CPD_TOL) -> CpdResult:
+def is_cpd(kernel: OperatorKernel) -> CpdResult:
     """Complete positive definiteness via block-Choi positivity.
 
     Raises :class:`KernelSymmetryError` when the kernel is not hermitian
     symmetric.  On a negative verdict the result carries a witness tuple
-    whose quadratic form has a negative eigenvalue.
+    whose quadratic form has a negative eigenvalue.  For one label this is
+    Choi's test: a map T is completely positive exactly when its kernel passes.
     """
     _, eigvals, eigvecs = _choi_spectrum(kernel)
-    return _cpd_result(kernel, eigvals, eigvecs, tol)
+    return _cpd_result(kernel, eigvals, eigvecs)
 
 
 @dataclass(frozen=True)
@@ -460,7 +458,7 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
     the positivity tolerance raise, tiny negative ripple is clipped.
     """
     _, eigvals, eigvecs = _choi_spectrum(kernel)
-    result = _cpd_result(kernel, eigvals, eigvecs, _CPD_TOL)
+    result = _cpd_result(kernel, eigvals, eigvecs)
     if not result.ok:
         raise NotCompletelyPositiveError(
             f"kernel is not completely positive definite "
@@ -497,13 +495,24 @@ def kernel_to_json_dict(kernel: OperatorKernel) -> dict:
     return {"dim": kernel.dim, "labels": list(kernel.labels), "entries": entries}
 
 
-def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
+def _is_finite_pair(pair) -> bool:
+    """Whether ``pair`` is ``[re, im]`` with both parts finite JSON numbers (not bools)."""
     try:
-        dim = data["dim"]
-        labels = tuple(str(s) for s in data["labels"])
-        raw = data["entries"]
+        return (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) in (int, float) and math.isfinite(x) for x in pair))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
+    """Decode :func:`kernel_to_json_dict`'s format; any malformed field raises ``ValueError``."""
+    try:
+        dim, labels, raw = data["dim"], data["labels"], data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or bad field {exc}") from exc
+    if not isinstance(labels, (list, tuple)) or not isinstance(raw, Mapping):
+        raise ValueError("labels must be a list and entries an object")
+    labels = tuple(str(s) for s in labels)
     if isinstance(dim, float) and dim.is_integer():
         dim = int(dim)
     if type(dim) is not int:
@@ -516,8 +525,11 @@ def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
             if key not in raw:
                 raise ValueError(f"missing kernel entry {key!r}")
             pairs = raw[key]
-            if len(pairs) != d2 * d2:
-                raise ValueError(f"entry {key!r} has {len(pairs)} values, expected {d2 * d2}")
+            if not isinstance(pairs, list) or len(pairs) != d2 * d2:
+                raise ValueError(f"entry {key!r} must be a list of {d2 * d2} [re, im] pairs")
+            bad = next((pair for pair in pairs if not _is_finite_pair(pair)), None)
+            if bad is not None:
+                raise ValueError(f"entry {key!r} holds {bad!r}, not a finite [re, im] pair")
             flat = np.array([complex(re, im) for re, im in pairs])
             entries[(s, t)] = Superoperator(dim, flat.reshape(d2, d2))
     return OperatorKernel(labels, dim, entries)

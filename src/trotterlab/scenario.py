@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .kernels import (
     kernel_from_json_dict,
     scalar_kernel,
 )
-from .trotter import Partition, dyadic_schedule, random_schedule
+from .trotter import Partition, VerdictThresholds, dyadic_schedule, random_schedule
 from .units import Segment, Term, UnitExpression
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _VERDICTS = ("norm-convergent", "weak-only", "divergent")
+_SCHEDULE_ARITY = {"dyadic": 2, "random": 1}
 
 
 class ScenarioParseError(ValueError):
@@ -90,7 +91,7 @@ class Scenario:
     schedule_args: tuple[int, ...] = (3, 10)
     candidates: dict = field(default_factory=dict)
     expectations: dict = field(default_factory=dict)
-    thresholds: dict = field(default_factory=dict)
+    thresholds: VerdictThresholds = field(default_factory=VerdictThresholds)
     seed: int = 0
 
 
@@ -256,13 +257,14 @@ def parse_expression(text: str, dim: int, labels: tuple[str, ...],
 
 def _parse_matrix(text: str, line: int) -> np.ndarray:
     try:
-        data = ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
+        matrix = np.asarray(ast.literal_eval(text), dtype=complex)
+    except (ValueError, SyntaxError, TypeError) as exc:
         raise ScenarioParseError(f"bad matrix literal: {exc}", line) from exc
-    matrix = np.asarray(data, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ScenarioParseError(f"matrix literal must be square, got shape {matrix.shape}",
                                  line)
+    if not np.isfinite(matrix).all():
+        raise ScenarioParseError("matrix literal has non-finite entries", line)
     return matrix
 
 
@@ -272,6 +274,19 @@ def _parse_number(kind, text: str, line: int):
         return kind(text)
     except ValueError:
         raise ScenarioParseError(f"expected {kind.__name__}, got {text!r}", line) from None
+
+
+def _parse_schedule(spec: str, sep: str | None, line: int | None = None):
+    """``(kind, args)`` of ``dyadic MIN MAX`` or ``random COUNT``, fields split at ``sep``."""
+    kind, *args = spec.split(sep) or [""]
+    if _SCHEDULE_ARITY.get(kind) == len(args):
+        try:
+            return kind, tuple(int(a) for a in args)
+        except ValueError:
+            pass
+    s = sep or " "
+    raise ScenarioParseError(f"bad schedule spec {spec!r}: expected dyadic{s}MIN{s}MAX "
+                             f"or random{s}COUNT, with integer arguments", line)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -324,16 +339,7 @@ def parse_scenario(text: str) -> Scenario:
             if not 0 < sc.horizon < np.inf:
                 raise ScenarioParseError("horizon must be positive and finite", line_no)
         elif head == "schedule":
-            parts = rest.split()
-            if not parts:
-                raise ScenarioParseError("schedule needs a kind", line_no)
-            sc.schedule_kind = parts[0]
-            if parts[0] == "dyadic" and len(parts) == 3:
-                sc.schedule_args = tuple(_parse_number(int, p, line_no) for p in parts[1:])
-            elif parts[0] == "random" and len(parts) == 2:
-                sc.schedule_args = (_parse_number(int, parts[1], line_no),)
-            else:
-                raise ScenarioParseError(f"bad schedule spec {rest!r}", line_no)
+            sc.schedule_kind, sc.schedule_args = _parse_schedule(rest, None, line_no)
         elif head == "candidate":
             parts = rest.split()
             if len(parts) != 2:
@@ -349,7 +355,13 @@ def parse_scenario(text: str) -> Scenario:
             parts = rest.split()
             if len(parts) != 2:
                 raise ScenarioParseError("threshold needs: FIELD VALUE", line_no)
-            sc.thresholds[parts[0]] = _parse_number(float, parts[1], line_no)
+            if parts[0] not in vars(sc.thresholds):
+                raise ScenarioParseError(f"unknown threshold field {parts[0]!r}, expected one "
+                                         f"of {sorted(vars(sc.thresholds))}", line_no)
+            value = _parse_number(float, parts[1], line_no)
+            if not np.isfinite(value):
+                raise ScenarioParseError("threshold value must be finite", line_no)
+            sc.thresholds = replace(sc.thresholds, **{parts[0]: value})
         elif head == "seed":
             sc.seed = _parse_number(int, rest, line_no)
         else:
@@ -411,17 +423,10 @@ def build_generator(sc: Scenario, base_dir=None) -> OperatorKernel:
 
 def build_schedule(sc: Scenario, override: str | None = None,
                    seed: int | None = None) -> list[Partition]:
+    """The scenario's schedule, or ``override`` given as ``dyadic:MIN:MAX`` or ``random:COUNT``."""
     kind, args = sc.schedule_kind, sc.schedule_args
     if override:
-        parts = override.split(":")
-        kind = parts[0]
-        args = tuple(int(p) for p in parts[1:])
+        kind, args = _parse_schedule(override, ":")
     if kind == "dyadic":
-        if len(args) != 2:
-            raise ScenarioParseError("dyadic schedule needs MIN and MAX exponents")
-        return dyadic_schedule(sc.horizon, args[0], args[1])
-    if kind == "random":
-        if len(args) != 1:
-            raise ScenarioParseError("random schedule needs a COUNT")
-        return random_schedule(sc.horizon, args[0], seed if seed is not None else sc.seed)
-    raise ScenarioParseError(f"unknown schedule kind {kind!r}")
+        return dyadic_schedule(sc.horizon, *args)
+    return random_schedule(sc.horizon, args[0], seed if seed is not None else sc.seed)

@@ -254,20 +254,12 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     ``B(w) = sum over term pairs of open @ (product of segment exponentials) @ close``,
     with the segments of a term pair taken over the union of its two
     terms' cut fractions.  The blocks of all distinct widths are built
-    with one :func:`trotterlab.algebra.expm_times` call per (label pair,
-    segment fraction) and per twisted term, each one matmul over the
+    with one :func:`trotterlab.algebra.expm_times` call per segment of
+    each term pair and per twisted term, each one matmul over the
     distinct widths plus s stacked squarings, and multiplied in time
     order, earliest leftmost.
     """
     widths, inverse = np.unique(np.asarray(partition.time_widths), return_inverse=True)
-    exps: dict[tuple[str, str, float], np.ndarray] = {}
-
-    def segment_exp(s: str, t: str, fraction: float) -> np.ndarray:
-        key = (s, t, fraction)
-        if key not in exps:
-            exps[key] = expm_times(semigroup.generator[(s, t)].rep, fraction * widths)
-        return exps[key]
-
     d2 = semigroup.dim ** 2
     blocks = np.zeros((widths.size, d2, d2), dtype=complex)
     mults2 = [(_open_mult(t2, widths), _close_mult(t2, widths)) for t2 in e2.terms]
@@ -276,7 +268,7 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
         for t2, (open2, close2) in zip(e2.terms, mults2):
             acc = left_right_rep(dagger(open1), open2)
             for fraction, s, t in _merged_segments(t1, t2):
-                acc = acc @ segment_exp(s, t, fraction)
+                acc = acc @ expm_times(semigroup.generator[(s, t)].rep, fraction * widths)
             blocks += acc @ left_right_rep(dagger(close1), close2)
     return Superoperator(semigroup.dim, _tree_product(blocks[inverse]))
 

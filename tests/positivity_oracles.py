@@ -77,8 +77,7 @@ def sampled_conditional_form(kernel: OperatorKernel, *, samples: int = 500, seed
     return worst >= -tol, worst, witness
 
 
-def schoenberg_grid_ok(kernel: OperatorKernel, grid=SCHOENBERG_GRID,
-                       cpd_tol: float = 1e-10) -> bool:
+def schoenberg_grid_ok(kernel: OperatorKernel, grid=SCHOENBERG_GRID) -> bool:
     """Whether ``exp(t * kernel)`` is completely positive definite at every grid time."""
     semigroup = CpdSemigroup(kernel)
-    return all(is_cpd(semigroup.evaluate(float(t)), tol=cpd_tol).ok for t in grid)
+    return all(is_cpd(semigroup.evaluate(float(t))).ok for t in grid)

@@ -15,7 +15,6 @@ from trotterlab.algebra import (
     dagger,
     expm_times,
     frobenius_norm,
-    is_completely_positive,
     matrix_unit,
     superop_exp,
     superop_norm,
@@ -23,6 +22,12 @@ from trotterlab.algebra import (
     unvec,
     vec,
 )
+from trotterlab.kernels import KernelSymmetryError, OperatorKernel, is_cpd
+
+
+def is_cp(op):
+    """Choi's test: ``op`` is completely positive iff its one-label kernel is CPD."""
+    return is_cpd(OperatorKernel(("x",), op.dim, {("x", "x"): op})).ok
 
 
 def random_matrix(rng, d):
@@ -332,14 +337,14 @@ def test_choi_of_identity_is_entangled_projector():
     c = choi_matrix(Superoperator.identity(d))
     phi = sum(np.kron(np.eye(d)[:, i], np.eye(d)[:, i]) for i in range(d))
     assert np.allclose(c, np.outer(phi, phi.conj()))
-    assert is_completely_positive(Superoperator.identity(d))
+    assert is_cp(Superoperator.identity(d))
 
 
 def test_single_kraus_map_is_cp():
     rng = np.random.default_rng(9)
     c = random_matrix(rng, 3)
     op = Superoperator.left_right(dagger(c), c)  # b -> c* b c
-    assert is_completely_positive(op)
+    assert is_cp(op)
 
 
 def test_transpose_map_not_cp():
@@ -350,7 +355,15 @@ def test_transpose_map_not_cp():
     # is the swap, with spectrum {1, 1, 1, -1}.
     eigs = np.linalg.eigvalsh(choi_matrix(transpose))
     assert eigs[0] == pytest.approx(-1.0, abs=1e-12)
-    assert not is_completely_positive(transpose)
+    assert not is_cp(transpose)
+
+
+def test_non_hermiticity_preserving_map_is_not_a_kernel():
+    # b -> p b with p not selfadjoint maps selfadjoint b to non-selfadjoint
+    # ones, so its one-label kernel fails hermitian symmetry.
+    op = Superoperator.left_right(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+    with pytest.raises(KernelSymmetryError):
+        is_cp(op)
 
 
 def test_cp_verdict_agrees_with_sampled_form():
@@ -366,7 +379,7 @@ def test_cp_verdict_agrees_with_sampled_form():
         else:
             op = random_superop(rng, d)
             op = op + op.star_conjugate()  # hermiticity preserving, generically not CP
-        verdict = is_completely_positive(op)
+        verdict = is_cp(op)
         min_form = 0.0
         for _ in range(8):
             n = int(rng.integers(1, 4))

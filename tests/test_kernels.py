@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import Superoperator, dagger, is_completely_positive
+from trotterlab.algebra import Superoperator, dagger
 from trotterlab.kernels import (
     CpdSemigroup,
     KernelSymmetryError,
@@ -185,10 +185,13 @@ def test_positivity_verdicts_are_scale_invariant(factor):
 
     # Single maps: the transpose on 2x2 matrices (Choi spectrum {1, 1, 1, -1})
     # is not completely positive at any scale; the identity and zero maps are.
+    def one_label(op):
+        return OperatorKernel(("x",), 2, {("x", "x"): op})
+
     transpose = Superoperator(2, np.eye(4)[[0, 2, 1, 3]])  # b -> b.T
-    assert not is_completely_positive(factor * transpose)
-    assert is_completely_positive(factor * Superoperator.identity(2))
-    assert is_completely_positive(Superoperator.zero(2))
+    assert not is_cpd(one_label(factor * transpose)).ok
+    assert is_cpd(one_label(factor * Superoperator.identity(2))).ok
+    assert is_cpd(one_label(Superoperator.zero(2))).ok
 
     lopsided = OperatorKernel(("a", "b"), 2, {
         ("a", "a"): Superoperator.identity(2),
@@ -435,5 +438,12 @@ def test_json_codec_rejects_bad_documents():
     for dim, values in ((0, []), (-1, [[1.0, 0.0]]), (1.5, [[1.0, 0.0]])):
         with pytest.raises(ValueError, match="dim must be an integer"):
             kernel_from_json_dict({"dim": dim, "labels": ["a"], "entries": {"a|a": values}})
+    for values in ([1], [["x", 0]], 5, [[float("nan"), 0]], [[float("inf"), 0]],
+                   [[True, 0]], [[10 ** 400, 0]]):
+        with pytest.raises(ValueError, match="a[|]a"):
+            kernel_from_json_dict({"dim": 1, "labels": ["a"], "entries": {"a|a": values}})
+    with pytest.raises(ValueError, match="labels must be a list"):
+        kernel_from_json_dict({"dim": 1, "labels": "ab", "entries": {
+            "a|a": [[1, 0]], "a|b": [[0, 0]], "b|a": [[0, 0]], "b|b": [[1, 0]]}})
     with pytest.raises(ValueError):
         kernel_to_json_dict(identity_kernel(("a|b",), 1))

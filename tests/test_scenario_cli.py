@@ -102,7 +102,8 @@ def test_scenario_error_reporting():
 
 
 @pytest.mark.parametrize("bad", ["dim two", "horizon abc", "horizon inf", "seed 1.5",
-                                 "schedule dyadic 3 x", "threshold convergent_defect x"])
+                                 "schedule dyadic 3 x", "threshold convergent_defect x",
+                                 "matrix M [[1e999]]", "threshold bogus 1"])
 def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     scenario_path = tmp_path / "bad.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{bad}\n")
@@ -110,8 +111,11 @@ def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     assert "line 4" in capsys.readouterr().err
 
 
+MALFORMED_SPECS = ("dyadic:3:x", "random:")
+
+
 @pytest.mark.parametrize("override, directive", [
-    ("dyadic:5:3", ""), ("random:0", ""),
+    ("dyadic:5:3", ""), ("random:0", ""), *((spec, "") for spec in MALFORMED_SPECS),
     (None, "schedule dyadic 9 4\n"), (None, "schedule random 0\n")])
 def test_cli_rejects_empty_schedules(tmp_path, capsys, override, directive):
     scenario_path = tmp_path / "empty.scenario"
@@ -121,7 +125,10 @@ def test_cli_rejects_empty_schedules(tmp_path, capsys, override, directive):
     if override:
         args += ["--schedule", override]
     assert main(args) == 3
-    assert "schedule" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "schedule" in err
+    if override in MALFORMED_SPECS:
+        assert f"bad schedule spec {override!r}" in err
 
 
 def test_build_generator_and_schedule(tmp_path):
@@ -174,13 +181,18 @@ def test_cli_run_affine(tmp_path, capsys):
     assert 0.9 <= report["criterion_rate"] <= 1.1
 
 
-def test_cli_outputs_are_deterministic(tmp_path):
+@pytest.mark.parametrize("scenario, schedule, names, code", [
+    ("counterexample_41", [], ("y.csv", "w_section.csv", "y.json"), 0),
+    ("affine_42", ["--schedule", "random:3"], ("y.csv", "y.json"), None)],
+    ids=["counterexample_41", "affine_42-random:3"])
+def test_cli_outputs_are_deterministic(tmp_path, scenario, schedule, names, code):
+    # The seeded random schedule must draw the same partitions on every run.
+    # Its verdict is not pinned here (code None), only its reproducibility.
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", str(bundled("counterexample_41.scenario")),
-                 "--out", str(out1)]) == 0
-    assert main(["run", str(bundled("counterexample_41.scenario")),
-                 "--out", str(out2)]) == 0
-    for name in ("y.csv", "w_section.csv", "y.json"):
+    codes = [main(["run", str(bundled(f"{scenario}.scenario")), "--out", str(out), *schedule])
+             for out in (out1, out2)]
+    assert codes[0] == codes[1] and code in (None, codes[0])
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -254,8 +266,19 @@ def test_cli_validate_generator_conditional_only(tmp_path, capsys):
     assert "conditionally completely positive definite: PASS" in out
 
 
-def test_cli_validate_malformed(tmp_path, capsys):
+@pytest.mark.parametrize("document", [
+    '{"dim": 2}',
+    '{"dim": 1, "labels": ["a"], "entries": {"a|a": [1]}}',
+    '{"dim": 1, "labels": ["a"], "entries": {"a|a": [["x", 0]]}}',
+    '{"dim": 1, "labels": ["a"], "entries": {"a|a": 5}}',
+    '{"dim": 1, "labels": ["a"], "entries": {"a|a": [[NaN, 0]]}}',
+    '{"dim": 1, "labels": ["a"], "entries": {"a|a": [[Infinity, 0]]}}',
+    '{"dim": 1, "labels": "ab", "entries": {"a|a": [[1, 0]], "a|b": [[0, 0]], '
+    '"b|a": [[0, 0]], "b|b": [[1, 0]]}}'],
+    ids=["dim-only", "bare-number", "string-value", "entry-not-list", "nan", "infinity",
+         "string-labels"])
+def test_cli_validate_malformed(tmp_path, capsys, document):
     path = tmp_path / "broken.json"
-    path.write_text("{\"dim\": 2}")
+    path.write_text(document)
     assert main(["validate", str(path)]) == 3
     assert "malformed" in capsys.readouterr().err
