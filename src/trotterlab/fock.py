@@ -79,12 +79,6 @@ class StepFunction:
     def length(self) -> float:
         return self.breakpoints[-1]
 
-    def value_at(self, s: float) -> tuple[complex, ...]:
-        for hi, value in zip(self.breakpoints[1:], self.values):
-            if s < hi:
-                return value
-        return self.values[-1]
-
 
 def concat(f: StepFunction, g: StepFunction) -> StepFunction:
     """Concatenate, shifting the second function's domain behind the first."""
@@ -221,14 +215,12 @@ class CounterexampleResult:
     """
 
     horizon: float
-    sizes: tuple[int, ...]
     values: tuple[dict, ...]
     zeta_norm_sq: float
     zeta_pairings: tuple[complex, ...]
     criterion_gap: float
     report_vs_candidate: ConvergenceReport
     report_zeta_section: ConvergenceReport
-    embedding: dict
 
 
 def counterexample_scenario(t: float, sizes: Sequence[int] = (1, 8, 1024), *,
@@ -300,19 +292,8 @@ def counterexample_scenario(t: float, sizes: Sequence[int] = (1, 8, 1024), *,
                "its own sectioned products converge trivially",))
 
     criterion_gap = abs(zeta_gram - zeta_pairings[-1]) if sizes else 0.0
-    embedding = {
-        "zeta_amplitude": (0.5, 0.5),
-        "ambient_component": "first",
-        "zeta_norm_sq": zeta_gram,
-        "zeta_pairing_with_alternation": complex(zeta_pairings[-1]) if sizes else 1.0,
-        "note": ("the ambient system embeds as the first amplitude component; "
-                 "the pairing of the limit unit with the alternation stays at "
-                 "exp(t/4) for every n, strictly below its squared norm exp(t/2), "
-                 "so the alternation has no norm limit in the ambient system"),
-    }
     return CounterexampleResult(
-        horizon=t, sizes=sizes, values=tuple(rows),
+        horizon=t, values=tuple(rows),
         zeta_norm_sq=zeta_gram, zeta_pairings=tuple(zeta_pairings),
         criterion_gap=criterion_gap,
-        report_vs_candidate=report_w, report_zeta_section=report_zeta,
-        embedding=embedding)
+        report_vs_candidate=report_w, report_zeta_section=report_zeta)

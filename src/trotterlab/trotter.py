@@ -416,15 +416,9 @@ class ConvergenceReport:
         with open(path, "w") as handle:
             handle.write("\n".join(self.csv_rows()) + "\n")
 
-    def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["ambient_defects"] = {k: list(v) for k, v in self.ambient_defects.items()}
-        data["thresholds"] = asdict(self.thresholds)
-        return data
-
     def write_json(self, path) -> None:
         with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
+            json.dump(asdict(self), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 

@@ -255,7 +255,6 @@ class ExtensionPositivityError(ValueError):
 class ExtendedGenerator:
     """Generator kernel extended by a new label for the limit unit of a section."""
 
-    base: OperatorKernel
     zeta: str
     diagonal: Superoperator
     cross: Mapping[str, Superoperator]
@@ -314,7 +313,7 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
             f"extended kernel is not conditionally positive definite "
             f"(worst scaled eigenvalue {report.min_scaled_eigenvalue:.3e}; "
             f"likely {kind})", report)
-    return ExtendedGenerator(generator, zeta, diagonal, cross, kernel, report)
+    return ExtendedGenerator(zeta, diagonal, cross, kernel, report)
 
 
 @dataclass(frozen=True)
