@@ -101,10 +101,14 @@ def cmd_run(args) -> int:
         except (ExtensionPositivityError, ValueError) as exc:
             print(f"{name}: extension failed: {exc}", file=sys.stderr)
             return EXIT_GATE
-        report = convergence_verdict(
-            expression, generator, scenario.horizon, schedule,
-            candidate=candidate, extension=extension,
-            thresholds=scenario.thresholds, seed=seed)
+        try:
+            report = convergence_verdict(
+                expression, generator, scenario.horizon, schedule,
+                candidate=candidate, extension=extension,
+                thresholds=scenario.thresholds, seed=seed)
+        except ValueError as exc:
+            print(f"{name}: numerical breakdown: {exc}", file=sys.stderr)
+            return EXIT_GATE
         report.write_csv(out_dir / f"{name}.csv")
         report.write_json(out_dir / f"{name}.json")
         against = f"candidate {candidate!r}" if candidate else f"adjoined {report.target!r}"

@@ -38,6 +38,7 @@ positions.
 from __future__ import annotations
 
 import ast
+import cmath
 import re
 from dataclasses import dataclass, field, replace
 
@@ -190,11 +191,17 @@ class _ExprParser:
         except ValueError as exc:
             raise ScenarioParseError(str(exc), self.line) from exc
 
+    def number(self) -> tuple[complex, str, int]:
+        _, value, col = self.take("number")
+        number = complex(value)
+        if not cmath.isfinite(number):
+            raise ScenarioParseError(f"number {value!r} is not finite", self.line, col)
+        return number, value, col
+
     def factor(self):
         kind, value, col = self.peek()
         if kind == "number":
-            self.take()
-            return ("scalar", complex(value))
+            return ("scalar", self.number()[0])
         if kind == "name":
             if value == "concat":
                 return ("unit", self.concat_group())
@@ -222,8 +229,11 @@ class _ExprParser:
             if name[1] not in self.labels:
                 raise ScenarioParseError(f"unknown unit label {name[1]!r}", self.line, name[2])
             self.take("sym", "@")
-            frac = self.take("number")
-            segments.append(Segment(name[1], float(complex(frac[1]).real)))
+            frac, value, col = self.number()
+            if frac.imag or frac.real <= 0:
+                raise ScenarioParseError(f"segment fraction {value!r} must be real and positive",
+                                         self.line, col)
+            segments.append(Segment(name[1], frac.real))
             if self.peek()[1] == ",":
                 self.take()
                 continue

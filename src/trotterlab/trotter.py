@@ -472,6 +472,7 @@ def _hermitian_top_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises the ValueError below
 def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
                         horizon: float, schedule: Sequence[Partition], *,
                         candidate: str | None = None,
@@ -484,6 +485,8 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
     extension.  With ``candidate`` set, the criterion pairing is taken
     against that ambient unit instead, which tests whether the section
     converges to it; the limit gram stays the one the extension predicts.
+    A pairing or limit map that overflows is not finite, and raises
+    ``ValueError`` naming the partition size.
     """
     ext = extension or extend_generator(section, generator)
     semigroup = ext.semigroup()
@@ -501,23 +504,27 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
     target_gram_one = semigroup.entry(target, target, horizon).apply(eye)
     ambient_limits = {s: semigroup.entry(s, ext.zeta, horizon).apply(eye)
                       for s in generator.labels}
+    limits = [limit_gram.rep, target_gram_one, *ambient_limits.values()]
 
     schedule = sorted(schedule, key=lambda p: p.norm, reverse=True)
 
     def defects_for(partition: Partition):
         gram_map = eval_pairing(section, partition, section, partition, semigroup)
-        gram_defect = superop_norm(gram_map - limit_gram)
         criterion_map = eval_pairing(target_expr, partition, section, partition, semigroup)
+        ambient_maps = {s: eval_pairing(unit_expression(s, d), partition, section, partition,
+                                        semigroup) for s in generator.labels}
+        maps = [gram_map.rep, criterion_map.rep, *(m.rep for m in ambient_maps.values())]
+        if not all(np.isfinite(m).all() for m in maps + limits):
+            raise ValueError(f"pairing or limit map is not finite at partition size "
+                             f"{partition.size} (horizon {horizon})")
+        gram_defect = superop_norm(gram_map - limit_gram)
         criterion_one = criterion_map.apply(eye)
         criterion_defect = float(np.linalg.norm(criterion_one - limit_gram_one, 2))
         difference = (gram_map.apply(eye) - criterion_one - dagger(criterion_one)
                       + target_gram_one)
         norm_defect = _hermitian_top_eigenvalue(difference)
-        ambient = {}
-        for s in generator.labels:
-            pairing = eval_pairing(unit_expression(s, d), partition, section, partition,
-                                   semigroup).apply(eye)
-            ambient[s] = float(np.linalg.norm(pairing - ambient_limits[s], 2))
+        ambient = {s: float(np.linalg.norm(ambient_maps[s].apply(eye) - ambient_limits[s], 2))
+                   for s in generator.labels}
         return gram_defect, criterion_defect, norm_defect, ambient
 
     results = [defects_for(p) for p in schedule]

@@ -103,7 +103,10 @@ def test_scenario_error_reporting():
 
 @pytest.mark.parametrize("bad", ["dim two", "horizon abc", "horizon inf", "seed 1.5",
                                  "schedule dyadic 3 x", "threshold convergent_defect x",
-                                 "matrix M [[1e999]]", "threshold bogus 1"])
+                                 "matrix M [[1e999]]", "threshold bogus 1",
+                                 "expression y = concat(u@0.5j, u@1)",
+                                 "expression y = concat(u@0.5, u@0.5, u@0)",
+                                 "expression y = 1e999*u"])
 def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     scenario_path = tmp_path / "bad.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{bad}\n")
@@ -216,6 +219,19 @@ def test_cli_gate_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "FAIL" in out and "witness" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflow_is_a_numerical_breakdown(tmp_path, capsys):
+    scenario_path = tmp_path / "overflow.scenario"
+    scenario_path.write_text(
+        "dim 1\nlabels u\ngenerator gamma [[1e300]]\nexpression y = u\n"
+        "schedule dyadic 3 4\n")
+    code = main(["run", str(scenario_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("y: numerical breakdown: ") and "partition size 8" in err
 
 
 def test_cli_empty_expression_list_gate_only(tmp_path, capsys):
