@@ -38,8 +38,8 @@ positions.
 from __future__ import annotations
 
 import ast
-import cmath
 import re
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,69 +98,36 @@ class Scenario:
 
 # -- expression grammar -------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?j?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[-+*()@,=])")
+def _chain(node, ops):
+    """``[(None, a), (op, b), (op, c)]`` for a left-nested chain ``a op b op c`` of ``ops``."""
+    links = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+        links.append((node.op, node.right))
+        node = node.left
+    return [(None, node)] + links[::-1]
 
 
-def _tokenize(text: str, line: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ScenarioParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        pos = match.end()
-        if match.lastgroup == "ws":
-            continue
-        tokens.append((match.lastgroup, match.group(), match.start() + 1))
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+@dataclass
+class _ExprReader:
+    """Builds the terms of an expression from its syntax tree; nothing is evaluated."""
 
+    text: str
+    line: int
+    dim: int
+    labels: tuple[str, ...]
+    matrices: dict
 
-class _ExprParser:
-    def __init__(self, text: str, line: int, dim: int,
-                 labels: tuple[str, ...], matrices: dict):
-        self.tokens = _tokenize(text, line)
-        self.index = 0
-        self.line = line
-        self.dim = dim
-        self.labels = labels
-        self.matrices = matrices
+    def fail(self, message: str, node):
+        raise ScenarioParseError(message, self.line, node.col_offset + 1)
 
-    def peek(self):
-        return self.tokens[self.index]
+    def source(self, node) -> str:
+        return ast.get_source_segment(self.text, node)
 
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.index]
-        if kind is not None and tok[0] != kind:
-            raise ScenarioParseError(f"expected {kind}, found {tok[1]!r}", self.line, tok[2])
-        if value is not None and tok[1] != value:
-            raise ScenarioParseError(f"expected {value!r}, found {tok[1]!r}", self.line, tok[2])
-        self.index += 1
-        return tok
-
-    def parse(self) -> UnitExpression:
-        terms = [self.term(1.0)]
-        while self.peek()[1] in ("+", "-"):
-            sign = 1.0 if self.take()[1] == "+" else -1.0
-            terms.append(self.term(sign))
-        self.take("end")
-        return UnitExpression(self.dim, tuple(terms))
-
-    def term(self, sign: float) -> Term:
-        factors = [self.factor()]
-        while self.peek()[1] == "*":
-            self.take()
-            factors.append(self.factor())
+    def term(self, node, sign: float) -> Term:
+        factors = [self.factor(f) for _, f in _chain(node, ast.Mult)]
         unit_positions = [i for i, f in enumerate(factors) if f[0] == "unit"]
         if len(unit_positions) != 1:
-            tok = self.peek()
-            raise ScenarioParseError(
-                "each term needs exactly one unit label or concat group",
-                self.line, tok[2])
+            self.fail("each term needs exactly one unit label or concat group", node)
         at = unit_positions[0]
         eye = np.eye(self.dim, dtype=complex)
         left = sign * eye
@@ -191,76 +158,68 @@ class _ExprParser:
         except ValueError as exc:
             raise ScenarioParseError(str(exc), self.line) from exc
 
-    def number(self) -> tuple[complex, str, int]:
-        _, value, col = self.take("number")
-        number = complex(value)
-        if not cmath.isfinite(number):
-            raise ScenarioParseError(f"number {value!r} is not finite", self.line, col)
-        return number, value, col
+    def number(self, node) -> complex:
+        value = node.value if isinstance(node, ast.Constant) else None
+        if type(value) not in (int, float, complex):
+            self.fail(f"expected a number, found {self.source(node)!r}", node)
+        if not abs(value) <= sys.float_info.max:
+            self.fail(f"number {self.source(node)!r} is not finite", node)
+        return complex(value)
 
-    def factor(self):
-        kind, value, col = self.peek()
-        if kind == "number":
-            return ("scalar", self.number()[0])
-        if kind == "name":
-            if value == "concat":
-                return ("unit", self.concat_group())
-            if value == "expm":
-                return ("twist", self.expm_group())
-            self.take()
-            if value in self.labels:
-                return ("unit", (Segment(value, 1.0),))
-            if value in self.matrices:
-                matrix = self.matrices[value]
-                if matrix.shape != (self.dim, self.dim):
-                    raise ScenarioParseError(
-                        f"matrix {value!r} has shape {matrix.shape}, "
-                        f"expected ({self.dim}, {self.dim})", self.line, col)
-                return ("matrix", matrix)
-            raise ScenarioParseError(f"unknown name {value!r}", self.line, col)
-        raise ScenarioParseError(f"unexpected token {value!r}", self.line, col)
-
-    def concat_group(self):
-        self.take("name", "concat")
-        self.take("sym", "(")
-        segments = []
-        while True:
-            name = self.take("name")
-            if name[1] not in self.labels:
-                raise ScenarioParseError(f"unknown unit label {name[1]!r}", self.line, name[2])
-            self.take("sym", "@")
-            frac, value, col = self.number()
-            if frac.imag or frac.real <= 0:
-                raise ScenarioParseError(f"segment fraction {value!r} must be real and positive",
-                                         self.line, col)
-            segments.append(Segment(name[1], frac.real))
-            if self.peek()[1] == ",":
-                self.take()
-                continue
-            break
-        self.take("sym", ")")
-        return tuple(segments)
-
-    def expm_group(self):
-        self.take("name", "expm")
-        self.take("sym", "(")
-        self.take("name", "t")
-        self.take("sym", "*")
-        name = self.take("name")
-        if name[1] not in self.matrices:
-            raise ScenarioParseError(f"unknown matrix {name[1]!r}", self.line, name[2])
-        self.take("sym", ")")
-        matrix = self.matrices[name[1]]
+    def matrix(self, node) -> np.ndarray:
+        if not isinstance(node, ast.Name) or node.id not in self.matrices:
+            self.fail(f"unknown matrix {self.source(node)!r}", node)
+        matrix = self.matrices[node.id]
         if matrix.shape != (self.dim, self.dim):
-            raise ScenarioParseError(
-                f"matrix {name[1]!r} has shape {matrix.shape}, "
-                f"expected ({self.dim}, {self.dim})", self.line, name[2])
+            self.fail(f"matrix {node.id!r} has shape {matrix.shape}, "
+                      f"expected ({self.dim}, {self.dim})", node)
         return matrix
+
+    def factor(self, node):
+        match node:
+            case ast.Constant():
+                return "scalar", self.number(node)
+            case ast.Name(id=name) if name in self.labels:
+                return "unit", (Segment(name, 1.0),)
+            case ast.Name(id=name) if name not in self.matrices:
+                self.fail(f"unknown name {name!r}", node)
+            case ast.Name():
+                return "matrix", self.matrix(node)
+            case ast.Call(func=ast.Name(id="concat"), args=segments, keywords=[]):
+                return "unit", tuple(map(self.segment, segments))
+            case ast.Call(func=ast.Name(id="expm"), keywords=[],
+                          args=[ast.BinOp(left=ast.Name(id="t"), op=ast.Mult(), right=matrix)]):
+                return "twist", self.matrix(matrix)
+        self.fail(f"unexpected {self.source(node)!r}: expected a number, a name, "
+                  f"concat(LABEL@FRAC, ...) or expm(t*MATRIX)", node)
+
+    def segment(self, node) -> Segment:
+        match node:
+            case ast.BinOp(left=ast.Name(id=label), op=ast.MatMult(), right=fraction):
+                if label not in self.labels:
+                    self.fail(f"unknown unit label {label!r}", node)
+                frac = self.number(fraction)
+                if frac.imag or frac.real <= 0:
+                    self.fail(f"segment fraction {self.source(fraction)!r} "
+                              f"must be real and positive", fraction)
+                return Segment(label, frac.real)
+        self.fail(f"expected LABEL@FRAC, found {self.source(node)!r}", node)
 
 
 def parse_expression(text: str, dim: int, labels: tuple[str, ...],
                      matrices: dict, line: int = 0) -> UnitExpression:
-    return _ExprParser(text, line, dim, labels, matrices).parse()
+    if not text.isascii():
+        raise ScenarioParseError(f"non-ASCII character in expression {text!r}", line)
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ScenarioParseError(f"bad expression {text!r}: {exc.msg}", line,
+                                 exc.offset or None) from None
+    except (RecursionError, ValueError) as exc:  # too deep; null bytes before Python 3.12
+        raise ScenarioParseError(f"cannot parse expression: {exc}", line) from None
+    reader = _ExprReader(text, line, dim, labels, matrices)
+    return UnitExpression(dim, tuple(reader.term(term, -1.0 if isinstance(op, ast.Sub) else 1.0)
+                                     for op, term in _chain(tree.body, (ast.Add, ast.Sub))))
 
 
 # -- scenario parsing ---------------------------------------------------------
