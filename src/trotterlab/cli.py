@@ -65,9 +65,13 @@ def _print_witness(witness) -> None:
 def cmd_run(args) -> int:
     path = Path(args.scenario)
     try:
-        scenario = parse_scenario(path.read_text())
+        scenario = parse_scenario(path.read_bytes().decode("utf-8"))
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(f"cannot read scenario: {path}: line {line}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ScenarioParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
@@ -75,7 +79,11 @@ def cmd_run(args) -> int:
 
     seed = args.seed if args.seed is not None else scenario.seed
     out_dir = Path(args.out or os.environ.get("TROTTERLAB_OUT", "trotterlab-out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
 
     try:
         generator = build_generator(scenario, base_dir=path.parent)
@@ -109,8 +117,12 @@ def cmd_run(args) -> int:
         except ValueError as exc:
             print(f"{name}: numerical breakdown: {exc}", file=sys.stderr)
             return EXIT_GATE
-        report.write_csv(out_dir / f"{name}.csv")
-        report.write_json(out_dir / f"{name}.json")
+        try:
+            report.write_csv(out_dir / f"{name}.csv")
+            report.write_json(out_dir / f"{name}.json")
+        except OSError as exc:
+            print(f"cannot write outputs: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
         against = f"candidate {candidate!r}" if candidate else f"adjoined {report.target!r}"
         rate = "n/a" if report.criterion_rate is None else f"{report.criterion_rate:.3f}"
         print(f"{name}: {report.verdict} against {against} "

@@ -1,6 +1,8 @@
 """Scenario files: a line-oriented declarative format for experiment runs.
 
-One directive per line; ``#`` starts a comment; blank lines are ignored:
+The file is UTF-8.  One directive per line; ``#`` starts a comment; blank
+lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
+``schedule`` and ``seed`` appear at most once, the others once per name:
 
     dim N
     labels NAME...
@@ -20,12 +22,21 @@ One directive per line; ``#`` starts a comment; blank lines are ignored:
     seed N                          # draws random schedules; recorded in reports
 
 Matrices are nested bracket lists of Python numeric literals; complex
-entries like ``(0.5+0.25j)`` are allowed.  Expressions follow the unit
-combination grammar:
+entries like ``(0.5+0.25j)`` are allowed.  Matrix and expression names are
+identifiers ``[A-Za-z_][A-Za-z0-9_]*``; expression names also name the
+output files.  An expression is read with Python's own parser (nothing is
+evaluated) and must fit this subset of Python expression syntax:
 
     EXPR   := TERM (('+'|'-') TERM)*
     TERM   := FACTOR ('*' FACTOR)*
     FACTOR := NUMBER | NAME | concat(NAME@FRAC, ...) | expm(t*NAME)
+
+NUMBER and FRAC are finite Python numeric literals, as in matrices
+(``0x10`` and ``1_000`` included); a FRAC is real and positive.  A NAME is
+a unit label or a matrix name, an ASCII identifier that is not a Python
+keyword.  Redundant parentheses (``2*(u)``) and a trailing comma in
+``concat(...)`` are allowed.  An expression nested beyond the parser's
+limit (about 2,970 terms on Python 3.11) is an error.
 
 Each term contains exactly one unit factor (a unit label or a ``concat``
 group).  Scalar and named-matrix factors to its left multiply from the
@@ -64,6 +75,7 @@ __all__ = [
 
 _VERDICTS = ("norm-convergent", "weak-only", "divergent")
 _SCHEDULE_ARITY = {"dyadic": 2, "random": 1}
+_SINGLE_DIRECTIVES = ("dim", "labels", "generator", "horizon", "schedule", "seed")
 
 
 class ScenarioParseError(ValueError):
@@ -208,14 +220,14 @@ class _ExprReader:
 
 def parse_expression(text: str, dim: int, labels: tuple[str, ...],
                      matrices: dict, line: int = 0) -> UnitExpression:
-    if not text.isascii():
+    if not text.isascii():  # ast counts columns in bytes and NFKC-normalises names
         raise ScenarioParseError(f"non-ASCII character in expression {text!r}", line)
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ScenarioParseError(f"bad expression {text!r}: {exc.msg}", line,
                                  exc.offset or None) from None
-    except (RecursionError, ValueError) as exc:  # too deep; null bytes before Python 3.12
+    except (RecursionError, ValueError) as exc:  # too deep; a null byte on older Pythons
         raise ScenarioParseError(f"cannot parse expression: {exc}", line) from None
     reader = _ExprReader(text, line, dim, labels, matrices)
     return UnitExpression(dim, tuple(reader.term(term, -1.0 if isinstance(op, ast.Sub) else 1.0)
@@ -235,6 +247,12 @@ def _parse_matrix(text: str, line: int) -> np.ndarray:
     if not np.isfinite(matrix).all():
         raise ScenarioParseError("matrix literal has non-finite entries", line)
     return matrix
+
+
+def _parse_name(kind: str, text: str, line: int) -> str:
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+        raise ScenarioParseError(f"bad {kind} name {text!r}", line)
+    return text
 
 
 def _parse_number(kind, text: str, line: int):
@@ -260,7 +278,7 @@ def _parse_schedule(spec: str, sep: str | None, line: int | None = None):
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    seen_dim = False
+    defined = set()
     pending_expressions: list[tuple[int, str, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -268,11 +286,15 @@ def parse_scenario(text: str) -> Scenario:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        # A single directive may appear once, any other once per name (or field).
+        key = (head,) if head in _SINGLE_DIRECTIVES else (head, re.match(r"[^\s=]*", rest)[0])
+        if key in defined:
+            raise ScenarioParseError(f"{' '.join(key)} is already defined", line_no)
+        defined.add(key)
         if head == "dim":
             sc.dim = _parse_number(int, rest, line_no)
             if sc.dim < 1:
                 raise ScenarioParseError("dim must be positive", line_no)
-            seen_dim = True
         elif head == "labels":
             sc.labels = tuple(rest.split())
             if not sc.labels:
@@ -294,14 +316,11 @@ def parse_scenario(text: str) -> Scenario:
             target[label] = _parse_matrix(payload.strip(), line_no)
         elif head == "matrix":
             name, _, payload = rest.partition(" ")
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-                raise ScenarioParseError(f"bad matrix name {name!r}", line_no)
+            name = _parse_name("matrix", name, line_no)
             sc.matrices[name] = _parse_matrix(payload.strip(), line_no)
         elif head == "expression":
             name, _, expr_text = rest.partition("=")
-            name = name.strip()
-            if not name:
-                raise ScenarioParseError("expression needs a name", line_no)
+            name = _parse_name("expression", name.strip(), line_no)
             pending_expressions.append((line_no, name, expr_text.strip()))
         elif head == "horizon":
             sc.horizon = _parse_number(float, rest, line_no)
@@ -336,7 +355,7 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ScenarioParseError(f"unknown directive {head!r}", line_no)
 
-    if not seen_dim:
+    if ("dim",) not in defined:
         raise ScenarioParseError("missing 'dim' directive")
     if not sc.labels:
         raise ScenarioParseError("missing 'labels' directive")

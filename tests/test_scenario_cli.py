@@ -1,9 +1,11 @@
 import json
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trotterlab.cli import main
 from trotterlab.kernels import (
@@ -19,6 +21,7 @@ from trotterlab.scenario import (
     parse_expression,
     parse_scenario,
 )
+from trotterlab.units import Segment, Term, UnitExpression
 
 CE_SCENARIO = """
 dim 2
@@ -92,6 +95,93 @@ def test_expression_errors_carry_positions():
         parse_expression("concat(u@0.5, v@0.6)", 1, ("u", "v"), {})
 
 
+@pytest.mark.parametrize("spelling, plain", [
+    ("2*(u)", "2*u"), ("(2*u) - (v)", "2*u - v"), ("0x10*u", "16*u"), ("1_000*u", "1000*u"),
+    ("concat(u@0.5, v@0.5,)", "concat(u@0.5, v@0.5)")])
+def test_expression_python_spellings_keep_their_meaning(spelling, plain):
+    parsed, expected = (parse_expression(text, 1, ("u", "v"), {}) for text in (spelling, plain))
+    assert len(parsed.terms) == len(expected.terms)
+    for got, want in zip(parsed.terms, expected.terms):
+        assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
+        assert got.segments == want.segments
+
+
+# Property test of the expression grammar: a random sum of signed products,
+# written as text and built directly from Terms, must parse to those Terms.
+GRAMMAR_LABELS = ("u", "v", "w")
+GRAMMAR_MATRICES = {name: np.random.default_rng(seed).normal(size=(2, 2, 2)) @ (1, 1j)
+                    for seed, name in enumerate(("A", "B"))}
+SCALARS = st.one_of(
+    st.integers(0, 99).map(lambda n: (str(n), complex(n))),
+    st.floats(0.0, 99.0).map(lambda x: (repr(x), complex(x))),
+    st.floats(0.0, 99.0).map(lambda x: (f"{x!r}j", complex(0.0, x))))
+FACTORS = st.one_of(SCALARS, st.sampled_from(sorted(GRAMMAR_MATRICES)).map(
+    lambda name: (name, GRAMMAR_MATRICES[name])))
+
+
+@st.composite
+def units(draw):
+    """``(text, segments)`` of a unit label or a ``concat`` group."""
+    if draw(st.booleans()):
+        label = draw(st.sampled_from(GRAMMAR_LABELS))
+        return label, (Segment(label, 1.0),)
+    parts = draw(st.lists(st.tuples(st.sampled_from(GRAMMAR_LABELS), st.integers(1, 9)),
+                          min_size=1, max_size=3))
+    total = sum(weight for _, weight in parts)
+    segments = tuple(Segment(label, weight / total) for label, weight in parts)
+    body = ", ".join(f"{s.label}@{s.fraction!r}" for s in segments)
+    return f"concat({body})", segments
+
+
+@st.composite
+def terms(draw, sign):
+    """``(text, term)`` of ``left factors * unit * right factors``, maybe with one twist."""
+    lefts, rights = draw(st.lists(FACTORS, max_size=2)), draw(st.lists(FACTORS, max_size=2))
+    unit_text, segments = draw(units())
+    side = draw(st.sampled_from(("none", "left", "right")))
+    twist = None
+    texts = {"left": [text for text, _ in lefts], "right": [text for text, _ in rights]}
+    if side != "none":
+        name = draw(st.sampled_from(sorted(GRAMMAR_MATRICES)))
+        twist = GRAMMAR_MATRICES[name]
+        at = draw(st.integers(0, len(texts[side])))
+        texts[side].insert(at, f"expm(t*{name})")
+    eye = np.eye(2, dtype=complex)
+    left = reduce(np.matmul, [sign * eye] + [v * eye if np.ndim(v) == 0 else v for _, v in lefts])
+    right = reduce(np.matmul, [eye] + [v * eye if np.ndim(v) == 0 else v for _, v in rights])
+    op = draw(st.sampled_from(("*", " * ")))
+    text = op.join(texts["left"] + [unit_text] + texts["right"])
+    return text, Term(left, right, segments, twist=twist, twist_side=side)
+
+
+@st.composite
+def expressions(draw):
+    signs = [1.0] + draw(st.lists(st.sampled_from((1.0, -1.0)), max_size=3))
+    drawn = [draw(terms(sign)) for sign in signs]
+    text = drawn[0][0] + "".join(
+        f" {'+' if sign > 0 else '-'} {t}" for sign, (t, _) in zip(signs[1:], drawn[1:]))
+    return text, UnitExpression(2, tuple(term for _, term in drawn))
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions())
+def test_expression_grammar_property(case):
+    text, expected = case
+    parsed = parse_expression(text, 2, GRAMMAR_LABELS, GRAMMAR_MATRICES)
+    assert len(parsed.terms) == len(expected.terms)
+    for got, want in zip(parsed.terms, expected.terms):
+        for side in ("left", "right"):  # same products, possibly in another rounding order
+            want_side = getattr(want, side)
+            assert np.allclose(getattr(got, side), want_side, rtol=0.0,
+                               atol=1e-13 * max(1.0, np.abs(want_side).max()))
+        assert got.segments == want.segments
+        assert got.twist_side == want.twist_side
+        if want.twist is None:
+            assert got.twist is None
+        else:
+            assert np.array_equal(got.twist, want.twist)
+
+
 def test_scenario_error_reporting():
     with pytest.raises(ScenarioParseError, match="line 1"):
         parse_scenario("bogus directive\n")
@@ -106,12 +196,83 @@ def test_scenario_error_reporting():
                                  "matrix M [[1e999]]", "threshold bogus 1",
                                  "expression y = concat(u@0.5j, u@1)",
                                  "expression y = concat(u@0.5, u@0.5, u@0)",
-                                 "expression y = 1e999*u"])
+                                 "expression y = 1e999*u",
+                                 pytest.param("expression y = " + " + ".join(["u"] * 3000),
+                                              id="beyond-the-nesting-limit")])
 def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     scenario_path = tmp_path / "bad.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{bad}\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, line, repeated", [
+    ("dim 1", 4, "dim"), ("labels u", 4, "labels"), ("generator gamma [[0.0]]", 4, "generator"),
+    ("horizon 1\nhorizon 2", 5, "horizon"),
+    ("schedule dyadic 3 4\nschedule random 2", 5, "schedule"),
+    ("seed 1\nseed 2", 5, "seed"), ("expression y = u\nexpression y=2*u", 5, "expression y"),
+    ("matrix M [[1]]\nmatrix M [[2]]", 5, "matrix M"), ("eta u [[0]]\neta u [[1]]", 5, "eta u"),
+    ("beta u [[0]]\nbeta u [[1]]", 5, "beta u"),
+    ("expression y = u\ncandidate y u\ncandidate y u", 6, "candidate y"),
+    ("expression y = u\nexpect y divergent\nexpect y weak-only", 6, "expect y"),
+    ("threshold convergent_defect 1e-6\nthreshold convergent_defect 1e-5", 5,
+     "threshold convergent_defect")])
+def test_cli_rejects_repeated_definitions(tmp_path, capsys, extra, line, repeated):
+    scenario_path = tmp_path / "repeated.scenario"
+    scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{extra}\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"line {line}: {repeated} is already defined" in err
+
+
+def test_cli_rejects_keyword_labels_in_expressions(tmp_path, capsys):
+    scenario_path = tmp_path / "keyword.scenario"
+    scenario_path.write_text("dim 1\nlabels u lambda\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]\n"
+                             "expression y = lambda\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 4" in err
+
+
+def test_cli_expression_names_stay_inside_out(tmp_path, capsys):
+    scenario_path = tmp_path / "escape.scenario"
+    scenario_path.write_text("dim 1\nlabels u\ngenerator gamma [[0.0]]\n"
+                             "expression ../escaped = u\nschedule dyadic 3 4\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out" / "inner")]) == 3
+    assert "line 4: bad expression name '../escaped'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["escape.scenario"]
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "out").write_text("")
+
+
+def _report_path_is_a_directory(tmp_path):
+    (tmp_path / "out" / "y.csv").mkdir(parents=True)
+
+
+def _scenario_is_not_utf8(tmp_path):
+    (tmp_path / "io.scenario").write_bytes(b"dim 1\n# caf\xe9\nlabels u\n")
+
+
+def _scenario_is_missing(tmp_path):
+    (tmp_path / "io.scenario").unlink()
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_out_is_a_file, "cannot write outputs: "),
+    (_report_path_is_a_directory, "cannot write outputs: "),
+    (_scenario_is_not_utf8, "cannot read scenario: "),
+    (_scenario_is_missing, "cannot read scenario: ")])
+def test_cli_io_errors_are_malformed_input(tmp_path, capsys, setup, message):
+    (tmp_path / "io.scenario").write_text(
+        "dim 1\nlabels u\ngenerator gamma [[0.0]]\nexpression y = u\nschedule dyadic 3 4\n")
+    setup(tmp_path)
+    assert main(["run", str(tmp_path / "io.scenario"), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    if setup is _scenario_is_not_utf8:
+        assert "line 2" in err
 
 
 MALFORMED_SPECS = ("dyadic:3:x", "random:")
