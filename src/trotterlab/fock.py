@@ -117,7 +117,7 @@ def fock_inner(x: ExponentialVector, y: ExponentialVector) -> complex:
     """Exact inner product over the merged breakpoint grid."""
     if x.multiplicity != y.multiplicity:
         raise ValueError("multiplicity mismatch")
-    if abs(x.length - y.length) > _TIME_TOL * max(1.0, x.length):
+    if abs(x.length - y.length) > _TIME_TOL * x.length:
         raise ValueError(f"length mismatch: {x.length} vs {y.length}")
     if not x.argument.values or not y.argument.values:
         return complex(x.prefactor.conjugate() * y.prefactor)

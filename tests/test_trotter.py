@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from trotterlab.algebra import Superoperator, dagger, superop_norm, unit_element
-from trotterlab.kernels import CpdSemigroup, random_christensen_evans, scalar_kernel
+from trotterlab.kernels import (
+    CpdSemigroup,
+    OperatorKernel,
+    random_christensen_evans,
+    scalar_kernel,
+)
+from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import (
     Partition,
     _walk_pairing,
@@ -45,7 +52,7 @@ def test_partition_basics():
     assert p.length == pytest.approx(1.0)
     assert p.norm == 0.5
     assert p.size == 3
-    assert p.time_widths == (0.5, 0.25, 0.25)
+    assert p.time_widths == (0.25, 0.25, 0.5)
     with pytest.raises(ValueError):
         Partition(())
     with pytest.raises(ValueError):
@@ -371,10 +378,47 @@ def test_verdict_series_on_refinement_chain():
     for _ in range(3):
         extra = random_schedule(1.0, 1, seed=int(rng.integers(1 << 30)))[0]
         cuts |= set(np.cumsum(extra.time_widths)[:-1])
-        chain.append(Partition.from_time_widths(np.diff([0.0, *sorted(cuts), 1.0])))
+        chain.append(Partition(np.diff([0.0, *sorted(cuts), 1.0])))
     report = convergence_verdict(y, gen, 1.0, chain, candidate="w")
     assert all(np.isfinite(report.criterion_defects))
     assert report.norms == tuple(sorted(report.norms, reverse=True))
+
+
+def affine_42_rescaled(c):
+    """``affine_42``'s section, its generator times ``c`` and its horizon over ``c``."""
+    scenario = parse_scenario(
+        (resources.files("trotterlab") / "scenarios" / "affine_42.scenario").read_text())
+    gen = build_generator(scenario)
+    scaled = OperatorKernel.build(gen.labels, gen.dim,
+                                  lambda s, t: Superoperator(gen.dim, c * gen[(s, t)].rep))
+    return scenario.expressions["y"], scaled, scenario.horizon / c
+
+
+@pytest.mark.parametrize("schedule", [lambda t: random_schedule(t, 8, seed=42),
+                                      lambda t: dyadic_schedule(t, 3, 12)],
+                         ids=["random:8", "dyadic:3:12"])
+def test_verdict_is_invariant_under_time_rescaling(schedule):
+    # exp(t * c L) over horizon t / c describes the same sections as exp(t L) over t.
+    y, gen, horizon = affine_42_rescaled(1.0)
+    base = convergence_verdict(y, gen, horizon, schedule(horizon))
+    for c in (1e10, 1e-6):
+        y, gen, horizon = affine_42_rescaled(c)
+        report = convergence_verdict(y, gen, horizon, schedule(horizon))
+        assert report.verdict == base.verdict
+        np.testing.assert_allclose(report.criterion_defects, base.criterion_defects, rtol=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e10, 1e-6])
+def test_walk_pairing_is_invariant_under_time_rescaling(c):
+    def walk(c):
+        y, gen, horizon = affine_42_rescaled(c)
+        partitions = random_schedule(horizon, 8, seed=42)
+        semigroup = extend_generator(y, gen).semigroup()
+        return eval_pairing(y, partitions[4], y, partitions[5], semigroup).rep
+
+    base = walk(1.0)
+    deviation = np.max(np.abs(base - np.eye(len(base))))
+    assert np.max(np.abs(walk(c) - base)) <= 1e-12 * deviation
 
 
 def test_report_serialization(tmp_path):
