@@ -54,9 +54,8 @@ __all__ = [
     "random_christensen_evans",
     "evaluate_positivity_form",
     "CpdWitness",
-    "CpdResult",
+    "PositivityReport",
     "is_cpd",
-    "ConditionallyCpdReport",
     "is_conditionally_cpd",
     "CpdSemigroup",
     "KolmogorovDecomposition",
@@ -228,11 +227,27 @@ class CpdWitness:
 
 
 @dataclass(frozen=True)
-class CpdResult:
+class PositivityReport:
+    """Outcome of an exact positivity test, plain or conditional.
+
+    ``min_eigenvalue`` is the smallest eigenvalue of the hermitian block
+    Choi matrix (compressed onto the constrained subspace for the
+    conditional test) and ``scale`` the largest absolute eigenvalue of the
+    uncompressed one; their ratio, the margin of a pass or the depth of a
+    failure, does not change when the kernel is multiplied by a positive
+    constant.  A failure carries a witness tuple (one with
+    ``sum a_i b_i = 0`` for the conditional test) whose quadratic form was
+    re-evaluated and found negative.
+    """
+
     ok: bool
     min_eigenvalue: float
     scale: float
     witness: CpdWitness | None
+
+    @property
+    def min_scaled_eigenvalue(self) -> float:
+        return self.min_eigenvalue / self.scale if self.scale else 0.0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -269,8 +284,8 @@ def _witness_from_eigenvector(kernel: OperatorKernel, vector: np.ndarray) -> Cpd
     return CpdWitness(tuple(sigmas), tuple(lefts), tuple(rights), min_eig)
 
 
-def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hermitian block Choi matrix H of a kernel and ``eigh(H)``.
+def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The hermitian block Choi matrix H of a kernel, ``eigh(H)`` and its scale.
 
     Raises :class:`KernelSymmetryError` when the kernel is not hermitian
     symmetric.  Every positivity question about the kernel is answered
@@ -280,19 +295,20 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
     block = kernel.block_choi()
     herm = (block + dagger(block)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
-    return herm, eigvals, eigvecs
+    return herm, eigvals, eigvecs, float(np.max(np.abs(eigvals)))
 
 
-def _cpd_result(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray) -> CpdResult:
-    scale = float(np.max(np.abs(eigvals)))
+def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
+                scale: float, tol: float) -> PositivityReport:
+    """Pass when the smallest eigenvalue is at least ``-tol * scale``, else a witness."""
     min_eig = float(eigvals[0])
-    if min_eig >= -_CPD_TOL * scale:
-        return CpdResult(True, min_eig, scale, None)
+    if min_eig >= -tol * scale:
+        return PositivityReport(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
-    return CpdResult(False, min_eig, scale, witness)
+    return PositivityReport(False, min_eig, scale, witness)
 
 
-def is_cpd(kernel: OperatorKernel) -> CpdResult:
+def is_cpd(kernel: OperatorKernel) -> PositivityReport:
     """Complete positive definiteness via block-Choi positivity.
 
     Raises :class:`KernelSymmetryError` when the kernel is not hermitian
@@ -300,33 +316,11 @@ def is_cpd(kernel: OperatorKernel) -> CpdResult:
     whose quadratic form has a negative eigenvalue.  For one label this is
     Choi's test: a map T is completely positive exactly when its kernel passes.
     """
-    _, eigvals, eigvecs = _choi_spectrum(kernel)
-    return _cpd_result(kernel, eigvals, eigvecs)
+    _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
+    return _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL)
 
 
-@dataclass(frozen=True)
-class ConditionallyCpdReport:
-    """Outcome of the exact conditional positivity test.
-
-    ``min_scaled_eigenvalue`` is the smallest eigenvalue of the hermitian
-    block Choi matrix compressed onto the constrained subspace, divided by
-    ``scale``, the largest absolute eigenvalue of the uncompressed matrix.
-    It is the margin of a pass and the depth of a failure, and it does not
-    change when the kernel is multiplied by a positive constant.  A
-    negative verdict carries a witness tuple with ``sum a_i b_i = 0`` whose
-    quadratic form was re-evaluated and found negative.
-    """
-
-    ok: bool
-    min_scaled_eigenvalue: float
-    scale: float
-    witness: CpdWitness | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_conditionally_cpd(kernel: OperatorKernel) -> ConditionallyCpdReport:
+def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     """Conditional complete positive definiteness by one compressed eigendecomposition.
 
     Let H be the hermitian block Choi matrix of ``kernel`` and
@@ -368,19 +362,14 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> ConditionallyCpdReport:
     2008).  The zero kernel passes exactly, and so does any kernel of one
     label over the scalars, whose complement is empty.
     """
-    herm, eigvals, _ = _choi_spectrum(kernel)
-    scale = float(np.max(np.abs(eigvals)))
+    herm, _, _, scale = _choi_spectrum(kernel)
     d, n = kernel.dim, len(kernel.labels)
     if scale == 0.0 or n * d * d == 1:
-        return ConditionallyCpdReport(True, 0.0, scale, None)
+        return PositivityReport(True, 0.0, scale, None)
     omega = np.tile(np.eye(d).reshape(-1), n) / np.sqrt(n * d)
     complement = np.linalg.svd(omega[None, :])[2][1:].T
     eigvals, eigvecs = np.linalg.eigh(dagger(complement) @ herm @ complement)
-    min_eig = float(eigvals[0])
-    if min_eig >= -_CONDITIONAL_TOL * scale:
-        return ConditionallyCpdReport(True, min_eig / scale, scale, None)
-    witness = _witness_from_eigenvector(kernel, complement @ eigvecs[:, 0])
-    return ConditionallyCpdReport(False, min_eig / scale, scale, witness)
+    return _positivity(kernel, eigvals, complement @ eigvecs, scale, _CONDITIONAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -457,8 +446,8 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
     :func:`is_cpd`, from the same eigendecomposition); eigenvalues below
     the positivity tolerance raise, tiny negative ripple is clipped.
     """
-    _, eigvals, eigvecs = _choi_spectrum(kernel)
-    result = _cpd_result(kernel, eigvals, eigvecs)
+    _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
+    result = _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL)
     if not result.ok:
         raise NotCompletelyPositiveError(
             f"kernel is not completely positive definite "

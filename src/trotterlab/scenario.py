@@ -9,13 +9,13 @@ lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
     generator gamma MATRIX          # scalar covariance matrix (dim 1 only)
     generator ce                    # Christensen-Evans parameters follow
     generator kernel PATH           # kernel JSON document
-    eta LABEL MATRIX                # parameter lines for 'generator ce'
-    beta LABEL MATRIX
-    matrix NAME MATRIX              # named matrix usable in expressions
+    eta LABEL MATRIX                # parameter lines for 'generator ce',
+    beta LABEL MATRIX               # one of each per declared label
+    matrix NAME MATRIX              # named matrix usable in expressions, not a label
     expression NAME = EXPR
     horizon T
-    schedule dyadic KMIN KMAX
-    schedule random COUNT
+    schedule dyadic KMIN KMAX       # KMAX <= 20
+    schedule random COUNT           # COUNT <= 64
     candidate EXPRNAME LABEL        # test EXPR against an ambient unit
     expect EXPRNAME VERDICT         # norm-convergent | weak-only | divergent
     threshold FIELD VALUE           # override a verdict threshold field
@@ -76,6 +76,10 @@ __all__ = [
 _VERDICTS = ("norm-convergent", "weak-only", "divergent")
 _SCHEDULE_ARITY = {"dyadic": 2, "random": 1}
 _SINGLE_DIRECTIVES = ("dim", "labels", "generator", "horizon", "schedule", "seed")
+# A dyadic partition of 2^20 parts already holds about 1M widths.
+_DYADIC_KMAX = 20
+# Every random partition (up to 4,096 widths) is built before any output.
+_RANDOM_COUNT = 64
 
 
 class ScenarioParseError(ValueError):
@@ -266,19 +270,22 @@ def _parse_number(kind, text: str, line: int):
 def _parse_schedule(spec: str, sep: str | None, line: int | None = None):
     """``(kind, args)`` of ``dyadic MIN MAX`` or ``random COUNT``, fields split at ``sep``."""
     kind, *args = spec.split(sep) or [""]
-    if _SCHEDULE_ARITY.get(kind) == len(args):
-        try:
-            return kind, tuple(int(a) for a in args)
-        except ValueError:
-            pass
-    s = sep or " "
-    raise ScenarioParseError(f"bad schedule spec {spec!r}: expected dyadic{s}MIN{s}MAX "
-                             f"or random{s}COUNT, with integer arguments", line)
+    try:
+        args = tuple(int(a) for a in args)
+    except ValueError:
+        args = ()
+    if _SCHEDULE_ARITY.get(kind) != len(args):
+        s = sep or " "
+        raise ScenarioParseError(f"bad schedule spec {spec!r}: expected dyadic{s}MIN{s}MAX "
+                                 f"or random{s}COUNT, with integer arguments", line)
+    if args[-1] > (limit := _DYADIC_KMAX if kind == "dyadic" else _RANDOM_COUNT):
+        raise ScenarioParseError(f"schedule spec {spec!r}: {args[-1]} exceeds {limit}", line)
+    return kind, args
 
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    defined = set()
+    defined = {}  # directive key -> line number
     pending_expressions: list[tuple[int, str, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -290,7 +297,7 @@ def parse_scenario(text: str) -> Scenario:
         key = (head,) if head in _SINGLE_DIRECTIVES else (head, re.match(r"[^\s=]*", rest)[0])
         if key in defined:
             raise ScenarioParseError(f"{' '.join(key)} is already defined", line_no)
-        defined.add(key)
+        defined[key] = line_no
         if head == "dim":
             sc.dim = _parse_number(int, rest, line_no)
             if sc.dim < 1:
@@ -361,17 +368,21 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("missing 'labels' directive")
     if not sc.generator_kind:
         raise ScenarioParseError("missing 'generator' directive")
+    for key, line_no in defined.items():
+        head, name = key[0], key[-1]
+        if head in ("eta", "beta") and sc.generator_kind != "ce":
+            raise ScenarioParseError(f"{head} {name!r} needs 'generator ce'", line_no)
+        if head in ("eta", "beta") and name not in sc.labels:
+            raise ScenarioParseError(f"{head} for undeclared label {name!r}", line_no)
+        if head == "matrix" and name in sc.labels:
+            raise ScenarioParseError(f"matrix {name!r} has the name of a unit label", line_no)
+        if head in ("candidate", "expect") and ("expression", name) not in defined:
+            raise ScenarioParseError(f"{head} for unknown expression {name!r}", line_no)
+        if head == "candidate" and sc.candidates[name] not in sc.labels:
+            raise ScenarioParseError(f"candidate label {sc.candidates[name]!r} unknown", line_no)
     for line_no, name, expr_text in pending_expressions:
         sc.expressions[name] = parse_expression(expr_text, sc.dim, sc.labels,
                                                 sc.matrices, line_no)
-    for name in sc.candidates:
-        if name not in sc.expressions:
-            raise ScenarioParseError(f"candidate for unknown expression {name!r}")
-        if sc.candidates[name] not in sc.labels:
-            raise ScenarioParseError(f"candidate label {sc.candidates[name]!r} unknown")
-    for name in sc.expectations:
-        if name not in sc.expressions:
-            raise ScenarioParseError(f"expectation for unknown expression {name!r}")
     return sc
 
 

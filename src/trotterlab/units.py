@@ -34,9 +34,9 @@ import numpy as np
 
 from .algebra import Superoperator, dagger, frobenius_norm, left_right_rep, unit_element
 from .kernels import (
-    ConditionallyCpdReport,
     CpdSemigroup,
     OperatorKernel,
+    PositivityReport,
     is_conditionally_cpd,
 )
 
@@ -246,7 +246,7 @@ class ExtensionPositivityError(ValueError):
     broke down numerically; the witness magnitude distinguishes the two.
     """
 
-    def __init__(self, message, report: ConditionallyCpdReport):
+    def __init__(self, message, report: PositivityReport):
         super().__init__(message)
         self.report = report
 
@@ -259,7 +259,7 @@ class ExtendedGenerator:
     diagonal: Superoperator
     cross: Mapping[str, Superoperator]
     kernel: OperatorKernel
-    report: ConditionallyCpdReport
+    report: PositivityReport
 
     def semigroup(self) -> CpdSemigroup:
         return CpdSemigroup(self.kernel)

@@ -295,6 +295,60 @@ def test_cli_rejects_empty_schedules(tmp_path, capsys, override, directive):
         assert f"bad schedule spec {override!r}" in err
 
 
+@pytest.mark.parametrize("override, directive, message", [
+    ("dyadic:3:21", "", "schedule spec 'dyadic:3:21': 21 exceeds 20"),
+    ("random:65", "", "schedule spec 'random:65': 65 exceeds 64"),
+    (None, "schedule dyadic 3 40\n", "line 5: schedule spec 'dyadic 3 40': 40 exceeds 20"),
+    (None, "schedule random 1000\n", "line 5: schedule spec 'random 1000': 1000 exceeds 64")])
+def test_cli_rejects_oversized_schedules(tmp_path, capsys, override, directive, message):
+    # Only values rejected while parsing: an accepted one this large would allocate.
+    scenario_path = tmp_path / "huge.scenario"
+    scenario_path.write_text(
+        f"dim 1\nlabels u\ngenerator gamma [[0.0]]\nexpression y = u\n{directive}")
+    args = ["run", str(scenario_path), "--out", str(tmp_path / "out")]
+    if override:
+        args += ["--schedule", override]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
+    for limit in ("dyadic 3 20", "random 64"):
+        text = f"dim 1\nlabels u\ngenerator gamma [[0.0]]\nschedule {limit}\n"
+        assert parse_scenario(text).schedule_args[-1] == int(limit.split()[-1])
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("generator ce\neta u [[0.0]]\nbeta u [[0.0]]\neta v [[0.0]]",
+     "line 6: eta for undeclared label 'v'"),
+    ("generator ce\neta u [[0.0]]\nbeta v [[0.0]]\nbeta u [[0.0]]",
+     "line 5: beta for undeclared label 'v'"),
+    ("generator gamma [[0.0]]\neta u [[0.0]]", "line 4: eta 'u' needs 'generator ce'"),
+    ("generator kernel k.json\nbeta u [[0.0]]", "line 4: beta 'u' needs 'generator ce'"),
+    ("generator gamma [[0.0]]\nmatrix u [[5.0]]", "line 4: matrix 'u' has the name of a unit label"),
+    ("generator gamma [[0.0]]\ncandidate z u", "line 4: candidate for unknown expression 'z'"),
+    ("generator gamma [[0.0]]\nexpect z divergent", "line 4: expect for unknown expression 'z'"),
+    ("generator gamma [[0.0]]\ncandidate y v", "line 4: candidate label 'v' unknown")],
+    ids=["eta-undeclared", "beta-undeclared", "eta-under-gamma", "beta-under-kernel",
+         "matrix-named-like-a-label", "candidate-expression", "expect-expression",
+         "candidate-label"])
+def test_cli_checks_the_names_lines_refer_to(tmp_path, capsys, lines, message):
+    scenario_path = tmp_path / "names.scenario"
+    scenario_path.write_text(f"dim 1\nlabels u\n{lines}\nexpression y = u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
+
+
+@pytest.mark.parametrize("generator", ["gamma [[0.0, 1.0], [0.0, 0.0]]", "kernel skew.json"],
+                         ids=["gamma", "kernel"])
+def test_cli_non_hermitian_generator_is_malformed(tmp_path, capsys, generator):
+    (tmp_path / "skew.json").write_text(json.dumps(kernel_to_json_dict(
+        scalar_kernel(np.array([[0.0, 1.0], [0.0, 0.0]]), ("u", "v")))))
+    scenario_path = tmp_path / "skew.scenario"
+    scenario_path.write_text(f"dim 1\nlabels u v\ngenerator {generator}\nexpression y = u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{scenario_path}: not a kernel candidate: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_build_generator_and_schedule(tmp_path):
     scenario = parse_scenario(CE_SCENARIO)
     generator = build_generator(scenario)
