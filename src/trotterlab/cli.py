@@ -88,11 +88,12 @@ def cmd_run(args) -> int:
     try:
         generator = build_generator(scenario, base_dir=path.parent)
         schedule = build_schedule(scenario, args.schedule, seed=seed)
-        gate = is_conditionally_cpd(generator)  # KernelSymmetryError: not a kernel candidate
+        generator.require_hermitian()  # the gate's precondition, as malformed input
     except (ScenarioParseError, OSError, ValueError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
+    gate = is_conditionally_cpd(generator)
     print(f"gate: generator conditional positivity "
           f"{'PASS' if gate.ok else 'FAIL'} "
           f"(min scaled eigenvalue {gate.min_scaled_eigenvalue:.3e}, "

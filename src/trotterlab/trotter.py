@@ -4,8 +4,7 @@ A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 time order (earliest interval first); ``parts[0]`` covers ``[0, parts[0])``.
 Partitions of equal length are paired over their common refinement, the
 union of their cut points, which the transfer walk merges into its own
-event grid; no partition object is built for it.  Every tolerance here is
-relative to the partition length, so no decision depends on the time unit.
+event grid; no partition object is built for it.
 
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
@@ -83,7 +82,8 @@ __all__ = [
     "fit_rate",
 ]
 
-# Relative to the partition length: of equal lengths and of merged walk events.
+# Of equal lengths and of merged walk events, relative to the partition length
+# so that no decision depends on the time unit.
 _LENGTH_TOL = 1e-12
 # Defects at or below this are rounding noise and do not enter rate fits.
 _RATE_FLOOR = 1e-13
