@@ -299,7 +299,8 @@ def test_cli_rejects_empty_schedules(tmp_path, capsys, override, directive):
     ("dyadic:3:21", "", "schedule spec 'dyadic:3:21': 21 exceeds 20"),
     ("random:65", "", "schedule spec 'random:65': 65 exceeds 64"),
     (None, "schedule dyadic 3 40\n", "line 5: schedule spec 'dyadic 3 40': 40 exceeds 20"),
-    (None, "schedule random 1000\n", "line 5: schedule spec 'random 1000': 1000 exceeds 64")])
+    (None, "schedule random 1000\n", "line 5: schedule spec 'random 1000': 1000 exceeds 64")],
+    ids=["dyadic-option", "random-option", "dyadic-line", "random-line"])
 def test_cli_rejects_oversized_schedules(tmp_path, capsys, override, directive, message):
     # Only values rejected while parsing: an accepted one this large would allocate.
     scenario_path = tmp_path / "huge.scenario"
