@@ -422,10 +422,6 @@ class KolmogorovDecomposition:
     def rank(self) -> int:
         return next(iter(self.factors.values())).shape[0]
 
-    def vectors(self) -> dict[str, np.ndarray]:
-        """Flat structured vectors, one per label."""
-        return {s: np.asarray(f).reshape(-1) for s, f in self.factors.items()}
-
     def reconstruct_entry(self, s: str, t: str) -> Superoperator:
         rep = left_right_rep(dagger(self.factors[s]), self.factors[t]).sum(axis=0)
         return Superoperator(self.dim, rep)

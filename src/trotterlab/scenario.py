@@ -14,7 +14,7 @@ lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
     matrix NAME MATRIX              # named matrix usable in expressions, not a label
     expression NAME = EXPR
     horizon T
-    schedule dyadic KMIN KMAX       # KMAX <= 20
+    schedule dyadic KMIN KMAX       # 0 <= KMIN, KMAX <= 20
     schedule random COUNT           # COUNT <= 64
     candidate EXPRNAME LABEL        # test EXPR against an ambient unit
     expect EXPRNAME VERDICT         # norm-convergent | weak-only | divergent
@@ -278,6 +278,8 @@ def _parse_schedule(spec: str, sep: str | None, line: int | None = None):
         s = sep or " "
         raise ScenarioParseError(f"bad schedule spec {spec!r}: expected dyadic{s}MIN{s}MAX "
                                  f"or random{s}COUNT, with integer arguments", line)
+    if kind == "dyadic" and args[0] < 0:
+        raise ScenarioParseError(f"schedule spec {spec!r}: KMIN {args[0]} is negative", line)
     if args[-1] > (limit := _DYADIC_KMAX if kind == "dyadic" else _RANDOM_COUNT):
         raise ScenarioParseError(f"schedule spec {spec!r}: {args[-1]} exceeds {limit}", line)
     return kind, args

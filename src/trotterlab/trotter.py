@@ -19,21 +19,18 @@ right-side twist, whose exponent scales with the interval width) enters
 at its interval's earliest position, the left multiplier (and left-side
 twist) at the latest position.
 
-:func:`eval_pairing` picks one of three evaluations from the partitions.
-When both sides use the same partition, which is every caller in this
-module, the refinement is that partition and the pairing is the ordered
-product ``B(w_1) @ ... @ B(w_n)`` of blocks that depend only on the
-interval width.  A partition of more than 8 equal parts is one block
-raised to the n-th power: O(log n) d^2 x d^2 products.  Any other shared
-partition builds the blocks of all distinct widths with stacked matrix
-exponentials and multiplies them by pairwise halving: O(n) work in
-O(log n) numpy calls and O(n d^4) memory.  Different partitions on the
-two sides go through a transfer walk over the N events of the grid that
-merges both sides' bounds and segment cuts.  Its state is one map per
-pair of terms, and each side has one open step (sum over its term axis,
-then its stacked open multipliers) and one close step; it takes O(N)
-numpy steps, multiplier stacks of O(n * terms * d^4) and entry
-exponentials of O(N * terms1 * terms2 * d^4), all built up front.
+A cut that both partitions share splits the pairing.  Units compose over
+consecutive intervals, so at such a cut both sides close an interval and
+open the next: every pair of terms ends on its close multipliers, the sum
+over term pairs is one map, and the rest of the product starts from that
+map alone.  The pairing is the ordered product of the pairings of the
+pieces between shared cuts.  :func:`eval_pairing` uses this where the
+pieces are alike: with every width equal on each side and
+g = gcd(n1, n2) > 8, it pairs one period and raises it to the g-th power.
+The same partition of n equal parts is the case g = n; nested dyadic
+partitions pair one interval against two.  Other pairs are evaluated
+whole, from the stacked interval blocks of a shared partition (every
+caller in this module) or by a transfer walk over both sides' events.
 
 Every matrix exponential here is a semigroup ``exp(w L)`` at many times
 ``w``, which :func:`trotterlab.algebra.expm_times` evaluates as one batch:
@@ -45,6 +42,7 @@ squarings, with s the scaling exponent of the largest time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Sequence
 
@@ -103,8 +101,8 @@ class Partition:
         parts = tuple(float(p) for p in self.parts)
         if not parts:
             raise ValueError("a partition needs at least one part")
-        if any(p <= 0 for p in parts):
-            raise ValueError("all parts must be positive")
+        if not all(0.0 < p < math.inf for p in parts):  # NaN fails both comparisons
+            raise ValueError("all parts must be positive and finite")
         object.__setattr__(self, "parts", parts)
 
     @classmethod
@@ -206,18 +204,20 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
     labels, with multipliers and twists inserted at the proper boundaries.
     One of three evaluations runs, chosen from the partitions:
 
-    * the same partition of more than 8 equal parts on both sides: the
-      one-interval block, from a recursive call, raised to the n-th power;
-      O(log n) products of d^2 x d^2 matrices;
-    * the same partition on both sides: every interval's block at once,
-      then their ordered product (:func:`_batched_pairing`); O(n) work in
-      O(log n) stacked numpy calls and O(n d^4) memory;
-    * different partitions: the transfer walk over the N events of the
-      common refinement and the segment cuts (:func:`_walk_pairing`);
-      O(N) numpy steps on a (terms1, terms2, d^2, d^2) state, with the
-      multipliers stacked per interval, O(n * terms * d^4), and the entry
-      exponentials per event, O(N * terms1 * terms2 * d^4), gathered from
-      one exponential of the generator table at every event width.
+    * every width equal on each side, with g = gcd(n1, n2) > 8: the pairing
+      of one period, n1/g parts against n2/g, from a recursive call, raised
+      to the g-th power; both sides cut at every multiple of t/g, where
+      the walk's state sums to a single map, so the product splits into g
+      equal factors; O(log g) products of d^2 x d^2 matrices;
+    * otherwise the same partition on both sides: every interval's block
+      at once, then their ordered product (:func:`_batched_pairing`); O(n)
+      work in O(log n) stacked numpy calls and O(n d^4) memory;
+    * otherwise the transfer walk over the N events of the common
+      refinement and the segment cuts (:func:`_walk_pairing`); O(N) numpy
+      steps on a (terms1, terms2, d^2, d^2) state, with the multipliers
+      stacked per interval, O(n * terms * d^4), and the entry exponentials
+      per event, O(N * terms1 * terms2 * d^4), gathered from one
+      exponential of the generator table at every event width.
 
     The exponentials come from :func:`trotterlab.algebra.expm_times`: one
     matmul per (label pair, segment fraction) and per twisted term, plus
@@ -232,12 +232,13 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
     e1.require_labels(semigroup.labels)
     e2.require_labels(semigroup.labels)
 
+    g = math.gcd(p1.size, p2.size)
+    if g > 8 and len(set(p1.parts)) == 1 and len(set(p2.parts)) == 1:
+        # Equal widths on each side: every (size // g)-th cut is shared, one period repeats.
+        period1, period2 = (Partition(p.parts[:p.size // g]) for p in (p1, p2))
+        block = eval_pairing(e1, period1, e2, period2, semigroup)
+        return Superoperator(semigroup.dim, np.linalg.matrix_power(block.rep, g))
     if p1.parts == p2.parts:
-        # Equal widths, as Partition.uniform builds them: one block, then a power.
-        if p1.size > 8 and len(set(p1.parts)) == 1:
-            one = Partition(p1.parts[:1])
-            block = eval_pairing(e1, one, e2, one, semigroup)
-            return Superoperator(semigroup.dim, np.linalg.matrix_power(block.rep, p1.size))
         return _batched_pairing(e1, e2, p1, semigroup)
     return _walk_pairing(e1, p1, e2, p2, semigroup)
 
@@ -549,27 +550,18 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
 
 @dataclass(frozen=True)
 class Prop33Report:
-    """Empirical constants and the partition-norm bound on the gram defect.
+    """The partition-norm bound on the gram defect, checked at fractions of the horizon.
 
-    ``second_order`` bounds the remainder of the section's pairing after
-    removing identity and first-order parts; ``assembled_constant`` covers
-    the per-interval distance between the section pairing and the limit
-    semigroup.  The defect of every scheduled partition is compared with
-    ``norm * horizon * exp(horizon * max(k_norm, second_order)) * assembled_constant``
-    at the requested horizons (uniformity check).
+    ``rows`` maps each time t to one row per scheduled partition, rescaled
+    to length t: its gram defect against ``norm * t * exp(t * growth) * assembled``
+    and its pairing norm against ``exp(t * growth)``, with the constants
+    of :func:`prop33_bound_check`.
     """
 
-    k_norm: float
-    second_order: float
-    assembled_constant: float
-    horizons: tuple[float, ...]
     rows: Mapping[float, tuple[dict, ...]]
     gram_rate: float | None
     bounds_hold: bool
     eventually_bounded: bool
-
-    def __bool__(self) -> bool:
-        return self.bounds_hold and self.eventually_bounded
 
 
 def estimate_second_order(section: UnitExpression, extension: ExtendedGenerator) -> float:
@@ -588,7 +580,12 @@ def estimate_second_order(section: UnitExpression, extension: ExtendedGenerator)
 
 def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
                        horizon: float, schedule: Sequence[Partition]) -> Prop33Report:
-    """Check the first-order-in-norm bound on the gram defect, report only."""
+    """Check the first-order-in-norm bound on the gram defect, report only.
+
+    ``second`` bounds the section pairing's remainder after its identity and
+    first-order parts; ``assembled`` covers its per-interval distance from
+    the limit semigroup.
+    """
     semigroup = extension.semigroup()
     k_norm = superop_norm(extension.diagonal)
     second = estimate_second_order(section, extension)
@@ -626,8 +623,5 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
                 norm_series.append(part.norm)
         rows[t] = tuple(t_rows)
     gram_rate = fit_rate(norm_series, gram_series)
-    return Prop33Report(
-        k_norm=k_norm, second_order=second, assembled_constant=assembled,
-        horizons=tuple(horizon * f for f in _HORIZON_FRACTIONS), rows=rows,
-        gram_rate=gram_rate, bounds_hold=bounds_hold,
-        eventually_bounded=eventually_bounded)
+    return Prop33Report(rows=rows, gram_rate=gram_rate, bounds_hold=bounds_hold,
+                        eventually_bounded=eventually_bounded)

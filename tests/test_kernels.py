@@ -402,8 +402,7 @@ def test_kolmogorov_reconstructs_random_cpd_kernel():
     kernel = CpdSemigroup(gen).evaluate(0.6)
     decomposition = kolmogorov_decompose(kernel)
     assert decomposition.max_reconstruction_error(kernel) < 1e-9
-    vectors = decomposition.vectors()
-    assert vectors["a"].shape == (decomposition.rank * 4,)
+    assert decomposition.factors["a"].shape == (decomposition.rank, 2, 2)
 
 
 def test_kolmogorov_requires_cpd():

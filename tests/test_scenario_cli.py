@@ -299,8 +299,11 @@ def test_cli_rejects_empty_schedules(tmp_path, capsys, override, directive):
     ("dyadic:3:21", "", "schedule spec 'dyadic:3:21': 21 exceeds 20"),
     ("random:65", "", "schedule spec 'random:65': 65 exceeds 64"),
     (None, "schedule dyadic 3 40\n", "line 5: schedule spec 'dyadic 3 40': 40 exceeds 20"),
-    (None, "schedule random 1000\n", "line 5: schedule spec 'random 1000': 1000 exceeds 64")],
-    ids=["dyadic-option", "random-option", "dyadic-line", "random-line"])
+    (None, "schedule random 1000\n", "line 5: schedule spec 'random 1000': 1000 exceeds 64"),
+    ("dyadic:-1:3", "", "schedule spec 'dyadic:-1:3': KMIN -1 is negative"),
+    (None, "schedule dyadic -1 3\n", "line 5: schedule spec 'dyadic -1 3': KMIN -1 is negative")],
+    ids=["dyadic-option", "random-option", "dyadic-line", "random-line",
+         "negative-kmin-option", "negative-kmin-line"])
 def test_cli_rejects_oversized_schedules(tmp_path, capsys, override, directive, message):
     # Only values rejected while parsing: an accepted one this large would allocate.
     scenario_path = tmp_path / "huge.scenario"
@@ -311,7 +314,7 @@ def test_cli_rejects_oversized_schedules(tmp_path, capsys, override, directive, 
         args += ["--schedule", override]
     assert main(args) == 3
     assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
-    for limit in ("dyadic 3 20", "random 64"):
+    for limit in ("dyadic 3 20", "dyadic 0 20", "random 64"):
         text = f"dim 1\nlabels u\ngenerator gamma [[0.0]]\nschedule {limit}\n"
         assert parse_scenario(text).schedule_args[-1] == int(limit.split()[-1])
 

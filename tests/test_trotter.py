@@ -57,6 +57,9 @@ def test_partition_basics():
         Partition(())
     with pytest.raises(ValueError):
         Partition((0.5, 0.0))
+    for parts in ((np.nan,), (1.0, np.inf), (0.5, -np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Partition(parts)
 
 
 # -- pairing evaluation -----------------------------------------------------------
@@ -299,6 +302,41 @@ def test_walk_matches_brute_force_chains_on_mismatched_partitions(seed, dim, ter
     oracle = brute_force_pairing(e1, p1, e2, p2, semigroup)
     walk = _walk_pairing(e1, p1, e2, p2, semigroup).rep
     assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3),
+       st.integers(1, 3), st.integers(9, 64), st.integers(1, 4), st.integers(1, 4))
+def test_commensurate_uniform_pairing_matches_walk(seed, dim, terms1, terms2, g, a, b):
+    # g * a against g * b equal parts share every cut at a multiple of 1/g.
+    rng = np.random.default_rng(seed)
+    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), dim, rng, scale=0.5))
+    e1 = random_unit_section(rng, dim, terms1)
+    e2 = random_unit_section(rng, dim, terms2)
+    p1, p2 = Partition.uniform(1.0, g * a), Partition.uniform(1.0, g * b)
+    power = eval_pairing(e1, p1, e2, p2, semigroup).rep
+    walk = _walk_pairing(e1, p1, e2, p2, semigroup).rep
+    assert np.max(np.abs(power - walk)) <= 1e-11 * max(1.0, np.max(np.abs(walk)))
+
+
+def test_nested_uniform_pairing_walks_one_period(monkeypatch):
+    import trotterlab.trotter as trotter
+
+    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), 2,
+                                                      np.random.default_rng(11), scale=0.4))
+    y = affine_expression([2, -1], ["a", "b"], 2)
+    p1, p2 = Partition.uniform(1.0, 2 ** 11), Partition.uniform(1.0, 2 ** 12)
+    walked = []
+
+    def recording_walk(e1, q1, e2, q2, sg):
+        walked.append((q1.parts, q2.parts))
+        return _walk_pairing(e1, q1, e2, q2, sg)
+
+    monkeypatch.setattr(trotter, "_walk_pairing", recording_walk)
+    power = eval_pairing(y, p1, y, p2, semigroup).rep
+    assert walked == [(p1.parts[:1], p2.parts[:2])]
+    walk = _walk_pairing(y, p1, y, p2, semigroup).rep
+    assert np.max(np.abs(power - walk)) <= 1e-11 * max(1.0, np.max(np.abs(walk)))
 
 
 # -- convergence verdicts ----------------------------------------------------------
