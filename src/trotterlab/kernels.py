@@ -47,11 +47,8 @@ __all__ = [
     "KernelSymmetryError",
     "NotCompletelyPositiveError",
     "OperatorKernel",
-    "identity_kernel",
-    "zero_kernel",
     "scalar_kernel",
     "christensen_evans_kernel",
-    "random_christensen_evans",
     "evaluate_positivity_form",
     "CpdWitness",
     "PositivityReport",
@@ -146,17 +143,6 @@ class OperatorKernel:
                          for s in self.labels])
 
 
-def identity_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
-    """Kernel whose every entry is the identity map."""
-    ident = Superoperator.identity(dim)
-    return OperatorKernel.build(labels, dim, lambda s, t: ident)
-
-
-def zero_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
-    zero = Superoperator.zero(dim)
-    return OperatorKernel.build(labels, dim, lambda s, t: zero)
-
-
 def scalar_kernel(matrix: np.ndarray, labels: Sequence[str]) -> OperatorKernel:
     """A kernel over the scalars (dim 1) given by a plain complex matrix."""
     matrix = np.asarray(matrix, dtype=complex)
@@ -175,8 +161,9 @@ def christensen_evans_kernel(labels: Sequence[str], dim: int,
                              beta: Mapping[str, np.ndarray]) -> OperatorKernel:
     """Generator kernel of the form ``(s,t): b -> eta_s* b eta_t + b beta_t + beta_s* b``.
 
-    Conditionally completely positive definite by construction; used to
-    generate test instances, never assumed by any decision procedure.
+    Conditionally completely positive definite by construction; this is the
+    scenario directive ``generator ce``.  No decision procedure assumes the
+    form: the gate tests it like any other kernel.
     """
     eye = np.eye(dim)
 
@@ -187,17 +174,6 @@ def christensen_evans_kernel(labels: Sequence[str], dim: int,
         return Superoperator(dim, rep)
 
     return OperatorKernel.build(labels, dim, entry)
-
-
-def random_christensen_evans(labels: Sequence[str], dim: int, rng: np.random.Generator,
-                             scale: float = 1.0) -> OperatorKernel:
-    """Random generator kernel in the form above, with entries of size ~``scale``."""
-    def draw():
-        return scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-
-    eta = {s: draw() for s in labels}
-    beta = {s: draw() for s in labels}
-    return christensen_evans_kernel(labels, dim, eta, beta)
 
 
 def evaluate_positivity_form(kernel: OperatorKernel, sigmas: Sequence[str],
@@ -398,12 +374,6 @@ class CpdSemigroup:
 
     def entry(self, s: str, t: str, time: float) -> Superoperator:
         return Superoperator(self.dim, self.entry_rep(s, t, time))
-
-    def evaluate(self, time: float) -> OperatorKernel:
-        if time < 0:
-            raise ValueError("semigroup evaluation requires time >= 0")
-        return OperatorKernel.build(
-            self.labels, self.dim, lambda s, t: self.entry(s, t, time))
 
 
 @dataclass(frozen=True)

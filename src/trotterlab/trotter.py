@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,8 +75,6 @@ __all__ = [
     "ConvergenceReport",
     "assemble_report",
     "convergence_verdict",
-    "Prop33Report",
-    "prop33_bound_check",
     "fit_rate",
 ]
 
@@ -85,10 +83,6 @@ __all__ = [
 _LENGTH_TOL = 1e-12
 # Defects at or below this are rounding noise and do not enter rate fits.
 _RATE_FLOOR = 1e-13
-# Small times of the second-order estimate, and the fractions of the
-# horizon at which the Prop 3.3 bound is checked.
-_SECOND_ORDER_TIMES = (1e-1, 1e-2, 1e-3, 1e-4)
-_HORIZON_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +121,6 @@ class Partition:
     def time_widths(self) -> tuple[float, ...]:
         """The widths, earliest first: ``parts`` under the name the benchmark reads."""
         return self.parts
-
-    def scaled(self, factor: float) -> "Partition":
-        return Partition(tuple(p * factor for p in self.parts))
 
 
 def _merge_cuts(cuts: Sequence[float], tol: float) -> list[float]:
@@ -544,84 +535,3 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
         norm_defects=norm_d, ambient_defects=ambient,
         thresholds=thresholds, notes=notes, seed=seed)
 
-
-# -- second-order estimates and the product bound ----------------------------
-
-
-@dataclass(frozen=True)
-class Prop33Report:
-    """The partition-norm bound on the gram defect, checked at fractions of the horizon.
-
-    ``rows`` maps each time t to one row per scheduled partition, rescaled
-    to length t: its gram defect against ``norm * t * exp(t * growth) * assembled``
-    and its pairing norm against ``exp(t * growth)``, with the constants
-    of :func:`prop33_bound_check`.
-    """
-
-    rows: Mapping[float, tuple[dict, ...]]
-    gram_rate: float | None
-    bounds_hold: bool
-    eventually_bounded: bool
-
-
-def estimate_second_order(section: UnitExpression, extension: ExtendedGenerator) -> float:
-    """Max of ``|<y_t, . y_t> - id - t K| / t^2`` over a small-time grid."""
-    semigroup = extension.semigroup()
-    d = semigroup.dim
-    ident = Superoperator.identity(d)
-    worst = 0.0
-    for t in _SECOND_ORDER_TIMES:
-        part = Partition((float(t),))
-        pairing = eval_pairing(section, part, section, part, semigroup)
-        remainder = pairing - ident - float(t) * extension.diagonal
-        worst = max(worst, superop_norm(remainder) / float(t) ** 2)
-    return worst
-
-
-def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
-                       horizon: float, schedule: Sequence[Partition]) -> Prop33Report:
-    """Check the first-order-in-norm bound on the gram defect, report only.
-
-    ``second`` bounds the section pairing's remainder after its identity and
-    first-order parts; ``assembled`` covers its per-interval distance from
-    the limit semigroup.
-    """
-    semigroup = extension.semigroup()
-    k_norm = superop_norm(extension.diagonal)
-    second = estimate_second_order(section, extension)
-    growth = max(k_norm, second)
-    assembled = second + k_norm ** 2 * float(np.exp(horizon * k_norm))
-
-    schedule = sorted(schedule, key=lambda p: p.norm, reverse=True)
-    rows: dict[float, tuple[dict, ...]] = {}
-    bounds_hold = True
-    eventually_bounded = True
-    gram_series: list[float] = []
-    norm_series: list[float] = []
-    for fraction in _HORIZON_FRACTIONS:
-        t = horizon * fraction
-        t_rows = []
-        for base in schedule:
-            part = base.scaled(t / base.length)
-            pairing = eval_pairing(section, part, section, part, semigroup)
-            defect = superop_norm(pairing - extension.diagonal.expm(t))
-            bound = part.norm * t * float(np.exp(t * growth)) * assembled
-            size_bound = float(np.exp(part.length * growth))
-            size = superop_norm(pairing)
-            ok = defect <= bound + 1e-12
-            bounded = size <= size_bound + 1e-9
-            bounds_hold = bounds_hold and ok
-            eventually_bounded = eventually_bounded and bounded
-            t_rows.append({
-                "n": part.size, "norm": part.norm, "gram_defect": defect,
-                "bound": bound, "bound_ok": ok,
-                "pairing_norm": size, "pairing_norm_bound": size_bound,
-                "bounded_ok": bounded,
-            })
-            if fraction == _HORIZON_FRACTIONS[-1]:
-                gram_series.append(defect)
-                norm_series.append(part.norm)
-        rows[t] = tuple(t_rows)
-    gram_rate = fit_rate(norm_series, gram_series)
-    return Prop33Report(rows=rows, gram_rate=gram_rate, bounds_hold=bounds_hold,
-                        eventually_bounded=eventually_bounded)

@@ -45,9 +45,7 @@ __all__ = [
     "Term",
     "UnitExpression",
     "unit_expression",
-    "affine_expression",
     "twisted_expression",
-    "concat_expression",
     "modified_expression",
     "pair_derivative",
     "ExtendedGenerator",
@@ -163,30 +161,12 @@ def unit_expression(label: str, dim: int) -> UnitExpression:
     return UnitExpression(dim, (Term(eye, eye, (Segment(label, 1.0),)),))
 
 
-def affine_expression(coefficients: Sequence[complex], labels: Sequence[str],
-                      dim: int) -> UnitExpression:
-    """``y_t = sum_l k_l xi^l_t`` with scalar coefficients (usually summing to 1)."""
-    if len(coefficients) != len(labels):
-        raise ValueError("need one coefficient per label")
-    eye = unit_element(dim)
-    terms = tuple(Term(complex(k) * eye, eye, (Segment(label, 1.0),))
-                  for k, label in zip(coefficients, labels))
-    return UnitExpression(dim, terms)
-
-
 def twisted_expression(label: str, beta: np.ndarray, dim: int,
                        side: str = "right") -> UnitExpression:
     """``y_t = xi_t exp(t beta)`` (side "right") or ``exp(t beta) xi_t`` (side "left")."""
     eye = unit_element(dim)
     return UnitExpression(dim, (Term(eye, eye, (Segment(label, 1.0),),
                                      twist=np.asarray(beta, dtype=complex), twist_side=side),))
-
-
-def concat_expression(segments: Sequence[tuple[str, float]], dim: int) -> UnitExpression:
-    """One term concatenating unit segments over consecutive fractions of the horizon."""
-    eye = unit_element(dim)
-    segs = tuple(Segment(label, float(frac)) for label, frac in segments)
-    return UnitExpression(dim, (Term(eye, eye, segs),))
 
 
 def modified_expression(base_label: str, lefts: Sequence[np.ndarray],

@@ -25,6 +25,8 @@ from trotterlab.kernels import (
     is_cpd,
 )
 
+from builders import evaluate
+
 SCHOENBERG_GRID = tuple(np.geomspace(1e-3, 1.0, 12))
 
 
@@ -80,4 +82,4 @@ def sampled_conditional_form(kernel: OperatorKernel, *, samples: int = 500, seed
 def schoenberg_grid_ok(kernel: OperatorKernel, grid=SCHOENBERG_GRID) -> bool:
     """Whether ``exp(t * kernel)`` is completely positive definite at every grid time."""
     semigroup = CpdSemigroup(kernel)
-    return all(is_cpd(semigroup.evaluate(float(t))).ok for t in grid)
+    return all(is_cpd(evaluate(semigroup, float(t))).ok for t in grid)

@@ -13,17 +13,15 @@ from trotterlab.kernels import (
     OperatorKernel,
     christensen_evans_kernel,
     evaluate_positivity_form,
-    identity_kernel,
     is_cpd,
     is_conditionally_cpd,
     kernel_from_json_dict,
     kernel_to_json_dict,
     kolmogorov_decompose,
-    random_christensen_evans,
     scalar_kernel,
-    zero_kernel,
 )
 
+from builders import evaluate, identity_kernel, random_christensen_evans, zero_kernel
 from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
 
 
@@ -62,7 +60,7 @@ def test_exponential_unit_semigroup_kernels_are_cpd():
     gamma = exponential_unit_gamma(params)
     semigroup = CpdSemigroup(scalar_kernel(gamma, ("p", "q", "r")))
     for t in (0.1, 0.5, 1.0, 2.0):
-        kernel_t = semigroup.evaluate(t)
+        kernel_t = evaluate(semigroup, t)
         assert is_cpd(kernel_t).ok
         # Gram-matrix oracle: the entries are genuine inner products, so the
         # plain matrix of values must be positive semidefinite.
@@ -84,7 +82,7 @@ def test_is_cpd_rejects_non_hermitian():
 def test_is_cpd_invariant_under_relabeling():
     rng = np.random.default_rng(1)
     gen = random_christensen_evans(("a", "b", "c"), 2, rng, scale=0.7)
-    kernel = CpdSemigroup(gen).evaluate(0.4)
+    kernel = evaluate(CpdSemigroup(gen), 0.4)
     swap = {"a": "c", "b": "b", "c": "a"}
     permuted = OperatorKernel(("a", "b", "c"), 2, {
         (swap[s], swap[t]): op for (s, t), op in kernel.entries.items()})
@@ -176,7 +174,7 @@ def test_positivity_verdicts_are_scale_invariant(factor):
     assert not report.ok
     assert report.min_scaled_eigenvalue == pytest.approx(reference, rel=1e-9)
 
-    value = CpdSemigroup(gen).evaluate(0.5)
+    value = evaluate(CpdSemigroup(gen), 0.5)
     assert is_cpd(_scaled(value, factor)).ok
     assert not is_cpd(_scaled(broken, factor)).ok
     factored = kolmogorov_decompose(_scaled(value, factor))
@@ -283,7 +281,7 @@ def test_conditional_witness_satisfies_constraint_and_is_negative(seed, dim, n_l
 def test_evaluate_at_zero_is_identity_kernel():
     rng = np.random.default_rng(4)
     gen = random_christensen_evans(("a", "b"), 2, rng)
-    kernel0 = CpdSemigroup(gen).evaluate(0.0)
+    kernel0 = evaluate(CpdSemigroup(gen), 0.0)
     for pair, op in kernel0.entries.items():
         assert np.allclose(op.rep, np.eye(4))
 
@@ -293,7 +291,7 @@ def test_evaluate_scalar_generator_entrywise():
     gamma = np.array([[0.0, kappa], [np.conj(kappa), abs(kappa) ** 2]])
     semigroup = CpdSemigroup(scalar_kernel(gamma, ("u", "v")))
     t = 0.8
-    kernel_t = semigroup.evaluate(t)
+    kernel_t = evaluate(semigroup, t)
     for i, s in enumerate(("u", "v")):
         for j, u in enumerate(("u", "v")):
             assert kernel_t[(s, u)].rep[0, 0] == pytest.approx(np.exp(t * gamma[i, j]))
@@ -305,7 +303,7 @@ def test_vacuum_indicator_generator_evaluates_to_paper_values():
     gamma = np.array([[0.0, 0.0], [0.0, 1.0]])
     semigroup = CpdSemigroup(scalar_kernel(gamma, ("u", "v")))
     for t in (0.3, 1.0):
-        kernel_t = semigroup.evaluate(t)
+        kernel_t = evaluate(semigroup, t)
         assert kernel_t[("u", "u")].rep[0, 0] == pytest.approx(1.0)
         assert kernel_t[("u", "v")].rep[0, 0] == pytest.approx(1.0)
         assert kernel_t[("v", "u")].rep[0, 0] == pytest.approx(1.0)
@@ -315,7 +313,7 @@ def test_vacuum_indicator_generator_evaluates_to_paper_values():
 def test_evaluate_rejects_negative_time():
     semigroup = CpdSemigroup(zero_kernel(("a",), 1))
     with pytest.raises(ValueError):
-        semigroup.evaluate(-0.1)
+        evaluate(semigroup, -0.1)
 
 
 def test_evaluate_preserves_hermitian_symmetry():
@@ -324,7 +322,7 @@ def test_evaluate_preserves_hermitian_symmetry():
     assert gen.hermitian_defect() <= 1e-12
     semigroup = CpdSemigroup(gen)
     for t in (0.2, 0.9):
-        assert semigroup.evaluate(t).hermitian_defect() <= 1e-10
+        assert evaluate(semigroup, t).hermitian_defect() <= 1e-10
 
 
 def test_schoenberg_forward_and_converse_over_random_instances():
@@ -399,7 +397,7 @@ def test_kolmogorov_rank_one_scalar_kernel():
 def test_kolmogorov_reconstructs_random_cpd_kernel():
     rng = np.random.default_rng(8)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.7)
-    kernel = CpdSemigroup(gen).evaluate(0.6)
+    kernel = evaluate(CpdSemigroup(gen), 0.6)
     decomposition = kolmogorov_decompose(kernel)
     assert decomposition.max_reconstruction_error(kernel) < 1e-9
     assert decomposition.factors["a"].shape == (decomposition.rank, 2, 2)
@@ -416,7 +414,7 @@ def test_kolmogorov_requires_cpd():
 def test_json_round_trip_is_exact():
     rng = np.random.default_rng(9)
     gen = random_christensen_evans(("a", "b"), 2, rng)
-    kernel = CpdSemigroup(gen).evaluate(0.31)
+    kernel = evaluate(CpdSemigroup(gen), 0.31)
     document = json.loads(json.dumps(kernel_to_json_dict(kernel)))
     back = kernel_from_json_dict(document)
     assert back.labels == kernel.labels and back.dim == kernel.dim

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from trotterlab.cli import main
 from trotterlab.kernels import (
     kernel_to_json_dict,
-    identity_kernel,
-    random_christensen_evans,
     scalar_kernel,
 )
 from trotterlab.scenario import (
@@ -22,6 +20,8 @@ from trotterlab.scenario import (
     parse_scenario,
 )
 from trotterlab.units import Segment, Term, UnitExpression
+
+from builders import identity_kernel, random_christensen_evans
 
 CE_SCENARIO = """
 dim 2

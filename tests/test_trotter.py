@@ -10,7 +10,6 @@ from trotterlab.algebra import Superoperator, dagger, superop_norm, unit_element
 from trotterlab.kernels import (
     CpdSemigroup,
     OperatorKernel,
-    random_christensen_evans,
     scalar_kernel,
 )
 from trotterlab.scenario import build_generator, parse_scenario
@@ -22,19 +21,23 @@ from trotterlab.trotter import (
     dyadic_schedule,
     eval_pairing,
     fit_rate,
-    prop33_bound_check,
     random_schedule,
 )
 from trotterlab.units import (
     Segment,
     Term,
     UnitExpression,
-    affine_expression,
-    concat_expression,
     extend_generator,
     normalize_unit,
     twisted_expression,
     unit_expression,
+)
+
+from builders import (
+    affine_expression,
+    concat_expression,
+    prop33_bound_check,
+    random_christensen_evans,
 )
 
 
@@ -497,11 +500,11 @@ def test_prop33_single_unit_defects_vanish():
     rng = np.random.default_rng(9)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.5)
     ext = extend_generator(unit_expression("a", 2), gen)
-    report = prop33_bound_check(unit_expression("a", 2), ext, 1.0,
-                                dyadic_schedule(1.0, 3, 6))
-    worst = max(row["gram_defect"] for rows in report.rows.values() for row in rows)
+    rows, bounds_hold, eventually_bounded = prop33_bound_check(
+        unit_expression("a", 2), ext, 1.0, dyadic_schedule(1.0, 3, 6))
+    worst = max(row["gram_defect"] for t_rows in rows.values() for row in t_rows)
     assert worst <= 1e-10
-    assert report.bounds_hold and report.eventually_bounded
+    assert bounds_hold and eventually_bounded
 
 
 def test_prop33_affine_rate_and_bounds():
@@ -509,10 +512,12 @@ def test_prop33_affine_rate_and_bounds():
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.1)
     y = affine_expression([2, -1], ["a", "b"], 2)
     ext = extend_generator(y, gen)
-    report = prop33_bound_check(y, ext, 1.0, dyadic_schedule(1.0, 3, 10))
-    assert report.bounds_hold
-    assert report.eventually_bounded
-    assert 0.9 <= report.gram_rate <= 1.1
+    schedule = dyadic_schedule(1.0, 3, 10)
+    _, bounds_hold, eventually_bounded = prop33_bound_check(y, ext, 1.0, schedule)
+    assert bounds_hold
+    assert eventually_bounded
+    gram_rate = convergence_verdict(y, gen, 1.0, schedule, extension=ext).gram_rate
+    assert 0.9 <= gram_rate <= 1.1
 
 
 def test_prop33_gram_gap_against_wrong_limit_does_not_vanish():
@@ -532,8 +537,8 @@ def test_prop33_boundedness_inequality_across_schedule():
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.3)
     y = twisted_expression("a", np.diag([0.1, -0.2]), 2, side="right")
     ext = extend_generator(y, gen)
-    report = prop33_bound_check(y, ext, 1.0, dyadic_schedule(1.0, 3, 8))
-    assert report.eventually_bounded
-    for rows in report.rows.values():
-        for row in rows:
+    rows, _, eventually_bounded = prop33_bound_check(y, ext, 1.0, dyadic_schedule(1.0, 3, 8))
+    assert eventually_bounded
+    for t_rows in rows.values():
+        for row in t_rows:
             assert row["pairing_norm"] <= row["pairing_norm_bound"] + 1e-9

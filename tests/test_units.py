@@ -5,7 +5,6 @@ from trotterlab.algebra import Superoperator, dagger, superop_norm, unit_element
 from trotterlab.kernels import (
     CpdSemigroup,
     OperatorKernel,
-    random_christensen_evans,
     scalar_kernel,
 )
 from trotterlab.trotter import Partition, eval_pairing
@@ -13,8 +12,6 @@ from trotterlab.units import (
     ExtensionPositivityError,
     Segment,
     Term,
-    affine_expression,
-    concat_expression,
     extend_generator,
     modified_expression,
     normalize_unit,
@@ -23,6 +20,7 @@ from trotterlab.units import (
     unit_expression,
 )
 
+from builders import affine_expression, concat_expression, random_christensen_evans
 from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
 
 
