@@ -63,6 +63,9 @@ def _print_witness(witness) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_MALFORMED
     path = Path(args.scenario)
     try:
         scenario = parse_scenario(path.read_bytes().decode("utf-8"))

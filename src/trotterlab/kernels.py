@@ -467,7 +467,10 @@ def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
         raise ValueError(f"missing or bad field {exc}") from exc
     if not isinstance(labels, (list, tuple)) or not isinstance(raw, Mapping):
         raise ValueError("labels must be a list and entries an object")
-    labels = tuple(str(s) for s in labels)
+    bad = next((s for s in labels if not isinstance(s, str) or "|" in s), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} is not a string free of '|'")
+    labels = tuple(labels)
     if isinstance(dim, float) and dim.is_integer():
         dim = int(dim)
     if type(dim) is not int:

@@ -19,7 +19,7 @@ lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
     candidate EXPRNAME LABEL        # test EXPR against an ambient unit
     expect EXPRNAME VERDICT         # norm-convergent | weak-only | divergent
     threshold FIELD VALUE           # override a verdict threshold field
-    seed N                          # draws random schedules; recorded in reports
+    seed N                          # N >= 0; draws random schedules; recorded in reports
 
 Matrices are nested bracket lists of Python numeric literals; complex
 entries like ``(0.5+0.25j)`` are allowed.  Matrix and expression names are
@@ -308,6 +308,8 @@ def parse_scenario(text: str) -> Scenario:
             sc.labels = tuple(rest.split())
             if not sc.labels:
                 raise ScenarioParseError("labels line needs at least one label", line_no)
+            if len(set(sc.labels)) != len(sc.labels):
+                raise ScenarioParseError("duplicate labels", line_no)
         elif head == "generator":
             kind, _, payload = rest.partition(" ")
             sc.generator_kind = kind
@@ -361,6 +363,8 @@ def parse_scenario(text: str) -> Scenario:
             sc.thresholds = replace(sc.thresholds, **{parts[0]: value})
         elif head == "seed":
             sc.seed = _parse_number(int, rest, line_no)
+            if sc.seed < 0:
+                raise ScenarioParseError(f"seed must be non-negative, got {sc.seed}", line_no)
         else:
             raise ScenarioParseError(f"unknown directive {head!r}", line_no)
 
@@ -370,12 +374,28 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError("missing 'labels' directive")
     if not sc.generator_kind:
         raise ScenarioParseError("missing 'generator' directive")
+    n = len(sc.labels)
     for key, line_no in defined.items():
         head, name = key[0], key[-1]
-        if head in ("eta", "beta") and sc.generator_kind != "ce":
-            raise ScenarioParseError(f"{head} {name!r} needs 'generator ce'", line_no)
-        if head in ("eta", "beta") and name not in sc.labels:
-            raise ScenarioParseError(f"{head} for undeclared label {name!r}", line_no)
+        if head == "generator" and sc.generator_kind == "gamma":
+            if sc.dim != 1:
+                raise ScenarioParseError("generator gamma requires dim 1", line_no)
+            if sc.gamma.shape != (n, n):
+                raise ScenarioParseError(f"gamma matrix has shape {sc.gamma.shape}, "
+                                         f"expected ({n}, {n}) for {n} labels", line_no)
+        if head == "generator" and sc.generator_kind == "ce":
+            missing = [s for s in sc.labels if s not in sc.eta or s not in sc.beta]
+            if missing:
+                raise ScenarioParseError(f"missing eta/beta for labels {missing}", line_no)
+        if head in ("eta", "beta"):
+            if sc.generator_kind != "ce":
+                raise ScenarioParseError(f"{head} {name!r} needs 'generator ce'", line_no)
+            if name not in sc.labels:
+                raise ScenarioParseError(f"{head} for undeclared label {name!r}", line_no)
+            shape = (sc.eta if head == "eta" else sc.beta)[name].shape
+            if shape != (sc.dim, sc.dim):
+                raise ScenarioParseError(f"{head} {name} has shape {shape}, "
+                                         f"expected ({sc.dim}, {sc.dim})", line_no)
         if head == "matrix" and name in sc.labels:
             raise ScenarioParseError(f"matrix {name!r} has the name of a unit label", line_no)
         if head in ("candidate", "expect") and ("expression", name) not in defined:
@@ -391,22 +411,10 @@ def parse_scenario(text: str) -> Scenario:
 # -- realization --------------------------------------------------------------
 
 def build_generator(sc: Scenario, base_dir=None) -> OperatorKernel:
+    """The generator of a parsed scenario; only a kernel document is checked here."""
     if sc.generator_kind == "gamma":
-        if sc.dim != 1:
-            raise ScenarioParseError("generator gamma requires dim 1")
-        if sc.gamma is None or sc.gamma.shape != (len(sc.labels), len(sc.labels)):
-            raise ScenarioParseError("gamma matrix shape must match the label count")
         return scalar_kernel(sc.gamma, sc.labels)
     if sc.generator_kind == "ce":
-        missing = [s for s in sc.labels if s not in sc.eta or s not in sc.beta]
-        if missing:
-            raise ScenarioParseError(f"missing eta/beta for labels {missing}")
-        for name, table in (("eta", sc.eta), ("beta", sc.beta)):
-            for label, matrix in table.items():
-                if matrix.shape != (sc.dim, sc.dim):
-                    raise ScenarioParseError(
-                        f"{name} {label} has shape {matrix.shape}, "
-                        f"expected ({sc.dim}, {sc.dim})")
         return christensen_evans_kernel(sc.labels, sc.dim, sc.eta, sc.beta)
     if sc.generator_kind == "kernel":
         import json

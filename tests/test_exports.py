@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,15 @@ import pytest
                                     "trotterlab.scenario", "trotterlab.fock"])
 def test_every_all_entry_resolves(module):
     # The benchmark tracer calls getattr on every entry of the layer
-    # modules' __all__, so a stale name would crash a traced run.
+    # modules' __all__, so a stale name would crash a traced run; and it
+    # wraps only those entries, so an unlisted public function goes untraced.
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+    public = [name for name, obj in vars(mod).items()
+              if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == module]
+    assert [name for name in public if name not in mod.__all__] == []
 
 
 def test_package_exports_only_the_version():

@@ -191,7 +191,7 @@ def test_scenario_error_reporting():
         parse_scenario("dim 1\nlabels u\ngenerator gamma [[0]]\nexpect y weak-only\n")
 
 
-@pytest.mark.parametrize("bad", ["dim two", "horizon abc", "horizon inf", "seed 1.5",
+@pytest.mark.parametrize("bad", ["dim two", "horizon abc", "horizon inf", "seed 1.5", "seed -1",
                                  "schedule dyadic 3 x", "threshold convergent_defect x",
                                  "matrix M [[1e999]]", "threshold bogus 1",
                                  "expression y = concat(u@0.5j, u@1)",
@@ -204,6 +204,14 @@ def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{bad}\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
     assert "line 4" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_negative_seed_option(tmp_path, capsys):
+    args = ["run", str(bundled("affine_42.scenario")), "--seed", "-1", "--schedule", "random:8",
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "--seed must be non-negative, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra, line, repeated", [
@@ -336,6 +344,23 @@ def test_cli_rejects_oversized_schedules(tmp_path, capsys, override, directive, 
 def test_cli_checks_the_names_lines_refer_to(tmp_path, capsys, lines, message):
     scenario_path = tmp_path / "names.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\n{lines}\nexpression y = u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 1\nlabels u u\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]", "line 2: duplicate labels"),
+    ("dim 2\nlabels u\ngenerator gamma [[0.0]]", "line 3: generator gamma requires dim 1"),
+    ("dim 1\nlabels u v\ngenerator gamma [[0.0]]",
+     "line 3: gamma matrix has shape (1, 1), expected (2, 2) for 2 labels"),
+    ("dim 2\nlabels u\ngenerator ce\neta u [[1.0]]\nbeta u [[0.0, 0.0], [0.0, 0.0]]",
+     "line 4: eta u has shape (1, 1), expected (2, 2)"),
+    ("dim 1\nlabels u v\ngenerator ce\neta u [[0.0]]\nbeta u [[0.0]]\neta v [[0.0]]",
+     "line 3: missing eta/beta for labels ['v']")],
+    ids=["duplicate-labels", "gamma-dim", "gamma-shape", "eta-shape", "missing-beta"])
+def test_cli_generator_errors_carry_their_line(tmp_path, capsys, text, message):
+    scenario_path = tmp_path / "generator.scenario"
+    scenario_path.write_text(f"{text}\nexpression y = u\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
 
@@ -509,9 +534,12 @@ def test_cli_validate_generator_conditional_only(tmp_path, capsys):
     '{"dim": 1, "labels": ["a"], "entries": {"a|a": [[NaN, 0]]}}',
     '{"dim": 1, "labels": ["a"], "entries": {"a|a": [[Infinity, 0]]}}',
     '{"dim": 1, "labels": "ab", "entries": {"a|a": [[1, 0]], "a|b": [[0, 0]], '
-    '"b|a": [[0, 0]], "b|b": [[1, 0]]}}'],
+    '"b|a": [[0, 0]], "b|b": [[1, 0]]}}',
+    '{"dim": 1, "labels": [1, null], "entries": {"1|1": [[1, 0]], "1|None": [[0, 0]], '
+    '"None|1": [[0, 0]], "None|None": [[1, 0]]}}',
+    '{"dim": 1, "labels": ["a|b"], "entries": {"a|b|a|b": [[1, 0]]}}'],
     ids=["dim-only", "bare-number", "string-value", "entry-not-list", "nan", "infinity",
-         "string-labels"])
+         "string-labels", "non-string-labels", "bar-in-label"])
 def test_cli_validate_malformed(tmp_path, capsys, document):
     path = tmp_path / "broken.json"
     path.write_text(document)
