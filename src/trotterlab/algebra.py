@@ -181,9 +181,6 @@ class Superoperator:
         rep = self.rep.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
         return Superoperator(d, rep.conj())
 
-    def expm(self, t: float) -> "Superoperator":
-        return superop_exp(self, t)
-
 
 def superop_exp(generator: Superoperator, t: float) -> Superoperator:
     """The exponential ``exp(t * G)`` via scaling and squaring.

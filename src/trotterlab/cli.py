@@ -115,9 +115,8 @@ def cmd_run(args) -> int:
             return EXIT_GATE
         try:
             report = convergence_verdict(
-                expression, generator, scenario.horizon, schedule,
-                candidate=candidate, extension=extension,
-                thresholds=scenario.thresholds, seed=seed)
+                expression, extension, scenario.horizon, schedule,
+                candidate=candidate, thresholds=scenario.thresholds, seed=seed)
         except ValueError as exc:
             print(f"{name}: numerical breakdown: {exc}", file=sys.stderr)
             return EXIT_GATE

@@ -352,28 +352,20 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
 class CpdSemigroup:
     """The entrywise exponential family ``t -> exp(t * generator)``.
 
-    Each entry is its own one-parameter semigroup under composition; there
-    is no joint exponential of a stacked operator.  Nothing is cached:
+    It serves the limit maps of a convergence report.  Each entry is its
+    own one-parameter semigroup under composition.  Nothing is cached:
     every call exponentiates, and a caller that revisits the same times
     keeps its own table.
     """
 
     generator: OperatorKernel
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.generator.labels
-
-    @property
-    def dim(self) -> int:
-        return self.generator.dim
-
     def entry_rep(self, s: str, t: str, time: float) -> np.ndarray:
         """Representation matrix of ``exp(time * generator[s, t])``."""
         return superop_exp(self.generator[(s, t)], float(time)).rep
 
     def entry(self, s: str, t: str, time: float) -> Superoperator:
-        return Superoperator(self.dim, self.entry_rep(s, t, time))
+        return Superoperator(self.generator.dim, self.entry_rep(s, t, time))
 
 
 @dataclass(frozen=True)

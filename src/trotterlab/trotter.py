@@ -6,6 +6,10 @@ Partitions of equal length are paired over their common refinement, the
 union of their cut points, which the transfer walk merges into its own
 event grid; no partition object is built for it.
 
+A pairing takes a generator kernel.  :func:`convergence_verdict` passes
+the section's extended kernel and reads its limit maps off that kernel's
+semigroup at the horizon.
+
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
 the two sides' labels on each interval of the common refinement.  The
@@ -57,14 +61,7 @@ from .algebra import (
     unit_element,
 )
 from .kernels import CpdSemigroup, OperatorKernel
-from .units import (
-    ExtendedGenerator,
-    Term,
-    UnitExpression,
-    _merged_segments,
-    extend_generator,
-    unit_expression,
-)
+from .units import ExtendedGenerator, Term, UnitExpression, _merged_segments, unit_expression
 
 __all__ = [
     "Partition",
@@ -187,12 +184,14 @@ def _tree_product(stack: np.ndarray) -> np.ndarray:
 
 
 def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
-                 semigroup: CpdSemigroup) -> Superoperator:
+                 generator: OperatorKernel) -> Superoperator:
     """The map ``b -> <x composed over p1, b * (y composed over p2)>``.
 
+    ``generator`` is the generator kernel over the expressions' labels.
     Exact up to matrix-exponential accuracy: every interval of the common
-    refinement contributes the entry exponential for the two sides' active
-    labels, with multipliers and twists inserted at the proper boundaries.
+    refinement contributes the generator entry's exponential for the two
+    sides' active labels, with multipliers and twists inserted at the
+    proper boundaries.
     One of three evaluations runs, chosen from the partitions:
 
     * every width equal on each side, with g = gcd(n1, n2) > 8: the pairing
@@ -218,24 +217,24 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
     length = p1.length
     if abs(length - p2.length) > _LENGTH_TOL * length:
         raise ValueError(f"partition lengths differ: {length} vs {p2.length}")
-    if e1.dim != semigroup.dim or e2.dim != semigroup.dim:
-        raise ValueError("expression and semigroup dimensions disagree")
-    e1.require_labels(semigroup.labels)
-    e2.require_labels(semigroup.labels)
+    if e1.dim != generator.dim or e2.dim != generator.dim:
+        raise ValueError("expression and generator dimensions disagree")
+    e1.require_labels(generator.labels)
+    e2.require_labels(generator.labels)
 
     g = math.gcd(p1.size, p2.size)
     if g > 8 and len(set(p1.parts)) == 1 and len(set(p2.parts)) == 1:
         # Equal widths on each side: every (size // g)-th cut is shared, one period repeats.
         period1, period2 = (Partition(p.parts[:p.size // g]) for p in (p1, p2))
-        block = eval_pairing(e1, period1, e2, period2, semigroup)
-        return Superoperator(semigroup.dim, np.linalg.matrix_power(block.rep, g))
+        block = eval_pairing(e1, period1, e2, period2, generator)
+        return Superoperator(generator.dim, np.linalg.matrix_power(block.rep, g))
     if p1.parts == p2.parts:
-        return _batched_pairing(e1, e2, p1, semigroup)
-    return _walk_pairing(e1, p1, e2, p2, semigroup)
+        return _batched_pairing(e1, e2, p1, generator)
+    return _walk_pairing(e1, p1, e2, p2, generator)
 
 
 def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partition,
-                     semigroup: CpdSemigroup) -> Superoperator:
+                     generator: OperatorKernel) -> Superoperator:
     """Pairing over the same partition on both sides, as a product of interval blocks.
 
     On an interval of width w the pairing is the block
@@ -248,7 +247,7 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     order, earliest leftmost.
     """
     widths, inverse = np.unique(np.asarray(partition.parts), return_inverse=True)
-    d2 = semigroup.dim ** 2
+    d2 = generator.dim ** 2
     blocks = np.zeros((widths.size, d2, d2), dtype=complex)
     mults2 = [(_open_mult(t2, widths), _close_mult(t2, widths)) for t2 in e2.terms]
     for t1 in e1.terms:
@@ -256,13 +255,13 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
         for t2, (open2, close2) in zip(e2.terms, mults2):
             acc = left_right_rep(dagger(open1), open2)
             for fraction, s, t in _merged_segments(t1, t2):
-                acc = acc @ expm_times(semigroup.generator[(s, t)].rep, fraction * widths)
+                acc = acc @ expm_times(generator[(s, t)].rep, fraction * widths)
             blocks += acc @ left_right_rep(dagger(close1), close2)
-    return Superoperator(semigroup.dim, _tree_product(blocks[inverse]))
+    return Superoperator(generator.dim, _tree_product(blocks[inverse]))
 
 
 def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
-                  semigroup: CpdSemigroup) -> Superoperator:
+                  generator: OperatorKernel) -> Superoperator:
     """Pairing over arbitrary partitions by a transfer walk over the common refinement.
 
     The walk visits, in time order, the events of the grid that merges
@@ -278,7 +277,7 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
     sides share need no step of their own.
     Inputs are those :func:`eval_pairing` has validated.
     """
-    d, labels = semigroup.dim, semigroup.labels
+    d, labels = generator.dim, generator.labels
     bounds = [np.concatenate(([0.0], np.cumsum(p.parts))) for p in (p1, p2)]
     events = [*bounds[0], *bounds[1]]
     for expr, b in zip((e1, e2), bounds):
@@ -290,7 +289,7 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
     i1, start1, end1, codes1, open1, close1 = _walk_side(e1, bounds[0], mids, labels, 0)
     i2, start2, end2, codes2, open2, close2 = _walk_side(e2, bounds[1], mids, labels, 1)
 
-    gens = np.array([[semigroup.generator[(s, t)].rep for t in labels] for s in labels])
+    gens = np.array([[generator[(s, t)].rep for t in labels] for s in labels])
     table = expm_times(gens, np.diff(grid))
     exps = table[np.arange(mids.size)[:, None, None], codes1[:, :, None], codes2[:, None, :]]
 
@@ -461,46 +460,48 @@ def _hermitian_top_eigenvalue(matrix: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises the ValueError below
-def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
+def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
                         horizon: float, schedule: Sequence[Partition], *,
                         candidate: str | None = None,
-                        extension: ExtendedGenerator | None = None,
                         thresholds: VerdictThresholds | None = None,
                         seed: int | None = None) -> ConvergenceReport:
     """Run the full convergence analysis of a section over a schedule.
 
-    The limit data comes from the adjoined label of the section's
-    extension.  With ``candidate`` set, the criterion pairing is taken
+    ``extension`` is the section's :func:`trotterlab.units.extend_generator`
+    result.  Every limit map is an entry of its kernel's semigroup at the
+    horizon, and its labels other than the adjoined one are the ambient
+    units.  With ``candidate`` set, the criterion pairing is taken
     against that ambient unit instead, which tests whether the section
     converges to it; the limit gram stays the one the extension predicts.
     A pairing or limit map that overflows is not finite, and raises
     ``ValueError`` naming the partition size.
     """
-    ext = extension or extend_generator(section, generator)
-    semigroup = ext.semigroup()
-    d = generator.dim
+    kernel, zeta = extension.kernel, extension.zeta
+    semigroup = CpdSemigroup(kernel)
+    ambient_labels = tuple(s for s in kernel.labels if s != zeta)
+    d = kernel.dim
     eye = unit_element(d)
 
-    target = candidate if candidate is not None else ext.zeta
-    if target not in semigroup.labels:
+    target = candidate if candidate is not None else zeta
+    if target not in kernel.labels:
         raise KeyError(f"unknown target label {target!r}")
     target_kind = "ambient" if candidate is not None else "adjoined"
     target_expr = unit_expression(target, d)
 
-    limit_gram = ext.diagonal.expm(horizon)          # pairing of the limit with itself
+    limit_gram = semigroup.entry(zeta, zeta, horizon)  # pairing of the limit with itself
     limit_gram_one = limit_gram.apply(eye)
-    target_gram_one = semigroup.entry(target, target, horizon).apply(eye)
-    ambient_limits = {s: semigroup.entry(s, ext.zeta, horizon).apply(eye)
-                      for s in generator.labels}
+    target_gram_one = (limit_gram_one if candidate is None
+                       else semigroup.entry(target, target, horizon).apply(eye))
+    ambient_limits = {s: semigroup.entry(s, zeta, horizon).apply(eye) for s in ambient_labels}
     limits = [limit_gram.rep, target_gram_one, *ambient_limits.values()]
 
     schedule = sorted(schedule, key=lambda p: p.norm, reverse=True)
 
     def defects_for(partition: Partition):
-        gram_map = eval_pairing(section, partition, section, partition, semigroup)
-        criterion_map = eval_pairing(target_expr, partition, section, partition, semigroup)
+        gram_map = eval_pairing(section, partition, section, partition, kernel)
+        criterion_map = eval_pairing(target_expr, partition, section, partition, kernel)
         ambient_maps = {s: eval_pairing(unit_expression(s, d), partition, section, partition,
-                                        semigroup) for s in generator.labels}
+                                        kernel) for s in ambient_labels}
         maps = [gram_map.rep, criterion_map.rep, *(m.rep for m in ambient_maps.values())]
         if not all(np.isfinite(m).all() for m in maps + limits):
             raise ValueError(f"pairing or limit map is not finite at partition size "
@@ -512,7 +513,7 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
                       + target_gram_one)
         norm_defect = _hermitian_top_eigenvalue(difference)
         ambient = {s: float(np.linalg.norm(ambient_maps[s].apply(eye) - ambient_limits[s], 2))
-                   for s in generator.labels}
+                   for s in ambient_labels}
         return gram_defect, criterion_defect, norm_defect, ambient
 
     results = [defects_for(p) for p in schedule]
@@ -520,7 +521,7 @@ def convergence_verdict(section: UnitExpression, generator: OperatorKernel,
     gram = [r[0] for r in results]
     crit = [r[1] for r in results]
     norm_d = [r[2] for r in results]
-    ambient = {s: [r[3][s] for r in results] for s in generator.labels}
+    ambient = {s: [r[3][s] for r in results] for s in ambient_labels}
 
     notes = []
     if candidate is not None:

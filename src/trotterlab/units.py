@@ -28,17 +28,12 @@ of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import Superoperator, dagger, frobenius_norm, left_right_rep, unit_element
-from .kernels import (
-    CpdSemigroup,
-    OperatorKernel,
-    PositivityReport,
-    is_conditionally_cpd,
-)
+from .kernels import OperatorKernel, PositivityReport, is_conditionally_cpd
 
 __all__ = [
     "Segment",
@@ -233,29 +228,28 @@ class ExtensionPositivityError(ValueError):
 
 @dataclass(frozen=True)
 class ExtendedGenerator:
-    """Generator kernel extended by a new label for the limit unit of a section."""
+    """Generator kernel extended by a new label for the limit unit of a section.
+
+    The limit row lives in ``kernel`` alone: ``kernel[(zeta, zeta)]`` is
+    the derivative of the section's own pairing, ``kernel[(zeta, s)]``
+    pairs the section against unit ``s``, and ``kernel[(s, zeta)]`` is
+    its hermitian mirror.
+    """
 
     zeta: str
-    diagonal: Superoperator
-    cross: Mapping[str, Superoperator]
     kernel: OperatorKernel
     report: PositivityReport
 
-    def semigroup(self) -> CpdSemigroup:
-        return CpdSemigroup(self.kernel)
 
-
-def _fresh_label(taken: Sequence[str], stem: str = "zeta") -> str:
-    if stem not in taken:
-        return stem
-    k = 1
-    while f"{stem}_{k}" in taken:
+def _fresh_label(taken: Sequence[str]) -> str:
+    label, k = "zeta", 0
+    while label in taken:
         k += 1
-    return f"{stem}_{k}"
+        label = f"zeta_{k}"
+    return label
 
 
-def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
-                     zeta_label: str | None = None) -> ExtendedGenerator:
+def extend_generator(section: UnitExpression, generator: OperatorKernel) -> ExtendedGenerator:
     """Adjoin the limit-unit label of ``section`` to ``generator``.
 
     The diagonal entry of the new row is the derivative of the section's
@@ -269,19 +263,13 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
-    zeta = zeta_label or _fresh_label(generator.labels)
-    if zeta in generator.labels:
-        raise ValueError(f"label {zeta!r} already present")
-
-    diagonal = pair_derivative(section, section, generator)
-    cross = {s: pair_derivative(section, unit_expression(s, generator.dim), generator)
-             for s in generator.labels}
-
+    zeta = _fresh_label(generator.labels)
     entries = dict(generator.entries)
-    entries[(zeta, zeta)] = diagonal
+    entries[(zeta, zeta)] = pair_derivative(section, section, generator)
     for s in generator.labels:
-        entries[(zeta, s)] = cross[s]
-        entries[(s, zeta)] = cross[s].star_conjugate()
+        cross = pair_derivative(section, unit_expression(s, generator.dim), generator)
+        entries[(zeta, s)] = cross
+        entries[(s, zeta)] = cross.star_conjugate()
     kernel = OperatorKernel(generator.labels + (zeta,), generator.dim, entries)
 
     report = is_conditionally_cpd(kernel)
@@ -293,7 +281,7 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel, *,
             f"extended kernel is not conditionally positive definite "
             f"(worst scaled eigenvalue {report.min_scaled_eigenvalue:.3e}; "
             f"likely {kind})", report)
-    return ExtendedGenerator(zeta, diagonal, cross, kernel, report)
+    return ExtendedGenerator(zeta, kernel, report)
 
 
 @dataclass(frozen=True)
@@ -334,7 +322,7 @@ def normalize_unit(label: str, generator: OperatorKernel,
     extension = extend_generator(expression, generator)
 
     # K(1) = L(1) + beta* + beta cancels to zero; its rounding scales with the summands.
-    k_at_one = extension.diagonal.apply(eye)
+    k_at_one = extension.kernel[(extension.zeta, extension.zeta)].apply(eye)
     k_scale = frobenius_norm(generator[(label, label)]) + 2.0 * float(np.linalg.norm(beta, 2))
     if float(np.linalg.norm(k_at_one, 2)) > _NORMALIZE_TOL * k_scale:
         raise ArithmeticError(

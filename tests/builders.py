@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from trotterlab.algebra import Superoperator, superop_norm, unit_element
+from trotterlab.algebra import Superoperator, superop_exp, superop_norm, unit_element
 from trotterlab.kernels import CpdSemigroup, OperatorKernel, christensen_evans_kernel
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import ExtendedGenerator, Segment, Term, UnitExpression
@@ -49,7 +49,8 @@ def evaluate(semigroup: CpdSemigroup, time: float) -> OperatorKernel:
     if time < 0:
         raise ValueError("semigroup evaluation requires time >= 0")
     return OperatorKernel.build(
-        semigroup.labels, semigroup.dim, lambda s, t: semigroup.entry(s, t, time))
+        semigroup.generator.labels, semigroup.generator.dim,
+        lambda s, t: semigroup.entry(s, t, time))
 
 
 def affine_expression(coefficients: Sequence[complex], labels: Sequence[str],
@@ -85,14 +86,15 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
     semigroup.  At the full horizon the gram defects are those of
     :func:`trotterlab.trotter.convergence_verdict`.
     """
-    semigroup = extension.semigroup()
-    k_norm = superop_norm(extension.diagonal)
-    ident = Superoperator.identity(semigroup.dim)
+    kernel = extension.kernel
+    diagonal = kernel[(extension.zeta, extension.zeta)]
+    k_norm = superop_norm(diagonal)
+    ident = Superoperator.identity(kernel.dim)
     second = 0.0
     for s in SECOND_ORDER_TIMES:
         part = Partition((s,))
-        remainder = (eval_pairing(section, part, section, part, semigroup)
-                     - ident - s * extension.diagonal)
+        remainder = (eval_pairing(section, part, section, part, kernel)
+                     - ident - s * diagonal)
         second = max(second, superop_norm(remainder) / s ** 2)
     growth = max(k_norm, second)
     assembled = second + k_norm ** 2 * float(np.exp(horizon * k_norm))
@@ -103,8 +105,8 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
         t_rows = []
         for base in sorted(schedule, key=lambda p: p.norm, reverse=True):
             part = Partition(tuple(w * (t / base.length) for w in base.parts))
-            pairing = eval_pairing(section, part, section, part, semigroup)
-            defect = superop_norm(pairing - extension.diagonal.expm(t))
+            pairing = eval_pairing(section, part, section, part, kernel)
+            defect = superop_norm(pairing - superop_exp(diagonal, t))
             bound = part.norm * t * float(np.exp(t * growth)) * assembled
             size = superop_norm(pairing)
             size_bound = float(np.exp(part.length * growth))

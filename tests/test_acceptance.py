@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from trotterlab.algebra import Superoperator, dagger, superop_norm, unit_element
+from trotterlab.algebra import Superoperator, dagger, superop_exp, superop_norm, unit_element
 from trotterlab.fock import (
     ExponentialUnit,
     counterexample_scenario,
@@ -70,18 +70,18 @@ def _kernel_mod_setup():
 def _reassembled_norm_defect_residual(section, extension, horizon, schedule, report):
     """Max deviation between stored norm defects and the squared-distance
     expansion recomputed from fresh pairings; also checks positivity."""
-    semigroup = extension.semigroup()
-    d = semigroup.dim
+    kernel = extension.kernel
+    d = kernel.dim
     eye = unit_element(d)
     target = unit_expression(report.target, d)
-    target_one = semigroup.entry(report.target, report.target, horizon).apply(eye)
+    target_one = CpdSemigroup(kernel).entry(report.target, report.target, horizon).apply(eye)
     worst = 0.0
     ordered = sorted(schedule, key=lambda p: p.norm, reverse=True)
     for partition, stored in zip(ordered, report.norm_defects):
         gram_one = eval_pairing(section, partition, section, partition,
-                                semigroup).apply(eye)
+                                kernel).apply(eye)
         crit_one = eval_pairing(target, partition, section, partition,
-                                semigroup).apply(eye)
+                                kernel).apply(eye)
         assembled = gram_one - crit_one - dagger(crit_one) + target_one
         herm = (assembled + dagger(assembled)) / 2
         eigs = np.linalg.eigvalsh(herm)
@@ -155,8 +155,7 @@ def test_criterion_4_affine_construction():
     extension = extend_generator(section, generator)
     assert extension.report.ok
     schedule = dyadic_schedule(1.0, 3, 12)
-    report = convergence_verdict(section, generator, 1.0, schedule,
-                                 extension=extension)
+    report = convergence_verdict(section, extension, 1.0, schedule)
     assert report.criterion_rate is not None
     assert 0.9 <= report.criterion_rate <= 1.1
     assert report.verdict == "norm-convergent"
@@ -175,14 +174,16 @@ def test_criterion_5_normalization():
     eye = unit_element(2)
     q_one = generator[("xi", "xi")].apply(eye)
     assert np.allclose(normalized.beta, -q_one / 2 + 1j * h)
-    assert np.linalg.norm(normalized.extension.diagonal.apply(eye), 2) <= 1e-10
+    ext = normalized.extension
+    diagonal = ext.kernel[(ext.zeta, ext.zeta)]
+    assert np.linalg.norm(diagonal.apply(eye), 2) <= 1e-10
     for t in (0.25, 0.5, 1.0):
-        drift = normalized.extension.diagonal.expm(t).apply(eye) - eye
+        drift = superop_exp(diagonal, t).apply(eye) - eye
         assert np.linalg.norm(drift, 2) <= 1e-10
     left = extend_generator(twisted_expression("xi", normalized.beta, 2, side="left"),
-                            generator, zeta_label="z")
+                            generator)
     right = extend_generator(twisted_expression("xi", normalized.beta, 2, side="right"),
-                             generator, zeta_label="z")
+                             generator)
     assert left.kernel.labels == right.kernel.labels
     assert max(np.max(np.abs(op.rep - right.kernel[pair].rep))
                for pair, op in left.kernel.entries.items()) <= 1e-9
@@ -196,22 +197,20 @@ def test_criterion_6_kernel_modification():
     extension = extend_generator(section, generator)
     assert extension.report.ok
     schedule = dyadic_schedule(1.0, 3, 12)
-    report = convergence_verdict(section, generator, 1.0, schedule,
-                                 extension=extension)
+    report = convergence_verdict(section, extension, 1.0, schedule)
     assert report.verdict == "norm-convergent"
 
     # Finite-difference oracle for the new diagonal, second-order terms
     # removed by one Richardson step.
-    semigroup = extension.semigroup()
     ident = Superoperator.identity(2)
 
     def quotient(t):
         part = Partition((t,))
-        return (eval_pairing(section, part, section, part, semigroup)
+        return (eval_pairing(section, part, section, part, extension.kernel)
                 - ident) * (1.0 / t)
 
     richardson = 2.0 * quotient(5e-5) - quotient(1e-4)
-    deviation = superop_norm(richardson - extension.diagonal)
+    deviation = superop_norm(richardson - extension.kernel[(extension.zeta, extension.zeta)])
     assert deviation <= 1e-9
     print(f"ACCEPTANCE 6: PASS  modified section with sum a_l b_l = 0: "
           f"conditional positivity holds, norm-convergent, bilinear diagonal "
@@ -319,8 +318,8 @@ def test_criterion_8_property_suites():
             candidate = "w"
         extension = extend_generator(section, generator)
         schedule = dyadic_schedule(1.0, 3, 7)
-        report = convergence_verdict(section, generator, 1.0, schedule,
-                                     candidate=candidate, extension=extension)
+        report = convergence_verdict(section, extension, 1.0, schedule,
+                                     candidate=candidate)
         residuals.append(_reassembled_norm_defect_residual(
             section, extension, 1.0, schedule, report))
     assert max(residuals) <= 1e-10

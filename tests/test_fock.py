@@ -12,7 +12,6 @@ from trotterlab.fock import (
     fock_inner,
     trotter_vector,
 )
-from trotterlab.kernels import CpdSemigroup
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import unit_expression
 
@@ -125,10 +124,9 @@ def test_covariance_matches_kernel_engine_on_random_pairs():
         t = float(rng.uniform(0.05, 2.0))
         u = ExponentialUnit(alpha[0], (amps[0],))
         v = ExponentialUnit(alpha[1], (amps[1],))
-        semigroup = CpdSemigroup(covariance_kernel({"p": u, "q": v}))
         part = Partition((t,))
         engine = eval_pairing(unit_expression("p", 1), part, unit_expression("q", 1),
-                              part, semigroup).rep[0, 0]
+                              part, covariance_kernel({"p": u, "q": v})).rep[0, 0]
         direct = fock_inner(u.vector(t), v.vector(t))
         worst = max(worst, abs(engine - direct) / abs(direct))
     assert worst <= 1e-10

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import Superoperator, dagger, superop_norm, unit_element
+from trotterlab.algebra import Superoperator, dagger, superop_exp, superop_norm, unit_element
 from trotterlab.kernels import (
     CpdSemigroup,
     OperatorKernel,
@@ -75,40 +75,37 @@ def test_single_unit_pairing_collapses_by_semigroup_law():
     reference = semigroup.entry_rep("a", "a", 1.0)
     for partition in (Partition((1.0,)), Partition.uniform(1.0, 7),
                       random_schedule(1.0, 3, seed=5)[-1]):
-        value = eval_pairing(xi, partition, xi, partition, semigroup)
+        value = eval_pairing(xi, partition, xi, partition, gen)
         assert np.max(np.abs(value.rep - reference)) <= 1e-10
 
 
 def test_pairing_refinement_invariance_for_single_units():
     rng = np.random.default_rng(2)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.5)
-    semigroup = CpdSemigroup(gen)
     xi, eta = unit_expression("a", 2), unit_expression("b", 2)
     p1 = Partition.uniform(1.0, 4)
     p2 = random_schedule(1.0, 2, seed=9)[-1]
-    v1 = eval_pairing(xi, p1, eta, p2, semigroup)
-    v2 = eval_pairing(xi, Partition((1.0,)), eta, Partition((1.0,)), semigroup)
+    v1 = eval_pairing(xi, p1, eta, p2, gen)
+    v2 = eval_pairing(xi, Partition((1.0,)), eta, Partition((1.0,)), gen)
     assert superop_norm(v1 - v2) <= 1e-10
 
 
 def test_counterexample_pairings_match_closed_forms():
     gen = scalar_counterexample_generator()
-    semigroup = CpdSemigroup(gen)
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
     w = unit_expression("w", 1)
     for n in (1, 2, 8, 64, 1024):
         partition = Partition.uniform(1.0, n)
-        against_w = eval_pairing(w, partition, y, partition, semigroup).rep[0, 0]
+        against_w = eval_pairing(w, partition, y, partition, gen).rep[0, 0]
         assert against_w == pytest.approx(np.exp(0.25), abs=1e-12)
-        gram = eval_pairing(y, partition, y, partition, semigroup).rep[0, 0]
+        gram = eval_pairing(y, partition, y, partition, gen).rep[0, 0]
         assert gram == pytest.approx(np.exp(0.5), abs=1e-12)
 
 
 def test_pairing_respects_mismatched_partitions():
     gen = scalar_counterexample_generator()
-    semigroup = CpdSemigroup(gen)
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
-    v1 = eval_pairing(y, Partition.uniform(1.0, 3), y, Partition.uniform(1.0, 5), semigroup)
+    v1 = eval_pairing(y, Partition.uniform(1.0, 3), y, Partition.uniform(1.0, 5), gen)
     # Interleaved alternations overlap on a computable measure; the overlap
     # of the two u/v patterns determines the exponent exactly.
     cuts = sorted({i / 3 for i in range(1, 3)} | {i / 5 for i in range(1, 5)}
@@ -126,27 +123,24 @@ def test_pairing_respects_mismatched_partitions():
 
 def test_pairing_validates_inputs():
     gen = scalar_counterexample_generator()
-    semigroup = CpdSemigroup(gen)
     y = unit_expression("u", 1)
     with pytest.raises(ValueError):
-        eval_pairing(y, Partition((1.0,)), y, Partition((0.5,)), semigroup)
+        eval_pairing(y, Partition((1.0,)), y, Partition((0.5,)), gen)
     with pytest.raises(KeyError):
-        eval_pairing(unit_expression("nope", 1), Partition((1.0,)), y, Partition((1.0,)),
-                     semigroup)
+        eval_pairing(unit_expression("nope", 1), Partition((1.0,)), y, Partition((1.0,)), gen)
 
 
 def test_power_fast_path_matches_generic_walk():
     rng = np.random.default_rng(3)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.4)
-    semigroup = CpdSemigroup(gen)
     y = affine_expression([2, -1], ["a", "b"], 2)
     partition = Partition.uniform(1.0, 32)
-    fast = eval_pairing(y, partition, y, partition, semigroup)
-    slow = _walk_pairing(y, partition, y, partition, semigroup)
+    fast = eval_pairing(y, partition, y, partition, gen)
+    slow = _walk_pairing(y, partition, y, partition, gen)
     assert superop_norm(fast - slow) <= 1e-11
 
 
-def high_precision_affine_pairing(mp, coefficients, labels, semigroup, partition):
+def high_precision_affine_pairing(mp, coefficients, labels, gen, partition):
     """Oracle in mpmath: the affine section ``sum_l k_l xi^l`` paired with itself.
 
     Every term has left multiplier ``k_l 1`` and right multiplier 1, so the
@@ -159,7 +153,7 @@ def high_precision_affine_pairing(mp, coefficients, labels, semigroup, partition
     spectra = {}
     for s in labels:
         for t in labels:
-            rep = semigroup.generator[(s, t)].rep
+            rep = gen[(s, t)].rep
             values, vectors = mp.eig(mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rep]))
             spectra[(s, t)] = values, vectors, mp.inverse(vectors)
     size = len(values)
@@ -182,13 +176,13 @@ def test_pairing_against_high_precision_oracle(seed):
     # 0.77; the power path squares the one-interval block's rounding log2(n) times.
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(seed)
-    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), 2, rng, scale=0.4))
+    gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.4)
     y = affine_expression([2, -1], ["a", "b"], 2)
     with mp.workdps(34):
         for partition, multiple in ((Partition.uniform(1.0, 64), 16.0),
                                     (random_schedule(1.0, 4, seed=seed)[1], 1.0)):
-            truth = high_precision_affine_pairing(mp, [2, -1], ["a", "b"], semigroup, partition)
-            got = eval_pairing(y, partition, y, partition, semigroup).rep
+            truth = high_precision_affine_pairing(mp, [2, -1], ["a", "b"], gen, partition)
+            got = eval_pairing(y, partition, y, partition, gen).rep
             err = max(abs(mp.mpc(complex(got[i, j])) - truth[i, j])
                       for i in range(4) for j in range(4))
             top = max(abs(truth[i, j]) for i in range(4) for j in range(4))
@@ -222,13 +216,13 @@ def random_unit_section(rng, dim, n_terms):
        st.integers(1, 3), st.integers(1, 3), st.integers(1, 256))
 def test_batched_pairing_matches_walk(seed, dim, terms1, terms2, parts):
     rng = np.random.default_rng(seed)
-    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), dim, rng, scale=0.5))
+    gen = random_christensen_evans(("a", "b"), dim, rng, scale=0.5)
     e1 = random_unit_section(rng, dim, terms1)
     e2 = random_unit_section(rng, dim, terms2)
     widths = rng.uniform(0.1, 1.0, size=parts)
     partition = Partition(tuple(widths / widths.sum()))
-    batched = eval_pairing(e1, partition, e2, partition, semigroup).rep
-    walk = _walk_pairing(e1, partition, e2, partition, semigroup).rep
+    batched = eval_pairing(e1, partition, e2, partition, gen).rep
+    walk = _walk_pairing(e1, partition, e2, partition, gen).rep
     assert np.max(np.abs(batched - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
 
 
@@ -241,7 +235,7 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
     twist) entering where its interval starts and its left multiplier (and
     left twist) where it ends.
     """
-    d = semigroup.dim
+    d = semigroup.generator.dim
     eye = np.eye(d)
     sides = []
     points = set()
@@ -297,13 +291,13 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
 def test_walk_matches_brute_force_chains_on_mismatched_partitions(seed, dim, terms1, terms2,
                                                                   parts1, parts2):
     rng = np.random.default_rng(seed)
-    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), dim, rng, scale=0.5))
+    gen = random_christensen_evans(("a", "b"), dim, rng, scale=0.5)
     e1 = random_unit_section(rng, dim, terms1)
     e2 = random_unit_section(rng, dim, terms2)
     w1, w2 = rng.uniform(0.1, 1.0, size=parts1), rng.uniform(0.1, 1.0, size=parts2)
     p1, p2 = Partition(tuple(w1 / w1.sum())), Partition(tuple(w2 / w2.sum()))
-    oracle = brute_force_pairing(e1, p1, e2, p2, semigroup)
-    walk = _walk_pairing(e1, p1, e2, p2, semigroup).rep
+    oracle = brute_force_pairing(e1, p1, e2, p2, CpdSemigroup(gen))
+    walk = _walk_pairing(e1, p1, e2, p2, gen).rep
     assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
@@ -313,32 +307,31 @@ def test_walk_matches_brute_force_chains_on_mismatched_partitions(seed, dim, ter
 def test_commensurate_uniform_pairing_matches_walk(seed, dim, terms1, terms2, g, a, b):
     # g * a against g * b equal parts share every cut at a multiple of 1/g.
     rng = np.random.default_rng(seed)
-    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), dim, rng, scale=0.5))
+    gen = random_christensen_evans(("a", "b"), dim, rng, scale=0.5)
     e1 = random_unit_section(rng, dim, terms1)
     e2 = random_unit_section(rng, dim, terms2)
     p1, p2 = Partition.uniform(1.0, g * a), Partition.uniform(1.0, g * b)
-    power = eval_pairing(e1, p1, e2, p2, semigroup).rep
-    walk = _walk_pairing(e1, p1, e2, p2, semigroup).rep
+    power = eval_pairing(e1, p1, e2, p2, gen).rep
+    walk = _walk_pairing(e1, p1, e2, p2, gen).rep
     assert np.max(np.abs(power - walk)) <= 1e-11 * max(1.0, np.max(np.abs(walk)))
 
 
 def test_nested_uniform_pairing_walks_one_period(monkeypatch):
     import trotterlab.trotter as trotter
 
-    semigroup = CpdSemigroup(random_christensen_evans(("a", "b"), 2,
-                                                      np.random.default_rng(11), scale=0.4))
+    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(11), scale=0.4)
     y = affine_expression([2, -1], ["a", "b"], 2)
     p1, p2 = Partition.uniform(1.0, 2 ** 11), Partition.uniform(1.0, 2 ** 12)
     walked = []
 
-    def recording_walk(e1, q1, e2, q2, sg):
+    def recording_walk(e1, q1, e2, q2, kernel):
         walked.append((q1.parts, q2.parts))
-        return _walk_pairing(e1, q1, e2, q2, sg)
+        return _walk_pairing(e1, q1, e2, q2, kernel)
 
     monkeypatch.setattr(trotter, "_walk_pairing", recording_walk)
-    power = eval_pairing(y, p1, y, p2, semigroup).rep
+    power = eval_pairing(y, p1, y, p2, gen).rep
     assert walked == [(p1.parts[:1], p2.parts[:2])]
-    walk = _walk_pairing(y, p1, y, p2, semigroup).rep
+    walk = _walk_pairing(y, p1, y, p2, gen).rep
     assert np.max(np.abs(power - walk)) <= 1e-11 * max(1.0, np.max(np.abs(walk)))
 
 
@@ -347,8 +340,8 @@ def test_nested_uniform_pairing_walks_one_period(monkeypatch):
 def test_single_unit_verdict_is_trivially_convergent():
     rng = np.random.default_rng(4)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.5)
-    report = convergence_verdict(unit_expression("a", 2), gen, 1.0,
-                                 dyadic_schedule(1.0, 3, 6))
+    a = unit_expression("a", 2)
+    report = convergence_verdict(a, extend_generator(a, gen), 1.0, dyadic_schedule(1.0, 3, 6))
     assert report.verdict == "norm-convergent"
     assert max(report.gram_defects) <= 1e-10
     assert max(report.criterion_defects) <= 1e-10
@@ -360,9 +353,8 @@ def test_normalized_unit_verdict_convergent():
     rng = np.random.default_rng(5)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.05)
     normalized = normalize_unit("a", gen)
-    report = convergence_verdict(normalized.expression, gen, 1.0,
-                                 dyadic_schedule(1.0, 3, 10),
-                                 extension=normalized.extension)
+    report = convergence_verdict(normalized.expression, normalized.extension, 1.0,
+                                 dyadic_schedule(1.0, 3, 10))
     assert report.verdict == "norm-convergent"
     assert report.criterion_rate is None or report.criterion_rate >= 0.9
 
@@ -371,13 +363,14 @@ def test_counterexample_verdicts():
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
     schedule = dyadic_schedule(1.0, 3, 9)
-    against_candidate = convergence_verdict(y, gen, 1.0, schedule, candidate="w")
+    ext = extend_generator(y, gen)
+    against_candidate = convergence_verdict(y, ext, 1.0, schedule, candidate="w")
     assert against_candidate.verdict == "weak-only"
     gap = np.exp(0.5) - np.exp(0.25)
     assert against_candidate.criterion_defects[-1] == pytest.approx(gap, abs=1e-12)
     assert against_candidate.norm_defects[-1] == pytest.approx(gap, abs=1e-12)
 
-    against_limit = convergence_verdict(y, gen, 1.0, schedule)
+    against_limit = convergence_verdict(y, ext, 1.0, schedule)
     # The limit unit exists only outside the ambient system: the gram and
     # the ambient pairings agree identically while the criterion stays at
     # the same strictly positive gap.
@@ -393,15 +386,14 @@ def test_norm_defect_identity_reassembled_from_fresh_pairings():
     y = affine_expression([2, -1], ["a", "b"], 2)
     ext = extend_generator(y, gen)
     schedule = dyadic_schedule(1.0, 3, 6)
-    report = convergence_verdict(y, gen, 1.0, schedule, extension=ext)
-    semigroup = ext.semigroup()
+    report = convergence_verdict(y, ext, 1.0, schedule)
     eye = unit_element(2)
     zeta = unit_expression(ext.zeta, 2)
-    limit_one = ext.diagonal.expm(1.0).apply(eye)
+    limit_one = superop_exp(ext.kernel[(ext.zeta, ext.zeta)], 1.0).apply(eye)
     for partition, stored in zip(sorted(schedule, key=lambda p: p.norm, reverse=True),
                                  report.norm_defects):
-        gram_one = eval_pairing(y, partition, y, partition, semigroup).apply(eye)
-        crit_one = eval_pairing(zeta, partition, y, partition, semigroup).apply(eye)
+        gram_one = eval_pairing(y, partition, y, partition, ext.kernel).apply(eye)
+        crit_one = eval_pairing(zeta, partition, y, partition, ext.kernel).apply(eye)
         difference = gram_one - crit_one - dagger(crit_one) + limit_one
         herm = (difference + dagger(difference)) / 2
         eigs = np.linalg.eigvalsh(herm)
@@ -420,7 +412,7 @@ def test_verdict_series_on_refinement_chain():
         extra = random_schedule(1.0, 1, seed=int(rng.integers(1 << 30)))[0]
         cuts |= set(np.cumsum(extra.time_widths)[:-1])
         chain.append(Partition(np.diff([0.0, *sorted(cuts), 1.0])))
-    report = convergence_verdict(y, gen, 1.0, chain, candidate="w")
+    report = convergence_verdict(y, extend_generator(y, gen), 1.0, chain, candidate="w")
     assert all(np.isfinite(report.criterion_defects))
     assert report.norms == tuple(sorted(report.norms, reverse=True))
 
@@ -441,10 +433,10 @@ def affine_42_rescaled(c):
 def test_verdict_is_invariant_under_time_rescaling(schedule):
     # exp(t * c L) over horizon t / c describes the same sections as exp(t L) over t.
     y, gen, horizon = affine_42_rescaled(1.0)
-    base = convergence_verdict(y, gen, horizon, schedule(horizon))
+    base = convergence_verdict(y, extend_generator(y, gen), horizon, schedule(horizon))
     for c in (1e10, 1e-6):
         y, gen, horizon = affine_42_rescaled(c)
-        report = convergence_verdict(y, gen, horizon, schedule(horizon))
+        report = convergence_verdict(y, extend_generator(y, gen), horizon, schedule(horizon))
         assert report.verdict == base.verdict
         np.testing.assert_allclose(report.criterion_defects, base.criterion_defects, rtol=1e-8)
 
@@ -454,8 +446,8 @@ def test_walk_pairing_is_invariant_under_time_rescaling(c):
     def walk(c):
         y, gen, horizon = affine_42_rescaled(c)
         partitions = random_schedule(horizon, 8, seed=42)
-        semigroup = extend_generator(y, gen).semigroup()
-        return eval_pairing(y, partitions[4], y, partitions[5], semigroup).rep
+        kernel = extend_generator(y, gen).kernel
+        return eval_pairing(y, partitions[4], y, partitions[5], kernel).rep
 
     base = walk(1.0)
     deviation = np.max(np.abs(base - np.eye(len(base))))
@@ -465,7 +457,8 @@ def test_walk_pairing_is_invariant_under_time_rescaling(c):
 def test_report_serialization(tmp_path):
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
-    report = convergence_verdict(y, gen, 1.0, dyadic_schedule(1.0, 3, 5), candidate="w")
+    report = convergence_verdict(y, extend_generator(y, gen), 1.0, dyadic_schedule(1.0, 3, 5),
+                                 candidate="w")
     csv_path = tmp_path / "report.csv"
     report.write_csv(csv_path)
     lines = csv_path.read_text().strip().splitlines()
@@ -489,7 +482,7 @@ def test_custom_thresholds_change_verdict():
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
     strict = VerdictThresholds(plateau_defect=1.0)
-    report = convergence_verdict(y, gen, 1.0, dyadic_schedule(1.0, 3, 5),
+    report = convergence_verdict(y, extend_generator(y, gen), 1.0, dyadic_schedule(1.0, 3, 5),
                                  candidate="w", thresholds=strict)
     assert report.verdict == "divergent"
 
@@ -516,7 +509,7 @@ def test_prop33_affine_rate_and_bounds():
     _, bounds_hold, eventually_bounded = prop33_bound_check(y, ext, 1.0, schedule)
     assert bounds_hold
     assert eventually_bounded
-    gram_rate = convergence_verdict(y, gen, 1.0, schedule, extension=ext).gram_rate
+    gram_rate = convergence_verdict(y, ext, 1.0, schedule).gram_rate
     assert 0.9 <= gram_rate <= 1.1
 
 
@@ -527,7 +520,7 @@ def test_prop33_gram_gap_against_wrong_limit_does_not_vanish():
     gap = np.exp(0.5) - np.exp(0.25)
     for n in (8, 64, 512):
         partition = Partition.uniform(1.0, n)
-        gram = eval_pairing(y, partition, y, partition, semigroup).rep[0, 0]
+        gram = eval_pairing(y, partition, y, partition, gen).rep[0, 0]
         w_gram = semigroup.entry_rep("w", "w", 1.0)[0, 0]
         assert abs(gram - w_gram) == pytest.approx(gap, abs=1e-12)
 
