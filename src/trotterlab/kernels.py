@@ -467,6 +467,10 @@ def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
         dim = int(dim)
     if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
+    keys = {f"{s}|{t}" for s in labels for t in labels}
+    stray = next((key for key in raw if key not in keys), None)
+    if stray is not None:
+        raise ValueError(f"entry key {stray!r} names no pair of declared labels")
     d2 = dim * dim
     entries = {}
     for s in labels:

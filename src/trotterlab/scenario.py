@@ -21,11 +21,15 @@ lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
     threshold FIELD VALUE           # override a verdict threshold field
     seed N                          # N >= 0; draws random schedules; recorded in reports
 
+A scenario without a ``schedule`` line runs ``dyadic 3 10``.
+
 Matrices are nested bracket lists of Python numeric literals; complex
-entries like ``(0.5+0.25j)`` are allowed.  Matrix and expression names are
-identifiers ``[A-Za-z_][A-Za-z0-9_]*``; expression names also name the
-output files.  An expression is read with Python's own parser (nothing is
-evaluated) and must fit this subset of Python expression syntax:
+entries like ``(0.5+0.25j)`` are allowed.  Labels, matrix and expression
+names are ASCII identifiers ``[A-Za-z_][A-Za-z0-9_]*``; a label or matrix
+name, which expressions refer to, may not be a Python keyword, and
+expression names also name the output files.  An expression is read with
+Python's own parser (nothing is evaluated) and must fit this subset of
+Python expression syntax:
 
     EXPR   := TERM (('+'|'-') TERM)*
     TERM   := FACTOR ('*' FACTOR)*
@@ -49,6 +53,7 @@ positions.
 from __future__ import annotations
 
 import ast
+import keyword
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -254,8 +259,11 @@ def _parse_matrix(text: str, line: int) -> np.ndarray:
 
 
 def _parse_name(kind: str, text: str, line: int) -> str:
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
-        raise ScenarioParseError(f"bad {kind} name {text!r}", line)
+    """``text`` if it is an ASCII identifier, and no keyword unless it names an expression."""
+    if not (text.isascii() and text.isidentifier()):
+        raise ScenarioParseError(f"bad {kind} name {text!r}: not an ASCII identifier", line)
+    if kind != "expression" and keyword.iskeyword(text):
+        raise ScenarioParseError(f"bad {kind} name {text!r}: a Python keyword", line)
     return text
 
 
@@ -405,6 +413,9 @@ def parse_scenario(text: str) -> Scenario:
     for line_no, name, expr_text in pending_expressions:
         sc.expressions[name] = parse_expression(expr_text, sc.dim, sc.labels,
                                                 sc.matrices, line_no)
+    # After the expressions, so that one naming a bad label reports its column.
+    for label in sc.labels:
+        _parse_name("label", label, defined[("labels",)])
     return sc
 
 

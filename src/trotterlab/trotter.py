@@ -128,7 +128,7 @@ def _merge_cuts(cuts: Sequence[float], tol: float) -> list[float]:
     return out
 
 
-def dyadic_schedule(length: float, k_min: int = 3, k_max: int = 12) -> list[Partition]:
+def dyadic_schedule(length: float, k_min: int, k_max: int) -> list[Partition]:
     """Uniform partitions with 2^k parts, k = k_min..k_max."""
     if k_min > k_max:
         raise ValueError(f"empty dyadic schedule: k_min {k_min} > k_max {k_max}")

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import subprocess
@@ -35,3 +36,26 @@ def test_cli_does_not_import_the_fock_oracle():
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports (``__future__`` aside) and neither uses nor lists in ``__all__``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_src_modules_use_every_import():
+    import trotterlab
+    unused = {path.name: names for path in sorted(Path(trotterlab.__file__).parent.glob("*.py"))
+              if (names := unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}

@@ -337,10 +337,13 @@ def test_cli_rejects_oversized_schedules(tmp_path, capsys, override, directive, 
     ("generator gamma [[0.0]]\nmatrix u [[5.0]]", "line 4: matrix 'u' has the name of a unit label"),
     ("generator gamma [[0.0]]\ncandidate z u", "line 4: candidate for unknown expression 'z'"),
     ("generator gamma [[0.0]]\nexpect z divergent", "line 4: expect for unknown expression 'z'"),
-    ("generator gamma [[0.0]]\ncandidate y v", "line 4: candidate label 'v' unknown")],
+    ("generator gamma [[0.0]]\ncandidate y v", "line 4: candidate label 'v' unknown"),
+    ("generator gamma [[0.0]]\nmatrix if [[2.0]]", "line 4: bad matrix name 'if': a Python keyword"),
+    ("generator gamma [[0.0]]\nmatrix None [[2.0]]",
+     "line 4: bad matrix name 'None': a Python keyword")],
     ids=["eta-undeclared", "beta-undeclared", "eta-under-gamma", "beta-under-kernel",
          "matrix-named-like-a-label", "candidate-expression", "expect-expression",
-         "candidate-label"])
+         "candidate-label", "matrix-keyword", "matrix-none"])
 def test_cli_checks_the_names_lines_refer_to(tmp_path, capsys, lines, message):
     scenario_path = tmp_path / "names.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\n{lines}\nexpression y = u\n")
@@ -356,8 +359,15 @@ def test_cli_checks_the_names_lines_refer_to(tmp_path, capsys, lines, message):
     ("dim 2\nlabels u\ngenerator ce\neta u [[1.0]]\nbeta u [[0.0, 0.0], [0.0, 0.0]]",
      "line 4: eta u has shape (1, 1), expected (2, 2)"),
     ("dim 1\nlabels u v\ngenerator ce\neta u [[0.0]]\nbeta u [[0.0]]\neta v [[0.0]]",
-     "line 3: missing eta/beta for labels ['v']")],
-    ids=["duplicate-labels", "gamma-dim", "gamma-shape", "eta-shape", "missing-beta"])
+     "line 3: missing eta/beta for labels ['v']"),
+    ("dim 1\nlabels u 1x\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]",
+     "line 2: bad label name '1x': not an ASCII identifier"),
+    ("dim 1\nlabels u if\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]",
+     "line 2: bad label name 'if': a Python keyword"),
+    ("dim 1\nlabels u True\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]",
+     "line 2: bad label name 'True': a Python keyword")],
+    ids=["duplicate-labels", "gamma-dim", "gamma-shape", "eta-shape", "missing-beta",
+         "label-not-identifier", "label-keyword", "label-true"])
 def test_cli_generator_errors_carry_their_line(tmp_path, capsys, text, message):
     scenario_path = tmp_path / "generator.scenario"
     scenario_path.write_text(f"{text}\nexpression y = u\n")
@@ -526,6 +536,10 @@ def test_cli_validate_generator_conditional_only(tmp_path, capsys):
     assert "conditionally completely positive definite: PASS" in out
 
 
+STRAY_KEY_DOCUMENT = ('{"dim": 1, "labels": ["a"], '
+                      '"entries": {"a|a": [[0, 0]], "a|zzz": [[5, 0]], "junk": 1}}')
+
+
 @pytest.mark.parametrize("document", [
     '{"dim": 2}',
     '{"dim": 1, "labels": ["a"], "entries": {"a|a": [1]}}',
@@ -537,11 +551,23 @@ def test_cli_validate_generator_conditional_only(tmp_path, capsys):
     '"b|a": [[0, 0]], "b|b": [[1, 0]]}}',
     '{"dim": 1, "labels": [1, null], "entries": {"1|1": [[1, 0]], "1|None": [[0, 0]], '
     '"None|1": [[0, 0]], "None|None": [[1, 0]]}}',
-    '{"dim": 1, "labels": ["a|b"], "entries": {"a|b|a|b": [[1, 0]]}}'],
+    '{"dim": 1, "labels": ["a|b"], "entries": {"a|b|a|b": [[1, 0]]}}',
+    STRAY_KEY_DOCUMENT],
     ids=["dim-only", "bare-number", "string-value", "entry-not-list", "nan", "infinity",
-         "string-labels", "non-string-labels", "bar-in-label"])
+         "string-labels", "non-string-labels", "bar-in-label", "stray-entry-keys"])
 def test_cli_validate_malformed(tmp_path, capsys, document):
     path = tmp_path / "broken.json"
     path.write_text(document)
     assert main(["validate", str(path)]) == 3
     assert "malformed" in capsys.readouterr().err
+
+
+def test_cli_stray_entry_key_is_named(tmp_path, capsys):
+    (tmp_path / "stray.json").write_text(STRAY_KEY_DOCUMENT)
+    message = "entry key 'a|zzz' names no pair of declared labels"
+    assert main(["validate", str(tmp_path / "stray.json")]) == 3
+    assert capsys.readouterr().err == f"malformed kernel document: {message}\n"
+    scenario_path = tmp_path / "stray.scenario"
+    scenario_path.write_text("dim 1\nlabels a\ngenerator kernel stray.json\nexpression y = a\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"{scenario_path}: {message}\n"

@@ -454,6 +454,23 @@ def test_walk_pairing_is_invariant_under_time_rescaling(c):
     assert np.max(np.abs(walk(c) - base)) <= 1e-12 * deviation
 
 
+@pytest.mark.parametrize("scenario, candidate", [("affine_42", None),
+                                                   ("counterexample_41", "w")])
+def test_one_exponential_per_limit(monkeypatch, scenario, candidate):
+    # The limit gram, the candidate's gram if one is set, and one ambient limit per label.
+    parsed = parse_scenario(
+        (resources.files("trotterlab") / "scenarios" / f"{scenario}.scenario").read_text())
+    gen = build_generator(parsed)
+    y = parsed.expressions["y"]
+    ext = extend_generator(y, gen)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda *args: calls.append(1) or expm(*args))
+    convergence_verdict(y, ext, parsed.horizon, dyadic_schedule(parsed.horizon, 3, 4),
+                        candidate=candidate)
+    assert len(calls) == (1 if candidate is None else 2) + len(gen.labels)
+
+
 def test_report_serialization(tmp_path):
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
