@@ -187,6 +187,10 @@ def test_scenario_error_reporting():
         parse_scenario("bogus directive\n")
     with pytest.raises(ScenarioParseError, match="dim"):
         parse_scenario("labels u\ngenerator gamma [[0]]\n")
+    with pytest.raises(ScenarioParseError, match="^missing 'labels' directive$"):
+        parse_scenario("dim 1\ngenerator gamma [[0]]\n")
+    with pytest.raises(ScenarioParseError, match="^missing 'generator' directive$"):
+        parse_scenario("dim 1\nlabels u\n")
     with pytest.raises(ScenarioParseError):
         parse_scenario("dim 1\nlabels u\ngenerator gamma [[0]]\nexpect y weak-only\n")
 
@@ -196,7 +200,9 @@ def test_scenario_error_reporting():
                                  "matrix M [[1e999]]", "threshold bogus 1",
                                  "expression y = concat(u@0.5j, u@1)",
                                  "expression y = concat(u@0.5, u@0.5, u@0)",
-                                 "expression y = 1e999*u",
+                                 "expression y = 1e999*u", "candidate y", "expect y maybe",
+                                 "threshold convergent_defect",
+                                 "threshold convergent_defect nan",
                                  pytest.param("expression y = " + " + ".join(["u"] * 3000),
                                               id="beyond-the-nesting-limit")])
 def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
@@ -365,13 +371,28 @@ def test_cli_checks_the_names_lines_refer_to(tmp_path, capsys, lines, message):
     ("dim 1\nlabels u if\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]",
      "line 2: bad label name 'if': a Python keyword"),
     ("dim 1\nlabels u True\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]",
-     "line 2: bad label name 'True': a Python keyword")],
+     "line 2: bad label name 'True': a Python keyword"),
+    ("dim 0\nlabels u\ngenerator gamma [[0.0]]", "line 1: dim must be positive"),
+    ("dim 1\nlabels\ngenerator gamma [[0.0]]", "line 2: labels line needs at least one label"),
+    ("dim 1\nlabels u\ngenerator kernel", "line 3: generator kernel needs a path"),
+    ("dim 1\nlabels u\ngenerator lindblad", "line 3: unknown generator kind 'lindblad'")],
     ids=["duplicate-labels", "gamma-dim", "gamma-shape", "eta-shape", "missing-beta",
-         "label-not-identifier", "label-keyword", "label-true"])
+         "label-not-identifier", "label-keyword", "label-true", "dim-zero", "bare-labels",
+         "kernel-without-path", "unknown-generator-kind"])
 def test_cli_generator_errors_carry_their_line(tmp_path, capsys, text, message):
     scenario_path = tmp_path / "generator.scenario"
     scenario_path.write_text(f"{text}\nexpression y = u\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
+
+
+def test_cli_kernel_document_over_other_labels(tmp_path, capsys):
+    (tmp_path / "uv.json").write_text(json.dumps(kernel_to_json_dict(
+        scalar_kernel(np.zeros((2, 2)), ("u", "v")))))
+    scenario_path = tmp_path / "other.scenario"
+    scenario_path.write_text("dim 1\nlabels u\ngenerator kernel uv.json\nexpression y = u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    message = "kernel document does not match dim/labels"
     assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
 
 
@@ -499,6 +520,23 @@ def test_cli_empty_expression_list_gate_only(tmp_path, capsys):
     assert "gate" in out and "PASS" in out
 
 
+def test_cli_section_off_the_unit_fails_the_extension(tmp_path, capsys):
+    scenario_path = tmp_path / "off.scenario"
+    scenario_path.write_text("dim 1\nlabels u\ngenerator gamma [[0.5]]\nexpression y = 2*u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "y: extension failed: section value at t=0 differs from the unit by 1.000e+00; "
+        "the term multipliers must sum to the identity\n")
+
+
+def test_cli_limit_label_avoids_a_declared_zeta(tmp_path, capsys):
+    scenario_path = tmp_path / "zeta.scenario"
+    scenario_path.write_text("dim 1\nlabels zeta\ngenerator gamma [[0.0]]\nexpression y = zeta\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "y.json").read_text())["target"] == "zeta_1"
+    assert "against adjoined 'zeta_1'" in capsys.readouterr().out
+
+
 def test_cli_malformed_scenario(tmp_path, capsys):
     scenario_path = tmp_path / "bad.scenario"
     scenario_path.write_text("dim 1\nwat\n")
@@ -560,6 +598,16 @@ def test_cli_validate_malformed(tmp_path, capsys, document):
     path.write_text(document)
     assert main(["validate", str(path)]) == 3
     assert "malformed" in capsys.readouterr().err
+
+
+def test_cli_validate_asymmetric_kernel(tmp_path, capsys):
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(kernel_to_json_dict(
+        scalar_kernel(np.array([[0.0, 1.0], [0.0, 0.0]]), ("a", "b")))))
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "FAIL: not a kernel candidate: hermitian symmetry defect 1.000e+00 "
+        "exceeds 1.0e-09 * scale 1.000e+00")
 
 
 def test_cli_stray_entry_key_is_named(tmp_path, capsys):
