@@ -1,8 +1,9 @@
 """Scenario files: a line-oriented declarative format for experiment runs.
 
-The file is UTF-8.  One directive per line; ``#`` starts a comment; blank
-lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
-``schedule`` and ``seed`` appear at most once, the others once per name:
+The file is UTF-8.  One directive per line, in any order; ``#`` starts a
+comment; blank lines are ignored.  ``dim``, ``labels``, ``generator``,
+``horizon``, ``schedule`` and ``seed`` appear at most once, the others once
+per name:
 
     dim N
     labels NAME...
@@ -14,14 +15,16 @@ lines are ignored.  ``dim``, ``labels``, ``generator``, ``horizon``,
     matrix NAME MATRIX              # named matrix usable in expressions, not a label
     expression NAME = EXPR
     horizon T
-    schedule dyadic KMIN KMAX       # 0 <= KMIN, KMAX <= 20
-    schedule random COUNT           # COUNT <= 64
+    schedule dyadic KMIN KMAX       # 0 <= KMIN <= KMAX <= 20
+    schedule random COUNT           # 1 <= COUNT <= 64
     candidate EXPRNAME LABEL        # test EXPR against an ambient unit
     expect EXPRNAME VERDICT         # norm-convergent | weak-only | divergent
     threshold FIELD VALUE           # override a verdict threshold field
     seed N                          # N >= 0; draws random schedules; recorded in reports
 
-A scenario without a ``schedule`` line runs ``dyadic 3 10``.
+A scenario without a ``schedule`` line runs ``dyadic 3 10``.  Every error
+in the file names its line, except a missing ``dim``, ``labels`` or
+``generator`` line.
 
 Matrices are nested bracket lists of Python numeric literals; complex
 entries like ``(0.5+0.25j)`` are allowed.  Labels, matrix and expression
@@ -81,6 +84,10 @@ __all__ = [
 _VERDICTS = ("norm-convergent", "weak-only", "divergent")
 _SCHEDULE_ARITY = {"dyadic": 2, "random": 1}
 _SINGLE_DIRECTIVES = ("dim", "labels", "generator", "horizon", "schedule", "seed")
+# Directives by the rank parse_scenario reads them in, after those they refer to.
+_DIRECTIVES = {"dim": 0, "labels": 1, "generator": 2, "eta": 3, "beta": 3, "matrix": 4,
+               "expression": 5, "horizon": 6, "schedule": 7, "threshold": 8,
+               "candidate": 9, "expect": 10, "seed": 11}
 # A dyadic partition of 2^20 parts already holds about 1M widths.
 _DYADIC_KMAX = 20
 # Every random partition (up to 4,096 widths) is built before any output.
@@ -290,24 +297,32 @@ def _parse_schedule(spec: str, sep: str | None, line: int | None = None):
         raise ScenarioParseError(f"schedule spec {spec!r}: KMIN {args[0]} is negative", line)
     if args[-1] > (limit := _DYADIC_KMAX if kind == "dyadic" else _RANDOM_COUNT):
         raise ScenarioParseError(f"schedule spec {spec!r}: {args[-1]} exceeds {limit}", line)
+    if (args[1] - args[0] + 1 if kind == "dyadic" else args[0]) < 1:
+        raise ScenarioParseError(f"schedule spec {spec!r}: the schedule is empty", line)
     return kind, args
 
 
 def parse_scenario(text: str) -> Scenario:
-    sc = Scenario()
-    defined = {}  # directive key -> line number
-    pending_expressions: list[tuple[int, str, str]] = []
+    directives = {}  # key -> (rank, line number, head, text after the head)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
+        if head not in _DIRECTIVES:
+            raise ScenarioParseError(f"unknown directive {head!r}", line_no)
         rest = rest.strip()
         # A single directive may appear once, any other once per name (or field).
         key = (head,) if head in _SINGLE_DIRECTIVES else (head, re.match(r"[^\s=]*", rest)[0])
-        if key in defined:
+        if key in directives:
             raise ScenarioParseError(f"{' '.join(key)} is already defined", line_no)
-        defined[key] = line_no
+        directives[key] = _DIRECTIVES[head], line_no, head, rest
+    for head in ("dim", "labels", "generator"):
+        if (head,) not in directives:
+            raise ScenarioParseError(f"missing {head!r} directive")
+
+    sc = Scenario()
+    for _, line_no, head, rest in sorted(directives.values()):
         if head == "dim":
             sc.dim = _parse_number(int, rest, line_no)
             if sc.dim < 1:
@@ -319,45 +334,55 @@ def parse_scenario(text: str) -> Scenario:
             if len(set(sc.labels)) != len(sc.labels):
                 raise ScenarioParseError("duplicate labels", line_no)
         elif head == "generator":
-            kind, _, payload = rest.partition(" ")
-            sc.generator_kind = kind
-            if kind == "gamma":
-                sc.gamma = _parse_matrix(payload.strip(), line_no)
-            elif kind == "kernel":
-                sc.kernel_path = payload.strip()
-                if not sc.kernel_path:
+            sc.generator_kind, _, payload = rest.partition(" ")
+            payload = payload.strip()
+            if sc.generator_kind == "gamma":
+                sc.gamma = _parse_matrix(payload, line_no)
+                n = len(sc.labels)
+                if sc.dim != 1:
+                    raise ScenarioParseError("generator gamma requires dim 1", line_no)
+                if sc.gamma.shape != (n, n):
+                    raise ScenarioParseError(f"gamma matrix has shape {sc.gamma.shape}, "
+                                             f"expected ({n}, {n}) for {n} labels", line_no)
+            elif sc.generator_kind == "kernel":
+                sc.kernel_path = payload
+                if not payload:
                     raise ScenarioParseError("generator kernel needs a path", line_no)
-            elif kind != "ce":
-                raise ScenarioParseError(f"unknown generator kind {kind!r}", line_no)
+            elif sc.generator_kind == "ce":
+                missing = [s for s in sc.labels
+                           if ("eta", s) not in directives or ("beta", s) not in directives]
+                if missing:
+                    raise ScenarioParseError(f"missing eta/beta for labels {missing}", line_no)
+            else:
+                raise ScenarioParseError(f"unknown generator kind {sc.generator_kind!r}", line_no)
         elif head in ("eta", "beta"):
             label, _, payload = rest.partition(" ")
-            target = sc.eta if head == "eta" else sc.beta
-            target[label] = _parse_matrix(payload.strip(), line_no)
+            matrix = _parse_matrix(payload.strip(), line_no)
+            if sc.generator_kind != "ce":
+                raise ScenarioParseError(f"{head} {label!r} needs 'generator ce'", line_no)
+            if label not in sc.labels:
+                raise ScenarioParseError(f"{head} for undeclared label {label!r}", line_no)
+            if matrix.shape != (sc.dim, sc.dim):
+                raise ScenarioParseError(f"{head} {label} has shape {matrix.shape}, "
+                                         f"expected ({sc.dim}, {sc.dim})", line_no)
+            (sc.eta if head == "eta" else sc.beta)[label] = matrix
         elif head == "matrix":
             name, _, payload = rest.partition(" ")
             name = _parse_name("matrix", name, line_no)
             sc.matrices[name] = _parse_matrix(payload.strip(), line_no)
+            if name in sc.labels:
+                raise ScenarioParseError(f"matrix {name!r} has the name of a unit label", line_no)
         elif head == "expression":
             name, _, expr_text = rest.partition("=")
             name = _parse_name("expression", name.strip(), line_no)
-            pending_expressions.append((line_no, name, expr_text.strip()))
+            sc.expressions[name] = parse_expression(expr_text.strip(), sc.dim, sc.labels,
+                                                    sc.matrices, line_no)
         elif head == "horizon":
             sc.horizon = _parse_number(float, rest, line_no)
             if not 0 < sc.horizon < np.inf:
                 raise ScenarioParseError("horizon must be positive and finite", line_no)
         elif head == "schedule":
             sc.schedule_kind, sc.schedule_args = _parse_schedule(rest, None, line_no)
-        elif head == "candidate":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ScenarioParseError("candidate needs: EXPRNAME LABEL", line_no)
-            sc.candidates[parts[0]] = parts[1]
-        elif head == "expect":
-            parts = rest.split()
-            if len(parts) != 2 or parts[1] not in _VERDICTS:
-                raise ScenarioParseError(
-                    f"expect needs: EXPRNAME one of {_VERDICTS}", line_no)
-            sc.expectations[parts[0]] = parts[1]
         elif head == "threshold":
             parts = rest.split()
             if len(parts) != 2:
@@ -369,53 +394,29 @@ def parse_scenario(text: str) -> Scenario:
             if not np.isfinite(value):
                 raise ScenarioParseError("threshold value must be finite", line_no)
             sc.thresholds = replace(sc.thresholds, **{parts[0]: value})
-        elif head == "seed":
+        elif head == "candidate":
+            parts = rest.split()
+            if len(parts) != 2:
+                raise ScenarioParseError("candidate needs: EXPRNAME LABEL", line_no)
+            if parts[0] not in sc.expressions:
+                raise ScenarioParseError(f"candidate for unknown expression {parts[0]!r}", line_no)
+            if parts[1] not in sc.labels:
+                raise ScenarioParseError(f"candidate label {parts[1]!r} unknown", line_no)
+            sc.candidates[parts[0]] = parts[1]
+        elif head == "expect":
+            parts = rest.split()
+            if len(parts) != 2 or parts[1] not in _VERDICTS:
+                raise ScenarioParseError(f"expect needs: EXPRNAME one of {_VERDICTS}", line_no)
+            if parts[0] not in sc.expressions:
+                raise ScenarioParseError(f"expect for unknown expression {parts[0]!r}", line_no)
+            sc.expectations[parts[0]] = parts[1]
+        else:  # seed
             sc.seed = _parse_number(int, rest, line_no)
             if sc.seed < 0:
                 raise ScenarioParseError(f"seed must be non-negative, got {sc.seed}", line_no)
-        else:
-            raise ScenarioParseError(f"unknown directive {head!r}", line_no)
-
-    if ("dim",) not in defined:
-        raise ScenarioParseError("missing 'dim' directive")
-    if not sc.labels:
-        raise ScenarioParseError("missing 'labels' directive")
-    if not sc.generator_kind:
-        raise ScenarioParseError("missing 'generator' directive")
-    n = len(sc.labels)
-    for key, line_no in defined.items():
-        head, name = key[0], key[-1]
-        if head == "generator" and sc.generator_kind == "gamma":
-            if sc.dim != 1:
-                raise ScenarioParseError("generator gamma requires dim 1", line_no)
-            if sc.gamma.shape != (n, n):
-                raise ScenarioParseError(f"gamma matrix has shape {sc.gamma.shape}, "
-                                         f"expected ({n}, {n}) for {n} labels", line_no)
-        if head == "generator" and sc.generator_kind == "ce":
-            missing = [s for s in sc.labels if s not in sc.eta or s not in sc.beta]
-            if missing:
-                raise ScenarioParseError(f"missing eta/beta for labels {missing}", line_no)
-        if head in ("eta", "beta"):
-            if sc.generator_kind != "ce":
-                raise ScenarioParseError(f"{head} {name!r} needs 'generator ce'", line_no)
-            if name not in sc.labels:
-                raise ScenarioParseError(f"{head} for undeclared label {name!r}", line_no)
-            shape = (sc.eta if head == "eta" else sc.beta)[name].shape
-            if shape != (sc.dim, sc.dim):
-                raise ScenarioParseError(f"{head} {name} has shape {shape}, "
-                                         f"expected ({sc.dim}, {sc.dim})", line_no)
-        if head == "matrix" and name in sc.labels:
-            raise ScenarioParseError(f"matrix {name!r} has the name of a unit label", line_no)
-        if head in ("candidate", "expect") and ("expression", name) not in defined:
-            raise ScenarioParseError(f"{head} for unknown expression {name!r}", line_no)
-        if head == "candidate" and sc.candidates[name] not in sc.labels:
-            raise ScenarioParseError(f"candidate label {sc.candidates[name]!r} unknown", line_no)
-    for line_no, name, expr_text in pending_expressions:
-        sc.expressions[name] = parse_expression(expr_text, sc.dim, sc.labels,
-                                                sc.matrices, line_no)
     # After the expressions, so that one naming a bad label reports its column.
     for label in sc.labels:
-        _parse_name("label", label, defined[("labels",)])
+        _parse_name("label", label, directives[("labels",)][1])
     return sc
 
 
@@ -427,18 +428,16 @@ def build_generator(sc: Scenario, base_dir=None) -> OperatorKernel:
         return scalar_kernel(sc.gamma, sc.labels)
     if sc.generator_kind == "ce":
         return christensen_evans_kernel(sc.labels, sc.dim, sc.eta, sc.beta)
-    if sc.generator_kind == "kernel":
-        import json
-        from pathlib import Path
-        path = Path(sc.kernel_path)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        with open(path) as handle:
-            kernel = kernel_from_json_dict(json.load(handle))
-        if kernel.dim != sc.dim or set(kernel.labels) != set(sc.labels):
-            raise ScenarioParseError("kernel document does not match dim/labels")
-        return kernel
-    raise ScenarioParseError(f"unknown generator kind {sc.generator_kind!r}")
+    import json  # generator kernel PATH
+    from pathlib import Path
+    path = Path(sc.kernel_path)
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    with open(path) as handle:
+        kernel = kernel_from_json_dict(json.load(handle))
+    if kernel.dim != sc.dim or set(kernel.labels) != set(sc.labels):
+        raise ScenarioParseError("kernel document does not match dim/labels")
+    return kernel
 
 
 def build_schedule(sc: Scenario, override: str | None = None,

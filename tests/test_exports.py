@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,12 @@ def test_src_modules_use_every_import():
     unused = {path.name: names for path in sorted(Path(trotterlab.__file__).parent.glob("*.py"))
               if (names := unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def test_scenario_grammar_names_every_directive():
+    # The grammar block is the first indented block of the module docstring.
+    from trotterlab import scenario
+    lines = scenario.__doc__.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("    "))
+    block = itertools.takewhile(lambda line: line.startswith("    "), lines[first:])
+    assert {line.split()[0] for line in block} == set(scenario._DIRECTIVES)

@@ -307,6 +307,8 @@ def test_cli_rejects_empty_schedules(tmp_path, capsys, override, directive):
     assert "schedule" in err
     if override in MALFORMED_SPECS:
         assert f"bad schedule spec {override!r}" in err
+    if directive:
+        assert "line 5: schedule spec" in err
 
 
 @pytest.mark.parametrize("override, directive, message", [
