@@ -67,11 +67,9 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
+def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec` for ``dim`` x ``dim`` matrices."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
         raise ValueError(f"cannot unvec a vector of size {v.size} into a {dim}x{dim} matrix")
     return v.reshape((dim, dim), order="F")

@@ -225,9 +225,6 @@ class PositivityReport:
     def min_scaled_eigenvalue(self) -> float:
         return self.min_eigenvalue / self.scale if self.scale else 0.0
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _witness_from_eigenvector(kernel: OperatorKernel, vector: np.ndarray) -> CpdWitness:
     """Turn a negative block-Choi eigenvector into an explicit violating tuple.

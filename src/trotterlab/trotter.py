@@ -432,7 +432,7 @@ def assemble_report(*, horizon: float, target: str, target_kind: str,
     gram_rate = fit_rate(norms, gram_defects)
     ambient_final = max((series[-1] for series in ambient_defects.values()), default=0.0)
     verdict = _decide_verdict(tuple(criterion_defects), crit_rate, ambient_final, thr)
-    obs35 = verdict == "norm-convergent" and (crit_rate is None or crit_rate >= thr.obs35_rate)
+    obs35 = verdict == "norm-convergent" and crit_rate is not None and crit_rate >= thr.obs35_rate
     all_notes = list(notes)
     if obs35:
         all_notes.append(

@@ -42,7 +42,7 @@ def random_superop(rng, d, scale=1.0):
 def test_vec_column_stacking():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(vec(a), np.array([1, 3, 2, 4]))
-    assert np.array_equal(unvec(vec(a)), a)
+    assert np.array_equal(unvec(vec(a), 2), a)
 
 
 def test_left_right_matches_kron_identity():

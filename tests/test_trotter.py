@@ -17,6 +17,7 @@ from trotterlab.trotter import (
     Partition,
     _walk_pairing,
     VerdictThresholds,
+    assemble_report,
     convergence_verdict,
     dyadic_schedule,
     eval_pairing,
@@ -493,6 +494,22 @@ def test_fit_rate_handles_noise_floor():
     assert fit_rate((0.5, 0.25, 0.125), (1e-15, 1e-15, 1e-16)) is None
     rate = fit_rate((0.5, 0.25, 0.125, 0.0625), (0.1, 0.05, 0.025, 0.0125))
     assert rate == pytest.approx(1.0, abs=1e-9)
+
+
+def test_obs35_note_needs_a_fitted_rate():
+    def report(criterion):
+        return assemble_report(horizon=1.0, target="zeta", target_kind="adjoined",
+                               partitions=dyadic_schedule(1.0, 3, 5), gram_defects=criterion,
+                               criterion_defects=criterion, norm_defects=criterion,
+                               ambient_defects={})
+
+    exact = report([0.0, 0.0, 0.0])
+    assert exact.verdict == "norm-convergent" and exact.criterion_rate is None
+    assert not exact.obs35_sequences_suffice and exact.notes == ()
+    first_order = report([8e-7, 4e-7, 2e-7])
+    assert first_order.verdict == "norm-convergent"
+    assert first_order.criterion_rate == pytest.approx(1.0)
+    assert first_order.obs35_sequences_suffice and len(first_order.notes) == 1
 
 
 def test_custom_thresholds_change_verdict():
