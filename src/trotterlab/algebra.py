@@ -15,16 +15,11 @@ Conventions used throughout the package:
   1975), i.e. when the one-label kernel with entry ``T`` passes
   :func:`trotterlab.kernels.is_cpd`.
 
-Two superoperator norms appear:
-
-* ``frobenius_norm`` is the largest singular value of the representation
-  matrix, i.e. the map norm with the algebra carrying the Hilbert-Schmidt
-  inner product.  It is exact and cheap.
-* ``superop_norm`` targets the norm induced by the usual matrix operator
-  norm on the algebra.  It maximizes ``|A(b)| / |b|`` over a fixed seeded
-  set of directions and refines the best candidates by alternating
-  maximization.  The result is a lower bound that is tight in practice at
-  the small dimensions used here; it is the norm quoted in reports.
+The map norm quoted in reports is ``superop_norm``, the norm induced by
+the usual matrix operator norm on the algebra.  It maximizes
+``|A(b)| / |b|`` over a fixed seeded set of directions and refines the
+best candidates by alternating maximization.  The result is a lower
+bound that is tight in practice at the small dimensions used here.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ __all__ = [
     "superop_exp",
     "expm_times",
     "superop_norm",
-    "frobenius_norm",
     "choi_matrix",
 ]
 
@@ -125,49 +119,13 @@ class Superoperator:
         rep.flags.writeable = False
         object.__setattr__(self, "rep", rep)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, dim: int) -> "Superoperator":
-        return cls(dim, np.eye(dim * dim, dtype=complex))
-
-    @classmethod
-    def zero(cls, dim: int) -> "Superoperator":
-        return cls(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-
-    @classmethod
-    def left_right(cls, p: np.ndarray, q: np.ndarray) -> "Superoperator":
-        """The map ``b -> p @ b @ q``."""
-        p = np.asarray(p, dtype=complex)
-        q = np.asarray(q, dtype=complex)
-        if p.shape != q.shape or p.shape[0] != p.shape[1]:
-            raise ValueError("left/right factors must be square and of equal size")
-        return cls(p.shape[0], left_right_rep(p, q))
-
-    # -- algebra -----------------------------------------------------------
-
     def apply(self, b: np.ndarray) -> np.ndarray:
         return unvec(self.rep @ vec(b), self.dim)
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Superoperator(self.dim, self.rep @ other.rep)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Superoperator(self.dim, self.rep + other.rep)
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return Superoperator(self.dim, self.rep - other.rep)
-
-    def __mul__(self, scalar) -> "Superoperator":
-        return Superoperator(self.dim, complex(scalar) * self.rep)
-
-    __rmul__ = __mul__
 
     def star_conjugate(self) -> "Superoperator":
         """The map ``b -> (T(b*))*``, the involution-conjugated partner of T.
@@ -262,11 +220,6 @@ def expm_times(rep: np.ndarray, times) -> np.ndarray:
     for _ in range(s):
         dev = 2.0 * dev + dev @ dev
     return dev + np.eye(n)
-
-
-def frobenius_norm(op: Superoperator) -> float:
-    """Exact map norm with Hilbert-Schmidt geometry on the algebra."""
-    return float(np.linalg.norm(op.rep, 2))
 
 
 def _norm_candidates(op: Superoperator, directions: int) -> np.ndarray:

@@ -57,7 +57,6 @@ __all__ = [
     "CpdSemigroup",
     "KolmogorovDecomposition",
     "kolmogorov_decompose",
-    "kernel_to_json_dict",
     "kernel_from_json_dict",
 ]
 
@@ -197,9 +196,6 @@ class CpdWitness:
     lefts: tuple[np.ndarray, ...]
     rights: tuple[np.ndarray, ...]
     form_min_eigenvalue: float
-
-    def form(self, kernel: OperatorKernel) -> np.ndarray:
-        return evaluate_positivity_form(kernel, self.sigmas, self.lefts, self.rights)
 
 
 @dataclass(frozen=True)
@@ -421,23 +417,7 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
     return KolmogorovDecomposition(kernel.labels, d, factors)
 
 
-# -- JSON codec -------------------------------------------------------------
-
-def kernel_to_json_dict(kernel: OperatorKernel) -> dict:
-    """Encode as ``{"dim", "labels", "entries": {"s|t": [[re, im], ...]}}``.
-
-    The d^4 representation entries are stored row-major as [re, im] pairs;
-    the round trip through JSON is exact for double precision values.
-    """
-    for label in kernel.labels:
-        if "|" in label:
-            raise ValueError(f"label {label!r} may not contain '|'")
-    entries = {}
-    for (s, t), op in kernel.entries.items():
-        flat = op.rep.reshape(-1)
-        entries[f"{s}|{t}"] = [[float(z.real), float(z.imag)] for z in flat]
-    return {"dim": kernel.dim, "labels": list(kernel.labels), "entries": entries}
-
+# -- JSON decoding ----------------------------------------------------------
 
 def _is_finite_pair(pair) -> bool:
     """Whether ``pair`` is ``[re, im]`` with both parts finite JSON numbers (not bools)."""
@@ -449,7 +429,11 @@ def _is_finite_pair(pair) -> bool:
 
 
 def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
-    """Decode :func:`kernel_to_json_dict`'s format; any malformed field raises ``ValueError``."""
+    """Decode ``{"dim", "labels", "entries": {"s|t": [[re, im], ...]}}``.
+
+    Each entry lists its map's d^4 representation entries row-major as
+    [re, im] pairs.  Any malformed field raises ``ValueError``.
+    """
     try:
         dim, labels, raw = data["dim"], data["labels"], data["entries"]
     except (KeyError, TypeError) as exc:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Superoperator, dagger, frobenius_norm, left_right_rep, unit_element
+from .algebra import Superoperator, dagger, left_right_rep, unit_element
 from .kernels import OperatorKernel, PositivityReport, is_conditionally_cpd
 
 __all__ = [
@@ -40,21 +40,15 @@ __all__ = [
     "Term",
     "UnitExpression",
     "unit_expression",
-    "twisted_expression",
-    "modified_expression",
     "pair_derivative",
     "ExtendedGenerator",
     "ExtensionPositivityError",
     "extend_generator",
-    "NormalizedUnit",
-    "normalize_unit",
 ]
 
 _FRACTION_TOL = 1e-9
 # A section's value at t = 0 may differ from the unit by this much.
 _UNIT_TOL = 1e-9
-# Normalization: relative tolerance of the selfadjointness and K(1) = 0 checks.
-_NORMALIZE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -154,28 +148,6 @@ class UnitExpression:
 def unit_expression(label: str, dim: int) -> UnitExpression:
     eye = unit_element(dim)
     return UnitExpression(dim, (Term(eye, eye, (Segment(label, 1.0),)),))
-
-
-def twisted_expression(label: str, beta: np.ndarray, dim: int,
-                       side: str = "right") -> UnitExpression:
-    """``y_t = xi_t exp(t beta)`` (side "right") or ``exp(t beta) xi_t`` (side "left")."""
-    eye = unit_element(dim)
-    return UnitExpression(dim, (Term(eye, eye, (Segment(label, 1.0),),
-                                     twist=np.asarray(beta, dtype=complex), twist_side=side),))
-
-
-def modified_expression(base_label: str, lefts: Sequence[np.ndarray],
-                        labels: Sequence[str], rights: Sequence[np.ndarray],
-                        dim: int) -> UnitExpression:
-    """``y_t = xi^0_t + sum_l a_l xi^l_t b_l``; needs ``sum a_l b_l = 0`` for a unit section."""
-    if not (len(lefts) == len(labels) == len(rights)):
-        raise ValueError("lefts, labels and rights must have equal lengths")
-    eye = unit_element(dim)
-    terms = [Term(eye, eye, (Segment(base_label, 1.0),))]
-    for a, label, b in zip(lefts, labels, rights):
-        terms.append(Term(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex),
-                          (Segment(label, 1.0),)))
-    return UnitExpression(dim, tuple(terms))
 
 
 def _merged_segments(t1: Term, t2: Term):
@@ -283,48 +255,3 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Exte
             f"likely {kind})", report)
     return ExtendedGenerator(zeta, kernel, report)
 
-
-@dataclass(frozen=True)
-class NormalizedUnit:
-    expression: UnitExpression
-    extension: ExtendedGenerator
-    beta: np.ndarray
-
-
-def normalize_unit(label: str, generator: OperatorKernel,
-                   h: np.ndarray | None = None, *, side: str = "right") -> NormalizedUnit:
-    """Twist a unit so that the limit unit generates a unital CP semigroup.
-
-    With ``q = generator[label, label](1)`` (which must be selfadjoint),
-    the twist is ``beta = -q/2 + i h`` for an arbitrary selfadjoint ``h``.
-    The extended diagonal K must satisfy ``K(1) = 0``, which decides
-    unitality exactly: ``exp(tK)(1) = 1`` for all t if and only if ``K(1) = 0``.
-    The selfadjointness checks and the ``K(1)`` check are relative to the
-    size of their own inputs, so they do not change when the generator
-    (or ``h``) is multiplied by a positive constant.
-    """
-    if label not in generator.labels:
-        raise KeyError(f"unknown unit label {label!r}")
-    d = generator.dim
-    eye = unit_element(d)
-    q_one = generator[(label, label)].apply(eye)
-    scale = float(np.linalg.norm(q_one, 2))
-    if float(np.linalg.norm(q_one - dagger(q_one), 2)) > _NORMALIZE_TOL * scale:
-        raise ValueError("malformed generator: diagonal value at the unit is not selfadjoint")
-    if h is None:
-        h = np.zeros((d, d))
-    h = np.asarray(h, dtype=complex)
-    if float(np.linalg.norm(h - dagger(h), 2)) > _NORMALIZE_TOL * float(np.linalg.norm(h, 2)):
-        raise ValueError("h must be selfadjoint")
-
-    beta = -q_one / 2.0 + 1j * h
-    expression = twisted_expression(label, beta, d, side=side)
-    extension = extend_generator(expression, generator)
-
-    # K(1) = L(1) + beta* + beta cancels to zero; its rounding scales with the summands.
-    k_at_one = extension.kernel[(extension.zeta, extension.zeta)].apply(eye)
-    k_scale = frobenius_norm(generator[(label, label)]) + 2.0 * float(np.linalg.norm(beta, 2))
-    if float(np.linalg.norm(k_at_one, 2)) > _NORMALIZE_TOL * k_scale:
-        raise ArithmeticError(
-            f"normalization failed: K(1) has norm {np.linalg.norm(k_at_one, 2):.3e}")
-    return NormalizedUnit(expression, extension, beta)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import Superoperator, dagger
+from trotterlab.algebra import Superoperator, dagger, left_right_rep
 from trotterlab.kernels import (
     CpdSemigroup,
     KernelSymmetryError,
@@ -16,12 +16,17 @@ from trotterlab.kernels import (
     is_cpd,
     is_conditionally_cpd,
     kernel_from_json_dict,
-    kernel_to_json_dict,
     kolmogorov_decompose,
     scalar_kernel,
 )
 
-from builders import evaluate, identity_kernel, random_christensen_evans, zero_kernel
+from builders import (
+    evaluate,
+    identity_kernel,
+    kernel_to_json_dict,
+    random_christensen_evans,
+    zero_kernel,
+)
 from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
 
 
@@ -69,14 +74,19 @@ def test_exponential_unit_semigroup_kernels_are_cpd():
         assert np.linalg.eigvalsh((values + values.conj().T) / 2)[0] >= -1e-10
 
 
+def _lopsided_kernel():
+    """Identity diagonal, ``b -> diag(1, 2) b`` above it and zero below: not hermitian."""
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    return OperatorKernel(("a", "b"), 2, {
+        ("a", "a"): Superoperator(2, eye),
+        ("a", "b"): Superoperator(2, left_right_rep(np.diag([1.0, 2.0]), np.eye(2))),
+        ("b", "a"): Superoperator(2, zero),
+        ("b", "b"): Superoperator(2, eye)})
+
+
 def test_is_cpd_rejects_non_hermitian():
-    entries = {("a", "a"): Superoperator.identity(2),
-               ("a", "b"): Superoperator.left_right(np.diag([1.0, 2.0]), np.eye(2)),
-               ("b", "a"): Superoperator.zero(2),
-               ("b", "b"): Superoperator.identity(2)}
-    kernel = OperatorKernel(("a", "b"), 2, entries)
     with pytest.raises(KernelSymmetryError, match="not a kernel candidate"):
-        is_cpd(kernel)
+        is_cpd(_lopsided_kernel())
 
 
 def test_is_cpd_invariant_under_relabeling():
@@ -116,10 +126,10 @@ def test_christensen_evans_form_is_conditionally_cpd():
 def _broken_generator():
     rng = np.random.default_rng(3)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=1.0)
-    bump = Superoperator.left_right(np.diag([1.0, 0.4]), np.diag([1.0, 0.4]))
+    bump = left_right_rep(np.diag([1.0, 0.4]), np.diag([1.0, 0.4]))
     entries = dict(gen.entries)
     for s in ("a", "b"):
-        entries[(s, s)] = entries[(s, s)] - 3.0 * bump
+        entries[(s, s)] = Superoperator(2, entries[(s, s)].rep - 3.0 * bump)
     return OperatorKernel(("a", "b"), 2, entries)
 
 
@@ -128,7 +138,8 @@ def test_broken_generator_fails_with_reusable_witness():
     report = is_conditionally_cpd(broken)
     assert not report.ok
     assert report.witness is not None
-    form = report.witness.form(broken)
+    w = report.witness
+    form = evaluate_positivity_form(broken, w.sigmas, w.lefts, w.rights)
     assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] < -1e-6
 
 
@@ -187,17 +198,11 @@ def test_positivity_verdicts_are_scale_invariant(factor):
         return OperatorKernel(("x",), 2, {("x", "x"): op})
 
     transpose = Superoperator(2, np.eye(4)[[0, 2, 1, 3]])  # b -> b.T
-    assert not is_cpd(one_label(factor * transpose)).ok
-    assert is_cpd(one_label(factor * Superoperator.identity(2))).ok
-    assert is_cpd(one_label(Superoperator.zero(2))).ok
-
-    lopsided = OperatorKernel(("a", "b"), 2, {
-        ("a", "a"): Superoperator.identity(2),
-        ("a", "b"): Superoperator.left_right(np.diag([1.0, 2.0]), np.eye(2)),
-        ("b", "a"): Superoperator.zero(2),
-        ("b", "b"): Superoperator.identity(2)})
+    assert not is_cpd(one_label(Superoperator(2, factor * transpose.rep))).ok
+    assert is_cpd(one_label(Superoperator(2, factor * np.eye(4)))).ok
+    assert is_cpd(one_label(Superoperator(2, np.zeros((4, 4))))).ok
     with pytest.raises(KernelSymmetryError):
-        is_conditionally_cpd(_scaled(lopsided, factor))
+        is_conditionally_cpd(_scaled(_lopsided_kernel(), factor))
 
 
 def _perturbed_generator(rng, labels, d, size):
@@ -209,9 +214,9 @@ def _perturbed_generator(rng, labels, d, size):
                                            + 1j * rng.standard_normal((d * d, d * d))))
             if s == t:
                 raw = Superoperator(d, (raw.rep + raw.star_conjugate().rep) / 2)
-            entries[(s, t)] = entries[(s, t)] + raw
+            entries[(s, t)] = Superoperator(d, entries[(s, t)].rep + raw.rep)
             if s != t:
-                entries[(t, s)] = entries[(t, s)] + raw.star_conjugate()
+                entries[(t, s)] = Superoperator(d, entries[(t, s)].rep + raw.star_conjugate().rep)
     return OperatorKernel(labels, d, entries)
 
 
@@ -241,7 +246,8 @@ def test_exact_gate_agrees_with_sampler_and_schoenberg(seed, dim, n_labels, size
     # Both oracles are sound: a violation either finds refutes the kernel.
     if not sampled_ok:
         assert not report.ok
-        form = sampled_witness.form(kernel)
+        w = sampled_witness
+        form = evaluate_positivity_form(kernel, w.sigmas, w.lefts, w.rights)
         assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] < 0
     if not grid_ok:
         assert not report.ok
@@ -267,7 +273,7 @@ def test_conditional_witness_satisfies_constraint_and_is_negative(seed, dim, n_l
                     for a, b in zip(witness.lefts, witness.rights))
     constraint = sum(a @ b for a, b in zip(witness.lefts, witness.rights))
     assert np.linalg.norm(constraint, 2) <= 1e-10 * magnitude
-    form = witness.form(kernel)
+    form = evaluate_positivity_form(kernel, witness.sigmas, witness.lefts, witness.rights)
     lowest = np.linalg.eigvalsh((form + dagger(form)) / 2)[0]
     assert lowest < 0
     assert witness.form_min_eigenvalue == pytest.approx(lowest, rel=1e-9, abs=1e-12)

@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trotterlab.cli import main
-from trotterlab.kernels import (
-    kernel_to_json_dict,
-    scalar_kernel,
-)
+from trotterlab.kernels import scalar_kernel
 from trotterlab.scenario import (
     ScenarioParseError,
     build_generator,
@@ -21,7 +18,7 @@ from trotterlab.scenario import (
 )
 from trotterlab.units import Segment, Term, UnitExpression
 
-from builders import identity_kernel, random_christensen_evans
+from builders import identity_kernel, kernel_to_json_dict, random_christensen_evans
 
 CE_SCENARIO = """
 dim 2

@@ -6,7 +6,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import Superoperator, dagger, superop_exp, superop_norm, unit_element
+from trotterlab.algebra import (
+    Superoperator,
+    dagger,
+    left_right_rep,
+    superop_exp,
+    superop_norm,
+    unit_element,
+)
 from trotterlab.kernels import (
     CpdSemigroup,
     OperatorKernel,
@@ -29,14 +36,14 @@ from trotterlab.units import (
     Term,
     UnitExpression,
     extend_generator,
-    normalize_unit,
-    twisted_expression,
     unit_expression,
 )
 
 from builders import (
     affine_expression,
     concat_expression,
+    normalize_unit,
+    parse_section,
     prop33_bound_check,
     random_christensen_evans,
 )
@@ -274,14 +281,14 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
                                abs(hi - bounds[i + 1]) <= 1e-12))
             (r1, l1, s, open1, close1), (r2, l2, t, open2, close2) = pieces
             if open1:
-                rep = rep @ Superoperator.left_right(dagger(r1), eye).rep
+                rep = rep @ left_right_rep(dagger(r1), eye)
             if open2:
-                rep = rep @ Superoperator.left_right(eye, r2).rep
+                rep = rep @ left_right_rep(eye, r2)
             rep = rep @ semigroup.entry_rep(s, t, hi - lo)
             if close1:
-                rep = rep @ Superoperator.left_right(dagger(l1), eye).rep
+                rep = rep @ left_right_rep(dagger(l1), eye)
             if close2:
-                rep = rep @ Superoperator.left_right(eye, l2).rep
+                rep = rep @ left_right_rep(eye, l2)
         total += rep
     return total
 
@@ -562,7 +569,7 @@ def test_prop33_gram_gap_against_wrong_limit_does_not_vanish():
 def test_prop33_boundedness_inequality_across_schedule():
     rng = np.random.default_rng(10)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.3)
-    y = twisted_expression("a", np.diag([0.1, -0.2]), 2, side="right")
+    y = parse_section("a*expm(t*B)", gen, B=np.diag([0.1, -0.2]))
     ext = extend_generator(y, gen)
     rows, _, eventually_bounded = prop33_bound_check(y, ext, 1.0, dyadic_schedule(1.0, 3, 8))
     assert eventually_bounded

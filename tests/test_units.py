@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from trotterlab.algebra import Superoperator, dagger, superop_exp, superop_norm, unit_element
+from trotterlab.algebra import (
+    Superoperator,
+    dagger,
+    left_right_rep,
+    superop_exp,
+    superop_norm,
+    unit_element,
+)
 from trotterlab.kernels import (
     OperatorKernel,
     scalar_kernel,
@@ -12,14 +19,17 @@ from trotterlab.units import (
     Segment,
     Term,
     extend_generator,
-    modified_expression,
-    normalize_unit,
     pair_derivative,
-    twisted_expression,
     unit_expression,
 )
 
-from builders import affine_expression, concat_expression, random_christensen_evans
+from builders import (
+    affine_expression,
+    concat_expression,
+    normalize_unit,
+    parse_section,
+    random_christensen_evans,
+)
 from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
 
 
@@ -80,7 +90,7 @@ def test_affine_derivative_closed_form(ce_generator):
 def test_twisted_derivative_closed_form(ce_generator):
     rng = np.random.default_rng(11)
     beta = random_matrix(rng, 2, 0.3)
-    y = twisted_expression("x1", beta, 2, side="right")
+    y = parse_section("x1*expm(t*B)", ce_generator, B=beta)
     derived = pair_derivative(y, y, ce_generator)
     eye = np.eye(2)
     expected = (ce_generator[("x1", "x1")].rep
@@ -111,11 +121,11 @@ def test_finite_difference_consistency(ce_generator):
     expressions = [
         unit_expression("x1", 2),
         affine_expression([1.5, -0.5], ["x1", "x2"], 2),
-        twisted_expression("x2", random_matrix(rng, 2, 0.3), 2, side="left"),
+        parse_section("expm(t*B)*x2", ce_generator, B=random_matrix(rng, 2, 0.3)),
         concat_expression([("x1", 0.25), ("x3", 0.75)], 2),
-        modified_expression("x1", [a, -a], ["x2", "x3"], [b, b], 2),
+        parse_section("x1 + A*x2*B - A*x3*B", ce_generator, A=a, B=b),
     ]
-    ident = Superoperator.identity(2)
+    ident = np.eye(4)
     for e1 in expressions:
         for e2 in expressions:
             derived = pair_derivative(e1, e2, ce_generator)
@@ -123,8 +133,8 @@ def test_finite_difference_consistency(ce_generator):
             errors = []
             for t in times:
                 part = Partition((t,))
-                quotient = (eval_pairing(e1, part, e2, part, ce_generator) - ident) * (1.0 / t)
-                errors.append(max(superop_norm(quotient - derived), 1e-15))
+                quotient = (eval_pairing(e1, part, e2, part, ce_generator).rep - ident) * (1.0 / t)
+                errors.append(max(superop_norm(Superoperator(2, quotient - derived.rep)), 1e-15))
             slope = np.polyfit(np.log(times), np.log(errors), 1)[0]
             assert slope >= 0.9 or errors[0] < 1e-12
 
@@ -133,8 +143,8 @@ def test_hermitian_coherence(ce_generator):
     rng = np.random.default_rng(13)
     a = random_matrix(rng, 2)
     b = random_matrix(rng, 2)
-    e1 = modified_expression("x1", [a, -a], ["x2", "x3"], [b, b], 2)
-    e2 = twisted_expression("x2", random_matrix(rng, 2, 0.4), 2, side="right")
+    e1 = parse_section("x1 + A*x2*B - A*x3*B", ce_generator, A=a, B=b)
+    e2 = parse_section("x2*expm(t*B)", ce_generator, B=random_matrix(rng, 2, 0.4))
     forward = pair_derivative(e1, e2, ce_generator)
     backward = pair_derivative(e2, e1, ce_generator)
     assert np.max(np.abs(forward.rep - backward.star_conjugate().rep)) <= 1e-10
@@ -190,7 +200,7 @@ def test_modified_expression_extension_matches_bilinear_forms(ce_generator):
     b1 = random_matrix(rng, 2, 0.6)
     a2 = -a1 @ b1
     b2 = np.eye(2, dtype=complex)
-    y = modified_expression("x1", [a1, a2], ["x2", "x3"], [b1, b2], 2)
+    y = parse_section("x1 + A1*x2*B1 + A2*x3*B2", ce_generator, A1=a1, B1=b1, A2=a2, B2=b2)
     ext = extend_generator(y, ce_generator)
 
     # Bilinear closed form over all term pairs, base unit included.
@@ -261,8 +271,8 @@ def test_normalize_ce_generator_is_unital(ce_generator):
 def test_left_and_right_twists_extend_equally(ce_generator):
     rng = np.random.default_rng(15)
     beta = random_matrix(rng, 2, 0.4)
-    left = extend_generator(twisted_expression("x1", beta, 2, side="left"), ce_generator)
-    right = extend_generator(twisted_expression("x1", beta, 2, side="right"), ce_generator)
+    left = extend_generator(parse_section("expm(t*B)*x1", ce_generator, B=beta), ce_generator)
+    right = extend_generator(parse_section("x1*expm(t*B)", ce_generator, B=beta), ce_generator)
     assert left.kernel.labels == right.kernel.labels
     assert max(np.max(np.abs(op.rep - right.kernel[pair].rep))
                for pair, op in left.kernel.entries.items()) <= 1e-9
@@ -273,7 +283,7 @@ def test_normalize_rejects_bad_inputs(ce_generator):
         normalize_unit("nope", ce_generator)
     with pytest.raises(ValueError, match="selfadjoint"):
         normalize_unit("x1", ce_generator, h=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    skew = Superoperator.left_right(np.array([[1j, 0.0], [0.0, -1j]]), np.eye(2))
+    skew = Superoperator(2, left_right_rep(np.array([[1j, 0.0], [0.0, -1j]]), np.eye(2)))
     malformed = OperatorKernel(("xi",), 2, {("xi", "xi"): skew})
     with pytest.raises(ValueError, match="malformed generator"):
         normalize_unit("xi", malformed)
@@ -282,7 +292,8 @@ def test_normalize_rejects_bad_inputs(ce_generator):
 @pytest.mark.parametrize("c", [1.0, 1e-12])
 def test_normalize_selfadjointness_checks_are_scale_invariant(c):
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    generator = OperatorKernel(("xi",), 2, {("xi", "xi"): Superoperator.left_right(c * a, np.eye(2))})
+    entry = Superoperator(2, left_right_rep(c * a, np.eye(2)))
+    generator = OperatorKernel(("xi",), 2, {("xi", "xi"): entry})
     with pytest.raises(ValueError, match="not selfadjoint"):
         normalize_unit("xi", generator)
     with pytest.raises(ValueError, match="h must be selfadjoint"):
