@@ -469,8 +469,12 @@ def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
     units.  With ``candidate`` set, the criterion pairing is taken
     against that ambient unit instead, which tests whether the section
     converges to it; the limit gram stays the one the extension predicts.
-    A pairing or limit map that overflows is not finite, and raises
-    ``ValueError`` naming the partition size.
+    Each ambient defect compares the pairing of unit ``s`` with the
+    section against ``s``'s pairing with the target (the adjoined label,
+    or the candidate), so a candidate that the products do not approach
+    even weakly leaves a finite ambient defect.  A pairing or limit map
+    that overflows is not finite, and raises ``ValueError`` naming the
+    partition size.
     """
     kernel, zeta = extension.kernel, extension.zeta
     semigroup = CpdSemigroup(kernel)
@@ -488,7 +492,7 @@ def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
     limit_gram_one = limit_gram.apply(eye)
     target_gram_one = (limit_gram_one if candidate is None
                        else semigroup.entry(target, target, horizon).apply(eye))
-    ambient_limits = {s: semigroup.entry(s, zeta, horizon).apply(eye) for s in ambient_labels}
+    ambient_limits = {s: semigroup.entry(s, target, horizon).apply(eye) for s in ambient_labels}
     limits = [limit_gram.rep, target_gram_one, *ambient_limits.values()]
 
     schedule = sorted(schedule, key=lambda p: p.norm, reverse=True)

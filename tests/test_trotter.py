@@ -388,6 +388,17 @@ def test_counterexample_verdicts():
     assert against_limit.verdict == "weak-only"
 
 
+def test_candidate_not_approached_even_weakly_is_divergent():
+    # <v, y_P> = e^{1/2} on every partition, while <v, u> = 1: the products
+    # do not approach u even weakly, although the criterion plateaus.
+    gen = scalar_counterexample_generator()
+    y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
+    report = convergence_verdict(y, extend_generator(y, gen), 1.0, dyadic_schedule(1.0, 3, 6),
+                                 candidate="u")
+    assert report.verdict == "divergent"
+    assert report.ambient_defects["v"] == pytest.approx([np.exp(0.5) - 1.0] * 4, abs=1e-12)
+
+
 def test_norm_defect_identity_reassembled_from_fresh_pairings():
     rng = np.random.default_rng(6)
     gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.3)
