@@ -1,7 +1,8 @@
 """Scenario files: a line-oriented declarative format for experiment runs.
 
 The file is UTF-8.  One directive per line, in any order; ``#`` starts a
-comment; blank lines are ignored.  ``dim``, ``labels``, ``generator``,
+comment; blank lines are ignored.  Fields are separated by whitespace
+(spaces or tabs).  ``dim``, ``labels``, ``generator``,
 ``horizon``, ``schedule`` and ``seed`` appear at most once, the others once
 per name:
 
@@ -252,6 +253,12 @@ def parse_expression(text: str, dim: int, labels: tuple[str, ...],
 
 # -- scenario parsing ---------------------------------------------------------
 
+def _first_field(text: str) -> tuple[str, str]:
+    """``text``'s first whitespace-separated field and the rest ("" where missing)."""
+    first, rest = (text.split(None, 1) + ["", ""])[:2]
+    return first, rest
+
+
 def _parse_matrix(text: str, line: int) -> np.ndarray:
     try:
         matrix = np.asarray(ast.literal_eval(text), dtype=complex)
@@ -308,10 +315,9 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, rest = _first_field(line)
         if head not in _DIRECTIVES:
             raise ScenarioParseError(f"unknown directive {head!r}", line_no)
-        rest = rest.strip()
         # A single directive may appear once, any other once per name (or field).
         key = (head,) if head in _SINGLE_DIRECTIVES else (head, re.match(r"[^\s=]*", rest)[0])
         if key in directives:
@@ -334,8 +340,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(set(sc.labels)) != len(sc.labels):
                 raise ScenarioParseError("duplicate labels", line_no)
         elif head == "generator":
-            sc.generator_kind, _, payload = rest.partition(" ")
-            payload = payload.strip()
+            sc.generator_kind, payload = _first_field(rest)
             if sc.generator_kind == "gamma":
                 sc.gamma = _parse_matrix(payload, line_no)
                 n = len(sc.labels)
@@ -356,8 +361,8 @@ def parse_scenario(text: str) -> Scenario:
             else:
                 raise ScenarioParseError(f"unknown generator kind {sc.generator_kind!r}", line_no)
         elif head in ("eta", "beta"):
-            label, _, payload = rest.partition(" ")
-            matrix = _parse_matrix(payload.strip(), line_no)
+            label, payload = _first_field(rest)
+            matrix = _parse_matrix(payload, line_no)
             if sc.generator_kind != "ce":
                 raise ScenarioParseError(f"{head} {label!r} needs 'generator ce'", line_no)
             if label not in sc.labels:
@@ -367,9 +372,9 @@ def parse_scenario(text: str) -> Scenario:
                                          f"expected ({sc.dim}, {sc.dim})", line_no)
             (sc.eta if head == "eta" else sc.beta)[label] = matrix
         elif head == "matrix":
-            name, _, payload = rest.partition(" ")
+            name, payload = _first_field(rest)
             name = _parse_name("matrix", name, line_no)
-            sc.matrices[name] = _parse_matrix(payload.strip(), line_no)
+            sc.matrices[name] = _parse_matrix(payload, line_no)
             if name in sc.labels:
                 raise ScenarioParseError(f"matrix {name!r} has the name of a unit label", line_no)
         elif head == "expression":

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from trotterlab.cli import main
 from trotterlab.kernels import scalar_kernel
 from trotterlab.scenario import (
+    _DIRECTIVES,
     ScenarioParseError,
     build_generator,
     build_schedule,
@@ -190,6 +191,21 @@ def test_scenario_error_reporting():
         parse_scenario("dim 1\nlabels u\n")
     with pytest.raises(ScenarioParseError):
         parse_scenario("dim 1\nlabels u\ngenerator gamma [[0]]\nexpect y weak-only\n")
+
+
+EVERY_DIRECTIVE_SCENARIO = CE_SCENARIO + "threshold convergent_defect 1e-5\ncandidate z xi1\n"
+GAMMA_SCENARIO = "dim 1\nlabels u v\ngenerator gamma [[1.0, 0.5], [0.5, 1.0]]\nexpression y = u\n"
+
+
+@pytest.mark.parametrize("text, directive", [
+    *((EVERY_DIRECTIVE_SCENARIO, head) for head in sorted(_DIRECTIVES)),
+    (GAMMA_SCENARIO, "generator")], ids=[*sorted(_DIRECTIVES), "generator-gamma"])
+def test_directive_fields_split_at_tabs(text, directive):
+    lines = text.splitlines()
+    tabbed = [line.replace(" ", "\t") if line.split(" ", 1)[0] == directive else line
+              for line in lines]
+    assert tabbed != lines
+    assert repr(parse_scenario("\n".join(tabbed))) == repr(parse_scenario(text))
 
 
 @pytest.mark.parametrize("bad", ["dim two", "horizon abc", "horizon inf", "seed 1.5", "seed -1",
