@@ -33,8 +33,10 @@ SCHOENBERG_GRID = tuple(np.geomspace(1e-3, 1.0, 12))
 def constrained_tuple(kernel: OperatorKernel, rng: np.random.Generator):
     """Draw (sigmas, lefts, rights) with ``sum_i a_i b_i = 0``.
 
-    The last left factor is drawn invertible (condition number < 1e3) and
-    the last right factor solves the constraint.
+    Each drawn member has a norm log-uniform in [0.1, 10], so that tuples
+    of unequal members are sampled too.  The last left factor is drawn
+    invertible (condition number < 1e3) and the last right factor solves
+    the constraint.
     """
     d = kernel.dim
     n = int(rng.integers(2, 4))
@@ -42,7 +44,7 @@ def constrained_tuple(kernel: OperatorKernel, rng: np.random.Generator):
 
     def draw():
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return m / max(np.linalg.norm(m, 2), 1e-12)
+        return m * (10.0 ** rng.uniform(-1.0, 1.0) / max(np.linalg.norm(m, 2), 1e-12))
 
     lefts = [draw() for _ in range(n)]
     rights = [draw() for _ in range(n - 1)]
