@@ -73,8 +73,7 @@ def affine_expression(coefficients: Sequence[complex], labels: Sequence[str],
 
 def parse_section(text: str, generator: OperatorKernel, **matrices: np.ndarray) -> UnitExpression:
     """The scenario expression ``text`` over ``generator``'s labels, with named matrices."""
-    return parse_expression(text, generator.dim, generator.labels,
-                            {name: np.asarray(m, dtype=complex) for name, m in matrices.items()})
+    return parse_expression(text, generator.dim, generator.labels, matrices)
 
 
 def concat_expression(segments: Sequence[tuple[str, float]], dim: int) -> UnitExpression:
