@@ -1,10 +1,9 @@
 """Scenario files: a line-oriented declarative format for experiment runs.
 
 The file is UTF-8.  One directive per line, in any order; ``#`` starts a
-comment; blank lines are ignored.  Fields are separated by whitespace
-(spaces or tabs).  ``dim``, ``labels``, ``generator``,
-``horizon``, ``schedule`` and ``seed`` appear at most once, the others once
-per name:
+comment; blank lines are ignored; fields are separated by whitespace
+(spaces or tabs).  ``dim``, ``labels``, ``generator``, ``horizon``,
+``schedule`` and ``seed`` appear at most once, the others once per name:
 
     dim N
     labels NAME...
