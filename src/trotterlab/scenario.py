@@ -262,7 +262,10 @@ def _parse_matrix(text: str, line: int) -> np.ndarray:
     try:
         matrix = np.asarray(ast.literal_eval(text), dtype=complex)
     except (ValueError, SyntaxError, TypeError) as exc:
-        raise ScenarioParseError(f"bad matrix literal: {exc}", line) from exc
+        reason = exc
+        if str(exc).startswith("malformed node"):  # it shows the node's memory address
+            reason = f"{text!r} is not a nested list of numbers"
+        raise ScenarioParseError(f"bad matrix literal: {reason}", line) from None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ScenarioParseError(f"matrix literal must be square, got shape {matrix.shape}",
                                  line)

@@ -401,6 +401,18 @@ def test_cli_generator_errors_carry_their_line(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
 
 
+@pytest.mark.parametrize("matrix", ["[[1]+1]", "[[x]]", "[[1, -y]]"])
+def test_malformed_matrix_names_its_text(matrix):
+    # literal_eval's own message names the syntax node by its memory address.
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(f"dim 1\nlabels u\ngenerator gamma {matrix}\nexpression y = u\n")
+        messages.add(str(info.value))
+    assert messages == {f"line 3: bad matrix literal: {matrix!r} is not a nested list of numbers"}
+    assert "0x" not in messages.pop()
+
+
 def test_cli_kernel_document_over_other_labels(tmp_path, capsys):
     (tmp_path / "uv.json").write_text(json.dumps(kernel_to_json_dict(
         scalar_kernel(np.zeros((2, 2)), ("u", "v")))))
