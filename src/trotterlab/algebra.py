@@ -24,6 +24,7 @@ bound that is tight in practice at the small dimensions used here.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -288,12 +289,13 @@ def superop_norm(op: Superoperator) -> float:
     return max(best, float(val.max()))
 
 
-def choi_matrix(op: Superoperator) -> np.ndarray:
-    """The d^2 x d^2 block matrix with (i, j) block ``op(e_ij)``.
+def choi_matrix(rep: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 block matrix with (i, j) block ``op(e_ij)``, for op's representation.
 
     Entry (a, b) of ``op(e_ij)`` is the representation's entry
     ``(a + b*d, i + j*d)``, so the Choi matrix is the representation with
-    its four d-sized axes permuted.
+    the first and last of its four d-sized axes swapped.  A stack of
+    representations on leading axes gives the stack of Choi matrices.
     """
-    d = op.dim
-    return op.rep.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    d = math.isqrt(rep.shape[-1])
+    return rep.reshape(*rep.shape[:-2], d, d, d, d).swapaxes(-4, -1).reshape(rep.shape)

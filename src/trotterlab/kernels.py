@@ -1,9 +1,12 @@
 """Operator-valued kernels on finite label sets and their semigroups.
 
-A kernel assigns a superoperator to every ordered pair of labels.  The
-central notions are complete positive definiteness (the block quadratic
-form ``sum_ij b_i* K^{s_i,s_j}(a_i* a_j) b_j`` is positive for every
-finite tuple) and its conditional variant under the constraint
+A kernel assigns a superoperator to every ordered pair of labels.  Over
+n labels and d x d matrices it is stored as one table of shape
+(n, n, d^2, d^2), whose (i, j) entry is the d^2 x d^2 representation of
+the map for the i-th and j-th labels.  The central notions are complete
+positive definiteness (the block quadratic form
+``sum_ij b_i* K^{s_i,s_j}(a_i* a_j) b_j`` is positive for every finite
+tuple) and its conditional variant under the constraint
 ``sum_i a_i b_i = 0``.  A uniformly continuous semigroup of completely
 positive definite kernels is, entrywise, the exponential of a single
 conditionally completely positive definite generator kernel, and that
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,17 +85,19 @@ class NotCompletelyPositiveError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorKernel:
-    """A kernel on a finite ordered label set with superoperator entries.
+    """A kernel on a finite ordered label set, stored as one table.
 
-    ``entries`` must hold one superoperator for every ordered pair of
-    labels.  Hermitian symmetry, ``K^{t,s}(b) == (K^{s,t}(b*))*``, is not
-    enforced at construction; use :meth:`hermitian_defect` or
+    ``table[i, j]`` is the d^2 x d^2 representation of the entry
+    ``(labels[i], labels[j])``; the table is one read-only complex array of
+    shape (n, n, d^2, d^2), and ``dim`` is read off its last axis.
+    ``kernel[(s, t)]`` is that entry as a :class:`Superoperator`.
+    Hermitian symmetry, ``K^{t,s}(b) == (K^{s,t}(b*))*``, is not enforced
+    at construction; use :meth:`hermitian_defect` or
     :meth:`require_hermitian`.
     """
 
     labels: tuple[str, ...]
-    dim: int
-    entries: Mapping[tuple[str, str], Superoperator]
+    table: np.ndarray
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -100,36 +105,38 @@ class OperatorKernel:
             raise ValueError("a kernel needs at least one label")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
-        entries = dict(self.entries)
-        for s in labels:
-            for t in labels:
-                if (s, t) not in entries:
-                    raise ValueError(f"missing kernel entry ({s}, {t})")
-                if entries[(s, t)].dim != self.dim:
-                    raise ValueError(f"entry ({s}, {t}) has wrong dimension")
+        table = np.array(self.table, dtype=complex)
+        n, d = len(labels), math.isqrt(table.shape[-1])
+        if d < 1 or table.shape != (n, n, d * d, d * d):
+            raise ValueError(f"table shape {table.shape} is not (n, n, d^2, d^2) for {n} labels")
+        table.flags.writeable = False
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.table.shape[-1])
+
+    @property
+    def entries(self) -> dict[tuple[str, str], Superoperator]:
+        """Every entry, keyed by its pair of labels."""
+        return {(s, t): self[(s, t)] for s in self.labels for t in self.labels}
 
     def __getitem__(self, pair: tuple[str, str]) -> Superoperator:
-        return self.entries[pair]
-
-    @classmethod
-    def build(cls, labels: Sequence[str], dim: int,
-              entry: Callable[[str, str], Superoperator]) -> "OperatorKernel":
-        labels = tuple(labels)
-        return cls(labels, dim, {(s, t): entry(s, t) for s in labels for t in labels})
+        s, t = pair
+        return Superoperator(self.dim, self.table[self.labels.index(s), self.labels.index(t)])
 
     def hermitian_defect(self) -> float:
-        """Largest representation-matrix deviation from hermitian symmetry."""
-        worst = 0.0
-        for s in self.labels:
-            for t in self.labels:
-                diff = self.entries[(t, s)].rep - self.entries[(s, t)].star_conjugate().rep
-                worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+        """Largest representation-matrix deviation from hermitian symmetry.
+
+        Each entry of ``block_choi() - block_choi()*`` is, up to sign and
+        conjugation, one entry of the representation of ``K^{t,s} - (K^{s,t})^*``.
+        """
+        block = self.block_choi()
+        return float(np.max(np.abs(block - dagger(block))))
 
     def require_hermitian(self) -> None:
-        scale = max(float(np.max(np.abs(op.rep))) for op in self.entries.values())
+        scale = float(np.max(np.abs(self.table)))
         defect = self.hermitian_defect()
         if defect > _HERMITIAN_TOL * scale:
             raise KernelSymmetryError(
@@ -138,8 +145,8 @@ class OperatorKernel:
 
     def block_choi(self) -> np.ndarray:
         """Block matrix whose (s, t) block is the Choi matrix of entry (s, t)."""
-        return np.block([[choi_matrix(self.entries[(s, t)]) for t in self.labels]
-                         for s in self.labels])
+        n, d2 = self.table.shape[1:3]
+        return choi_matrix(self.table).swapaxes(1, 2).reshape(n * d2, n * d2)
 
 
 def scalar_kernel(matrix: np.ndarray, labels: Sequence[str]) -> OperatorKernel:
@@ -148,11 +155,7 @@ def scalar_kernel(matrix: np.ndarray, labels: Sequence[str]) -> OperatorKernel:
     labels = tuple(labels)
     if matrix.shape != (len(labels), len(labels)):
         raise ValueError("matrix shape does not match the label count")
-    entries = {}
-    for i, s in enumerate(labels):
-        for j, t in enumerate(labels):
-            entries[(s, t)] = Superoperator(1, np.array([[matrix[i, j]]]))
-    return OperatorKernel(labels, 1, entries)
+    return OperatorKernel(labels, matrix[:, :, None, None])
 
 
 def christensen_evans_kernel(labels: Sequence[str], dim: int,
@@ -165,14 +168,12 @@ def christensen_evans_kernel(labels: Sequence[str], dim: int,
     form: the gate tests it like any other kernel.
     """
     eye = np.eye(dim)
-
-    def entry(s: str, t: str) -> Superoperator:
-        rep = (left_right_rep(dagger(eta[s]), np.asarray(eta[t], dtype=complex))
-               + left_right_rep(eye, np.asarray(beta[t], dtype=complex))
-               + left_right_rep(dagger(beta[s]), eye))
-        return Superoperator(dim, rep)
-
-    return OperatorKernel.build(labels, dim, entry)
+    etas = np.array([eta[s] for s in labels], dtype=complex)
+    betas = np.array([beta[s] for s in labels], dtype=complex)
+    table = (left_right_rep(dagger(etas)[:, None], etas[None, :])
+             + left_right_rep(eye, betas)[None, :]
+             + left_right_rep(dagger(betas), eye)[:, None])
+    return OperatorKernel(labels, table)
 
 
 def evaluate_positivity_form(kernel: OperatorKernel, sigmas: Sequence[str],
@@ -231,10 +232,8 @@ def _witness_from_eigenvector(kernel: OperatorKernel, vector: np.ndarray) -> Cpd
     quadratic form equals the Rayleigh quotient of the eigenvector.
     """
     d = kernel.dim
-    d2 = d * d
     sigmas, lefts, rights = [], [], []
-    for idx, s in enumerate(kernel.labels):
-        block = vector[idx * d2:(idx + 1) * d2].reshape(d, d)
+    for s, block in zip(kernel.labels, vector.reshape(-1, d, d)):
         u, sv, vh = np.linalg.svd(block)
         for p in range(d):
             if sv[p] <= 1e-14:
@@ -365,29 +364,22 @@ class CpdSemigroup:
 class KolmogorovDecomposition:
     """Factorization of a completely positive definite kernel.
 
-    ``factors[s]`` is an array of shape (r, d, d); the kernel entries are
-    reproduced as ``K^{s,t}(b) = sum_r factors[s][r]* b factors[t][r]``.
+    ``factors`` has shape (n, r, d, d), one stack of r factors per label;
+    the kernel entries are reproduced as
+    ``K^{labels[i],labels[j]}(b) = sum_r factors[i, r]* b factors[j, r]``.
     """
 
     labels: tuple[str, ...]
-    dim: int
-    factors: Mapping[str, np.ndarray]
+    factors: np.ndarray
 
     @property
     def rank(self) -> int:
-        return next(iter(self.factors.values())).shape[0]
-
-    def reconstruct_entry(self, s: str, t: str) -> Superoperator:
-        rep = left_right_rep(dagger(self.factors[s]), self.factors[t]).sum(axis=0)
-        return Superoperator(self.dim, rep)
+        return self.factors.shape[1]
 
     def max_reconstruction_error(self, kernel: OperatorKernel) -> float:
-        worst = 0.0
-        for s in self.labels:
-            for t in self.labels:
-                diff = self.reconstruct_entry(s, t).rep - kernel[(s, t)].rep
-                worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+        # One row of the table at a time holds n r d^4 terms, not n^2 r d^4.
+        rows = (left_right_rep(dagger(f), self.factors).sum(axis=1) for f in self.factors)
+        return max(float(np.max(np.abs(rep - row))) for rep, row in zip(rows, kernel.table))
 
 
 def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
@@ -395,7 +387,9 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
 
     Requires the kernel to be completely positive definite (the test of
     :func:`is_cpd`, from the same eigendecomposition); eigenvalues below
-    the positivity tolerance raise, tiny negative ripple is clipped.
+    the positivity tolerance raise, tiny negative ripple is clipped.  Each
+    kept eigenvector, scaled by the root of its eigenvalue, holds one
+    factor per label, conjugated, in its label blocks.
     """
     _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
     result = _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL)
@@ -405,16 +399,9 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
             f"(min eigenvalue {result.min_eigenvalue:.3e})", result)
     keep = eigvals > 1e-14 * float(eigvals[-1])
     d = kernel.dim
-    d2 = d * d
-    rank = int(np.count_nonzero(keep))
-    factors = {s: np.zeros((rank, d, d), dtype=complex) for s in kernel.labels}
-    r = 0
-    for lam, vec_col in zip(eigvals[keep], eigvecs[:, keep].T):
-        v = np.sqrt(lam) * vec_col
-        for idx, s in enumerate(kernel.labels):
-            factors[s][r] = v[idx * d2:(idx + 1) * d2].reshape(d, d).conj()
-        r += 1
-    return KolmogorovDecomposition(kernel.labels, d, factors)
+    vectors = (np.sqrt(eigvals[keep]) * eigvecs[:, keep]).T
+    factors = vectors.reshape(-1, len(kernel.labels), d, d).swapaxes(0, 1).conj()
+    return KolmogorovDecomposition(kernel.labels, factors)
 
 
 # -- JSON decoding ----------------------------------------------------------
@@ -453,7 +440,7 @@ def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
     if stray is not None:
         raise ValueError(f"entry key {stray!r} names no pair of declared labels")
     d2 = dim * dim
-    entries = {}
+    reps = []
     for s in labels:
         for t in labels:
             key = f"{s}|{t}"
@@ -466,5 +453,5 @@ def kernel_from_json_dict(data: Mapping) -> OperatorKernel:
             if bad is not None:
                 raise ValueError(f"entry {key!r} holds {bad!r}, not a finite [re, im] pair")
             flat = np.array([complex(re, im) for re, im in pairs])
-            entries[(s, t)] = Superoperator(dim, flat.reshape(d2, d2))
-    return OperatorKernel(labels, dim, entries)
+            reps.append(Superoperator(dim, flat.reshape(d2, d2)).rep)
+    return OperatorKernel(labels, np.reshape(reps, (len(labels),) * 2 + (d2, d2)))

@@ -285,8 +285,7 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
     i1, start1, end1, codes1, open1, close1 = _walk_side(e1, bounds[0], mids, labels, 0)
     i2, start2, end2, codes2, open2, close2 = _walk_side(e2, bounds[1], mids, labels, 1)
 
-    gens = np.array([[generator[(s, t)].rep for t in labels] for s in labels])
-    table = expm_times(gens, np.diff(grid))
+    table = expm_times(generator.table, np.diff(grid))
     exps = table[np.arange(mids.size)[:, None, None], codes1[:, :, None], codes2[:, None, :]]
 
     state = np.eye(d * d, dtype=complex)[None, None]

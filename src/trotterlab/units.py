@@ -202,10 +202,11 @@ class ExtensionPositivityError(ValueError):
 class ExtendedGenerator:
     """Generator kernel extended by a new label for the limit unit of a section.
 
-    The limit row lives in ``kernel`` alone: ``kernel[(zeta, zeta)]`` is
-    the derivative of the section's own pairing, ``kernel[(zeta, s)]``
-    pairs the section against unit ``s``, and ``kernel[(s, zeta)]`` is
-    its hermitian mirror.
+    The limit row lives in ``kernel`` alone, as the last row and column of
+    its table; the rows and columns before it are the generator's table.
+    ``kernel[(zeta, zeta)]`` is the derivative of the section's own
+    pairing, ``kernel[(zeta, s)]`` pairs the section against unit ``s``,
+    and ``kernel[(s, zeta)]`` is its hermitian mirror.
     """
 
     zeta: str
@@ -235,14 +236,15 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Exte
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
+    n, d = len(generator.labels), generator.dim
+    crosses = [pair_derivative(section, unit_expression(s, d), generator)
+               for s in generator.labels]
+    table = np.pad(generator.table, ((0, 1), (0, 1), (0, 0), (0, 0)))
+    table[n, :n] = [cross.rep for cross in crosses]
+    table[:n, n] = [cross.star_conjugate().rep for cross in crosses]
+    table[n, n] = pair_derivative(section, section, generator).rep
     zeta = _fresh_label(generator.labels)
-    entries = dict(generator.entries)
-    entries[(zeta, zeta)] = pair_derivative(section, section, generator)
-    for s in generator.labels:
-        cross = pair_derivative(section, unit_expression(s, generator.dim), generator)
-        entries[(zeta, s)] = cross
-        entries[(s, zeta)] = cross.star_conjugate()
-    kernel = OperatorKernel(generator.labels + (zeta,), generator.dim, entries)
+    kernel = OperatorKernel(generator.labels + (zeta,), table)
 
     report = is_conditionally_cpd(kernel)
     if not report.ok:

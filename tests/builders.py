@@ -11,7 +11,7 @@ reads kernel documents.  Sections the grammar can write (twists
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,15 +29,27 @@ HORIZON_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 _NORMALIZE_TOL = 1e-10
 
 
+def build_kernel(labels: Sequence[str],
+                 entry: Callable[[str, str], Superoperator]) -> OperatorKernel:
+    """The kernel over ``labels`` whose (s, t) entry is ``entry(s, t)``."""
+    return OperatorKernel(labels, [[entry(s, t).rep for t in labels] for s in labels])
+
+
+def kernel_from_entries(labels: Sequence[str],
+                        entries: Mapping[tuple[str, str], Superoperator]) -> OperatorKernel:
+    """The kernel over ``labels`` with one entry per ordered pair of labels."""
+    return build_kernel(labels, lambda s, t: entries[(s, t)])
+
+
 def identity_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
     """Kernel whose every entry is the identity map."""
     ident = Superoperator(dim, np.eye(dim * dim))
-    return OperatorKernel.build(labels, dim, lambda s, t: ident)
+    return build_kernel(labels, lambda s, t: ident)
 
 
 def zero_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
     zero = Superoperator(dim, np.zeros((dim * dim, dim * dim)))
-    return OperatorKernel.build(labels, dim, lambda s, t: zero)
+    return build_kernel(labels, lambda s, t: zero)
 
 
 def random_christensen_evans(labels: Sequence[str], dim: int, rng: np.random.Generator,
@@ -55,9 +67,7 @@ def evaluate(semigroup: CpdSemigroup, time: float) -> OperatorKernel:
     """The kernel ``exp(time * generator)``, entrywise."""
     if time < 0:
         raise ValueError("semigroup evaluation requires time >= 0")
-    return OperatorKernel.build(
-        semigroup.generator.labels, semigroup.generator.dim,
-        lambda s, t: semigroup.entry(s, t, time))
+    return build_kernel(semigroup.generator.labels, lambda s, t: semigroup.entry(s, t, time))
 
 
 def affine_expression(coefficients: Sequence[complex], labels: Sequence[str],

@@ -18,7 +18,6 @@ from trotterlab.fock import (
 )
 from trotterlab.kernels import (
     CpdSemigroup,
-    OperatorKernel,
     evaluate_positivity_form,
     is_cpd,
     is_conditionally_cpd,
@@ -38,6 +37,7 @@ from trotterlab.units import (
 from builders import (
     affine_expression,
     concat_expression,
+    kernel_from_entries,
     normalize_unit,
     parse_section,
     prop33_bound_check,
@@ -271,7 +271,7 @@ def test_criterion_8_property_suites():
                             for l in range(d):
                                 rep[k + l * d, a + b * d] = choi[a * d + k, b * d + l]
                 entries[(s, t)] = Superoperator(d, rep)
-        return OperatorKernel(labels, d, entries)
+        return kernel_from_entries(labels, entries)
 
     agreements = 0
     for trial in range(100):

@@ -22,12 +22,14 @@ from trotterlab.algebra import (
     unvec,
     vec,
 )
-from trotterlab.kernels import KernelSymmetryError, OperatorKernel, is_cpd
+from trotterlab.kernels import KernelSymmetryError, is_cpd
+
+from builders import kernel_from_entries
 
 
 def is_cp(op):
     """Choi's test: ``op`` is completely positive iff its one-label kernel is CPD."""
-    return is_cpd(OperatorKernel(("x",), op.dim, {("x", "x"): op})).ok
+    return is_cpd(kernel_from_entries(("x",), {("x", "x"): op})).ok
 
 
 def random_matrix(rng, d):
@@ -309,7 +311,7 @@ def test_norm_submultiplicative(seed):
 def test_choi_of_identity_is_entangled_projector():
     d = 2
     ident = Superoperator(d, np.eye(d * d))
-    c = choi_matrix(ident)
+    c = choi_matrix(ident.rep)
     phi = sum(np.kron(np.eye(d)[:, i], np.eye(d)[:, i]) for i in range(d))
     assert np.allclose(c, np.outer(phi, phi.conj()))
     assert is_cp(ident)
@@ -328,7 +330,7 @@ def test_transpose_map_not_cp():
     assert np.array_equal(transpose.apply(b), b.T)
     # Eigen-decomposition oracle: the Choi matrix of the transpose at d=2
     # is the swap, with spectrum {1, 1, 1, -1}.
-    eigs = np.linalg.eigvalsh(choi_matrix(transpose))
+    eigs = np.linalg.eigvalsh(choi_matrix(transpose.rep))
     assert eigs[0] == pytest.approx(-1.0, abs=1e-12)
     assert not is_cp(transpose)
 

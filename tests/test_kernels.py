@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trotterlab.algebra import Superoperator, dagger, left_right_rep
+from trotterlab.algebra import Superoperator, choi_matrix, dagger, left_right_rep
 from trotterlab.kernels import (
     CpdSemigroup,
     KernelSymmetryError,
@@ -23,6 +23,7 @@ from trotterlab.kernels import (
 from builders import (
     evaluate,
     identity_kernel,
+    kernel_from_entries,
     kernel_to_json_dict,
     random_christensen_evans,
     zero_kernel,
@@ -77,7 +78,7 @@ def test_exponential_unit_semigroup_kernels_are_cpd():
 def _lopsided_kernel():
     """Identity diagonal, ``b -> diag(1, 2) b`` above it and zero below: not hermitian."""
     eye, zero = np.eye(4), np.zeros((4, 4))
-    return OperatorKernel(("a", "b"), 2, {
+    return kernel_from_entries(("a", "b"), {
         ("a", "a"): Superoperator(2, eye),
         ("a", "b"): Superoperator(2, left_right_rep(np.diag([1.0, 2.0]), np.eye(2))),
         ("b", "a"): Superoperator(2, zero),
@@ -94,12 +95,12 @@ def test_is_cpd_invariant_under_relabeling():
     gen = random_christensen_evans(("a", "b", "c"), 2, rng, scale=0.7)
     kernel = evaluate(CpdSemigroup(gen), 0.4)
     swap = {"a": "c", "b": "b", "c": "a"}
-    permuted = OperatorKernel(("a", "b", "c"), 2, {
+    permuted = kernel_from_entries(("a", "b", "c"), {
         (swap[s], swap[t]): op for (s, t), op in kernel.entries.items()})
     assert is_cpd(kernel).ok == is_cpd(permuted).ok
     bad = scalar_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), ("u", "v"))
     flip = {"u": "v", "v": "u"}
-    flipped = OperatorKernel(("v", "u"), 1, {
+    flipped = kernel_from_entries(("v", "u"), {
         (flip[s], flip[t]): op for (s, t), op in bad.entries.items()})
     assert is_cpd(bad).min_eigenvalue == pytest.approx(is_cpd(flipped).min_eigenvalue)
 
@@ -130,7 +131,7 @@ def _broken_generator():
     entries = dict(gen.entries)
     for s in ("a", "b"):
         entries[(s, s)] = Superoperator(2, entries[(s, s)].rep - 3.0 * bump)
-    return OperatorKernel(("a", "b"), 2, entries)
+    return kernel_from_entries(("a", "b"), entries)
 
 
 def test_broken_generator_fails_with_reusable_witness():
@@ -144,9 +145,9 @@ def test_broken_generator_fails_with_reusable_witness():
 
 
 def _scaled(kernel, factor):
-    return OperatorKernel(kernel.labels, kernel.dim,
-                          {pair: Superoperator(kernel.dim, factor * op.rep)
-                           for pair, op in kernel.entries.items()})
+    return kernel_from_entries(kernel.labels,
+                               {pair: Superoperator(kernel.dim, factor * op.rep)
+                                for pair, op in kernel.entries.items()})
 
 
 def test_conditional_report_records_coverage():
@@ -195,7 +196,7 @@ def test_positivity_verdicts_are_scale_invariant(factor):
     # Single maps: the transpose on 2x2 matrices (Choi spectrum {1, 1, 1, -1})
     # is not completely positive at any scale; the identity and zero maps are.
     def one_label(op):
-        return OperatorKernel(("x",), 2, {("x", "x"): op})
+        return kernel_from_entries(("x",), {("x", "x"): op})
 
     transpose = Superoperator(2, np.eye(4)[[0, 2, 1, 3]])  # b -> b.T
     assert not is_cpd(one_label(Superoperator(2, factor * transpose.rep))).ok
@@ -217,7 +218,7 @@ def _perturbed_generator(rng, labels, d, size):
             entries[(s, t)] = Superoperator(d, entries[(s, t)].rep + raw.rep)
             if s != t:
                 entries[(t, s)] = Superoperator(d, entries[(t, s)].rep + raw.star_conjugate().rep)
-    return OperatorKernel(labels, d, entries)
+    return kernel_from_entries(labels, entries)
 
 
 # Depths (in units of the gate's scale) beyond which each oracle is
@@ -387,7 +388,7 @@ def test_kolmogorov_identity_single_label():
     kernel = identity_kernel(("a",), 2)
     decomposition = kolmogorov_decompose(kernel)
     assert decomposition.rank == 1
-    factor = decomposition.factors["a"][0]
+    factor = decomposition.factors[0][0]
     assert np.allclose(factor @ dagger(factor), np.eye(2))
     assert decomposition.max_reconstruction_error(kernel) <= 1e-12
 
@@ -396,8 +397,8 @@ def test_kolmogorov_rank_one_scalar_kernel():
     kernel = scalar_kernel(np.array([[1.0, 1.0], [1.0, 1.0]]), ("u", "v"))
     decomposition = kolmogorov_decompose(kernel)
     assert decomposition.rank == 1
-    assert decomposition.factors["u"][0] == pytest.approx(decomposition.factors["v"][0])
-    assert abs(decomposition.factors["u"][0][0, 0]) == pytest.approx(1.0)
+    assert decomposition.factors[0][0] == pytest.approx(decomposition.factors[1][0])
+    assert abs(decomposition.factors[0][0][0, 0]) == pytest.approx(1.0)
 
 
 def test_kolmogorov_reconstructs_random_cpd_kernel():
@@ -406,13 +407,93 @@ def test_kolmogorov_reconstructs_random_cpd_kernel():
     kernel = evaluate(CpdSemigroup(gen), 0.6)
     decomposition = kolmogorov_decompose(kernel)
     assert decomposition.max_reconstruction_error(kernel) < 1e-9
-    assert decomposition.factors["a"].shape == (decomposition.rank, 2, 2)
+    assert decomposition.factors.shape == (2, decomposition.rank, 2, 2)
 
 
 def test_kolmogorov_requires_cpd():
     kernel = scalar_kernel(np.array([[1.0, 2.0], [2.0, 1.0]]), ("u", "v"))
     with pytest.raises(NotCompletelyPositiveError):
         kolmogorov_decompose(kernel)
+
+
+# -- the table against per-pair loops -----------------------------------------
+# Each kernel operation reads the whole table at once; these loops build or
+# read it one entry at a time with the same per-element arithmetic, so the
+# two must agree exactly.
+
+def loop_hermitian_defect(kernel):
+    worst = 0.0
+    for s in kernel.labels:
+        for t in kernel.labels:
+            diff = kernel[(t, s)].rep - kernel[(s, t)].star_conjugate().rep
+            worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
+def loop_block_choi(kernel):
+    return np.block([[choi_matrix(kernel[(s, t)].rep) for t in kernel.labels]
+                     for s in kernel.labels])
+
+
+def loop_christensen_evans(labels, dim, eta, beta):
+    eye = np.eye(dim)
+    return {(s, t): left_right_rep(dagger(eta[s]), eta[t]) + left_right_rep(eye, beta[t])
+            + left_right_rep(dagger(beta[s]), eye) for s in labels for t in labels}
+
+
+def loop_reconstruction_error(decomposition, kernel):
+    worst = 0.0
+    for i, s in enumerate(kernel.labels):
+        for j, t in enumerate(kernel.labels):
+            factors = decomposition.factors
+            rep = left_right_rep(dagger(factors[i]), factors[j]).sum(axis=0)
+            worst = max(worst, float(np.max(np.abs(rep - kernel[(s, t)].rep))))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3))
+def test_table_operations_match_per_pair_loops(seed, dim, n_labels):
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"s{i}" for i in range(n_labels))
+    d2 = dim * dim
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    generic = OperatorKernel(labels, draw(n_labels, n_labels, d2, d2))
+    assert generic.hermitian_defect() == loop_hermitian_defect(generic)
+    assert np.array_equal(generic.block_choi(), loop_block_choi(generic))
+
+    eta = {s: draw(dim, dim) for s in labels}
+    beta = {s: draw(dim, dim) for s in labels}
+    ce = christensen_evans_kernel(labels, dim, eta, beta)
+    expected = loop_christensen_evans(labels, dim, eta, beta)
+    assert all(np.array_equal(ce[pair].rep, rep) for pair, rep in expected.items())
+    assert ce.hermitian_defect() == loop_hermitian_defect(ce)
+
+    matrix = draw(n_labels, n_labels)
+    scalar = scalar_kernel(matrix, labels)
+    assert all(scalar[(s, t)].rep == matrix[i, j]
+               for i, s in enumerate(labels) for j, t in enumerate(labels))
+
+    value = evaluate(CpdSemigroup(ce), 0.3 / (1.0 + float(np.max(np.abs(ce.table)))))
+    decomposition = kolmogorov_decompose(value)
+    assert (decomposition.max_reconstruction_error(value)
+            == loop_reconstruction_error(decomposition, value))
+
+
+def test_kernel_table_is_read_only_and_fixes_dim():
+    source = np.zeros((2, 2, 4, 4), dtype=complex)
+    kernel = OperatorKernel(("a", "b"), source)
+    assert kernel.dim == 2 and not kernel.table.flags.writeable
+    with pytest.raises(ValueError):
+        kernel.table[0, 0, 0, 0] = 1.0
+    source[0, 0, 0, 0] = 1.0  # the kernel holds its own copy
+    assert kernel[("a", "a")].rep[0, 0] == 0.0
+    for shape in ((2, 2, 4, 3), (2, 1, 4, 4), (2, 2, 3, 3), (2, 2, 0, 0)):
+        with pytest.raises(ValueError, match="table shape"):
+            OperatorKernel(("a", "b"), np.zeros(shape))
 
 
 # -- JSON codec ----------------------------------------------------------------

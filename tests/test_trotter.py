@@ -16,7 +16,6 @@ from trotterlab.algebra import (
 )
 from trotterlab.kernels import (
     CpdSemigroup,
-    OperatorKernel,
     scalar_kernel,
 )
 from trotterlab.scenario import build_generator, parse_scenario
@@ -41,6 +40,7 @@ from trotterlab.units import (
 
 from builders import (
     affine_expression,
+    build_kernel,
     concat_expression,
     normalize_unit,
     parse_section,
@@ -441,8 +441,7 @@ def affine_42_rescaled(c):
     scenario = parse_scenario(
         (resources.files("trotterlab") / "scenarios" / "affine_42.scenario").read_text())
     gen = build_generator(scenario)
-    scaled = OperatorKernel.build(gen.labels, gen.dim,
-                                  lambda s, t: Superoperator(gen.dim, c * gen[(s, t)].rep))
+    scaled = build_kernel(gen.labels, lambda s, t: Superoperator(gen.dim, c * gen[(s, t)].rep))
     return scenario.expressions["y"], scaled, scenario.horizon / c
 
 

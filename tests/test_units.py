@@ -9,10 +9,7 @@ from trotterlab.algebra import (
     superop_norm,
     unit_element,
 )
-from trotterlab.kernels import (
-    OperatorKernel,
-    scalar_kernel,
-)
+from trotterlab.kernels import scalar_kernel
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import (
     ExtensionPositivityError,
@@ -26,6 +23,7 @@ from trotterlab.units import (
 from builders import (
     affine_expression,
     concat_expression,
+    kernel_from_entries,
     normalize_unit,
     parse_section,
     random_christensen_evans,
@@ -284,7 +282,7 @@ def test_normalize_rejects_bad_inputs(ce_generator):
     with pytest.raises(ValueError, match="selfadjoint"):
         normalize_unit("x1", ce_generator, h=np.array([[0.0, 1.0], [0.0, 0.0]]))
     skew = Superoperator(2, left_right_rep(np.array([[1j, 0.0], [0.0, -1j]]), np.eye(2)))
-    malformed = OperatorKernel(("xi",), 2, {("xi", "xi"): skew})
+    malformed = kernel_from_entries(("xi",), {("xi", "xi"): skew})
     with pytest.raises(ValueError, match="malformed generator"):
         normalize_unit("xi", malformed)
 
@@ -293,7 +291,7 @@ def test_normalize_rejects_bad_inputs(ce_generator):
 def test_normalize_selfadjointness_checks_are_scale_invariant(c):
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     entry = Superoperator(2, left_right_rep(c * a, np.eye(2)))
-    generator = OperatorKernel(("xi",), 2, {("xi", "xi"): entry})
+    generator = kernel_from_entries(("xi",), {("xi", "xi"): entry})
     with pytest.raises(ValueError, match="not selfadjoint"):
         normalize_unit("xi", generator)
     with pytest.raises(ValueError, match="h must be selfadjoint"):
