@@ -482,16 +482,16 @@ def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
     eye = unit_element(d)
 
     target = candidate if candidate is not None else zeta
-    if target not in kernel.labels:
-        raise KeyError(f"unknown target label {target!r}")
+    if candidate is not None and candidate not in ambient_labels:
+        raise KeyError(f"candidate {candidate!r} is not an ambient unit label")
     target_kind = "ambient" if candidate is not None else "adjoined"
     target_expr = unit_expression(target, d)
 
     limit_gram = semigroup.entry(zeta, zeta, horizon)  # pairing of the limit with itself
     limit_gram_one = limit_gram.apply(eye)
-    target_gram_one = (limit_gram_one if candidate is None
-                       else semigroup.entry(target, target, horizon).apply(eye))
     ambient_limits = {s: semigroup.entry(s, target, horizon).apply(eye) for s in ambient_labels}
+    # A candidate is ambient, so its own gram is among the ambient limits.
+    target_gram_one = limit_gram_one if candidate is None else ambient_limits[target]
     limits = [limit_gram.rep, target_gram_one, *ambient_limits.values()]
 
     schedule = sorted(schedule, key=lambda p: p.norm, reverse=True)

@@ -475,7 +475,8 @@ def test_walk_pairing_is_invariant_under_time_rescaling(c):
 @pytest.mark.parametrize("scenario, candidate", [("affine_42", None),
                                                    ("counterexample_41", "w")])
 def test_one_exponential_per_limit(monkeypatch, scenario, candidate):
-    # The limit gram, the candidate's gram if one is set, and one ambient limit per label.
+    # The limit gram and one ambient limit per label; a candidate is ambient,
+    # so its own gram is one of those and takes no exponential of its own.
     parsed = parse_scenario(
         (resources.files("trotterlab") / "scenarios" / f"{scenario}.scenario").read_text())
     gen = build_generator(parsed)
@@ -486,7 +487,7 @@ def test_one_exponential_per_limit(monkeypatch, scenario, candidate):
     monkeypatch.setattr(scipy.linalg, "expm", lambda *args: calls.append(1) or expm(*args))
     convergence_verdict(y, ext, parsed.horizon, dyadic_schedule(parsed.horizon, 3, 4),
                         candidate=candidate)
-    assert len(calls) == (1 if candidate is None else 2) + len(gen.labels)
+    assert len(calls) == 1 + len(gen.labels)
 
 
 def test_report_serialization(tmp_path):
