@@ -145,9 +145,7 @@ def test_broken_generator_fails_with_reusable_witness():
 
 
 def _scaled(kernel, factor):
-    return kernel_from_entries(kernel.labels,
-                               {pair: Superoperator(kernel.dim, factor * op.rep)
-                                for pair, op in kernel.entries.items()})
+    return OperatorKernel(kernel.labels, factor * kernel.table)
 
 
 def test_conditional_report_records_coverage():
@@ -442,10 +440,9 @@ def loop_christensen_evans(labels, dim, eta, beta):
 
 
 def loop_reconstruction_error(decomposition, kernel):
-    worst = 0.0
+    worst, factors = 0.0, decomposition.factors
     for i, s in enumerate(kernel.labels):
         for j, t in enumerate(kernel.labels):
-            factors = decomposition.factors
             rep = left_right_rep(dagger(factors[i]), factors[j]).sum(axis=0)
             worst = max(worst, float(np.max(np.abs(rep - kernel[(s, t)].rep))))
     return worst

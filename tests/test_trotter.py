@@ -7,7 +7,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from trotterlab.algebra import (
-    Superoperator,
     dagger,
     left_right_rep,
     superop_exp,
@@ -16,6 +15,7 @@ from trotterlab.algebra import (
 )
 from trotterlab.kernels import (
     CpdSemigroup,
+    OperatorKernel,
     scalar_kernel,
 )
 from trotterlab.scenario import build_generator, parse_scenario
@@ -40,7 +40,6 @@ from trotterlab.units import (
 
 from builders import (
     affine_expression,
-    build_kernel,
     concat_expression,
     normalize_unit,
     parse_section,
@@ -441,7 +440,7 @@ def affine_42_rescaled(c):
     scenario = parse_scenario(
         (resources.files("trotterlab") / "scenarios" / "affine_42.scenario").read_text())
     gen = build_generator(scenario)
-    scaled = build_kernel(gen.labels, lambda s, t: Superoperator(gen.dim, c * gen[(s, t)].rep))
+    scaled = OperatorKernel(gen.labels, c * gen.table)
     return scenario.expressions["y"], scaled, scenario.horizon / c
 
 
