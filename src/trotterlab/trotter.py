@@ -38,9 +38,13 @@ caller in this module) or by a transfer walk over both sides' events.
 
 Every matrix exponential here is a semigroup ``exp(w L)`` at many times
 ``w``, which :func:`trotterlab.algebra.expm_times` evaluates as one batch:
-one (times x degree) by (degree x table) matmul per (label pair, segment
-fraction), per twisted term, or per generator table, plus s stacked
-squarings, with s the scaling exponent of the largest time.
+one (times x degree) by (degree x table) matmul plus s stacked squarings,
+with s the scaling exponent of the largest time.  A same-partition
+pairing makes one such call per chunk of its intervals, on the stack of
+every (segment fraction, label pair) entry it needs, plus one per twisted
+term and chunk; it holds one chunk at a time, so its memory does not grow
+with the partition.  The walk makes one call on the generator table,
+plus one per twisted term.
 """
 
 from __future__ import annotations
@@ -80,6 +84,12 @@ __all__ = [
 _LENGTH_TOL = 1e-12
 # Defects at or below this are rounding noise and do not enter rate fits.
 _RATE_FLOOR = 1e-13
+# A same-partition pairing exponentiates its stacked generator entries for
+# a chunk of intervals at a time: as many as fit this many bytes, at least
+# the floor.  Larger budgets ran slower at d = 2; without the floor, d >= 4
+# gets 1-4 intervals per chunk and pays numpy call overhead on each.
+_CHUNK_BYTES = 128 * 1024
+_CHUNK_MIN_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -159,14 +169,14 @@ def _open_mult(term: Term, width) -> np.ndarray:
     the multipliers stacked along a leading axis.
     """
     if term.twist_side == "right":
-        return expm_times(term.twist, width) @ term.right
+        return _stack_matmul(expm_times(term.twist, width), term.right)
     return term.right
 
 
 def _close_mult(term: Term, width) -> np.ndarray:
     """Multiplier entering at an interval's latest end (left factor); see :func:`_open_mult`."""
     if term.twist_side == "left":
-        return term.left @ expm_times(term.twist, width)
+        return _stack_matmul(term.left, expm_times(term.twist, width))
     return term.left
 
 
@@ -195,9 +205,12 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
       to the g-th power; both sides cut at every multiple of t/g, where
       the walk's state sums to a single map, so the product splits into g
       equal factors; O(log g) products of d^2 x d^2 matrices;
-    * otherwise the same partition on both sides: every interval's block
-      at once, then their ordered product (:func:`_batched_pairing`); O(n)
-      work in O(log n) stacked numpy calls and O(n d^4) memory;
+    * otherwise the same partition on both sides: the interval blocks of
+      one time-ordered chunk of intervals at a time, each chunk's ordered
+      product folded into the running one (:func:`_batched_pairing`); O(n)
+      work in O(n / chunk * log chunk) stacked numpy calls, and
+      O(chunk * keys * d^4) memory whatever n, with keys the distinct
+      (segment fraction, label pair) entries;
     * otherwise the transfer walk over the N events of the common
       refinement and the segment cuts (:func:`_walk_pairing`); O(N) numpy
       steps on a (terms1, terms2, d^2, d^2) state, with the multipliers
@@ -206,9 +219,9 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
       exponential of the generator table at every event width.
 
     The exponentials come from :func:`trotterlab.algebra.expm_times`: one
-    matmul per (label pair, segment fraction) and per twisted term, plus
-    s stacked squarings (2^s bounds the largest time times the generator's
-    1-norm).
+    matmul per chunk of stacked (label pair, segment fraction) entries and
+    per twisted term, plus s stacked squarings (2^s bounds the largest time
+    times the generator's 1-norm).
     """
     length = p1.length
     if abs(length - p2.length) > _LENGTH_TOL * length:
@@ -236,24 +249,67 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     On an interval of width w the pairing is the block
     ``B(w) = sum over term pairs of open @ (product of segment exponentials) @ close``,
     with the segments of a term pair taken over the union of its two
-    terms' cut fractions.  The blocks of all distinct widths are built
-    with one :func:`trotterlab.algebra.expm_times` call per segment of
-    each term pair and per twisted term, each one matmul over the
-    distinct widths plus s stacked squarings, and multiplied in time
-    order, earliest leftmost.
+    terms' cut fractions.  The distinct (segment fraction, label1, label2)
+    keys of all term pairs are stacked once, as ``fraction * generator[(s, t)]``.
+    The intervals are then taken in time-ordered chunks of
+    ``max(_CHUNK_MIN_INTERVALS, _CHUNK_BYTES // stack bytes)``.  Per chunk:
+
+    * one :func:`trotterlab.algebra.expm_times` call exponentiates the whole
+      stack at the chunk's distinct widths, laid out key-major;
+    * each twisted term makes one more call, for its multipliers;
+    * every product of a constant multiplier with a stack is one GEMM
+      (:func:`_stack_matmul`);
+    * the chunk's blocks are multiplied in time order, earliest leftmost,
+      by :func:`_tree_product`, and the chunk product is folded into the
+      running product from the right.
+
+    Work is O(n * keys * d^6) in O(n / chunk) rounds of stacked numpy
+    calls; memory is O(chunk * keys * d^4), however long the partition.
     """
-    widths, inverse = np.unique(np.asarray(partition.parts), return_inverse=True)
-    d2 = generator.dim ** 2
-    blocks = np.zeros((widths.size, d2, d2), dtype=complex)
-    mults2 = [(_open_mult(t2, widths), _close_mult(t2, widths)) for t2 in e2.terms]
-    for t1 in e1.terms:
-        open1, close1 = _open_mult(t1, widths), _close_mult(t1, widths)
-        for t2, (open2, close2) in zip(e2.terms, mults2):
+    keys: dict[tuple[float, str, str], int] = {}
+    pairs = [(i, j, [keys.setdefault(key, len(keys)) for key in _merged_segments(t1, t2)])
+             for i, t1 in enumerate(e1.terms) for j, t2 in enumerate(e2.terms)]
+    stack = np.stack([fraction * generator[(s, t)].rep for fraction, s, t in keys])
+    step = max(_CHUNK_MIN_INTERVALS, _CHUNK_BYTES // stack.nbytes)
+    parts = np.asarray(partition.parts)
+    total = None
+    for start in range(0, parts.size, step):
+        widths, inverse = np.unique(parts[start:start + step], return_inverse=True)
+        exps = np.ascontiguousarray(expm_times(stack, widths).swapaxes(0, 1))
+        mults1, mults2 = ([(_open_mult(t, widths), _close_mult(t, widths)) for t in e.terms]
+                          for e in (e1, e2))
+        blocks = 0.0
+        for i, j, chain in pairs:
+            (open1, close1), (open2, close2) = mults1[i], mults2[j]
             acc = left_right_rep(dagger(open1), open2)
-            for fraction, s, t in _merged_segments(t1, t2):
-                acc = acc @ expm_times(generator[(s, t)].rep, fraction * widths)
-            blocks += acc @ left_right_rep(dagger(close1), close2)
-    return Superoperator(generator.dim, _tree_product(blocks[inverse]))
+            for k in chain:
+                acc = _stack_matmul(acc, exps[k])
+            blocks = blocks + _stack_matmul(acc, left_right_rep(dagger(close1), close2))
+        product = _tree_product(blocks[inverse])
+        total = product if total is None else total @ product
+    return Superoperator(generator.dim, total)
+
+
+def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` where either may be a stack; one GEMM when the other is a single matrix.
+
+    A matrix times an (n, r, c) stack broadcast by ``@`` runs one small
+    GEMM per slice; laid side by side, the stack is one (r, n * c) or
+    (n * r, c) operand instead.  A single matrix that is a multiple of
+    the identity, as the multipliers of affine sections are, scales the
+    stack instead.
+    """
+    if a.ndim == b.ndim:
+        return a @ b
+    const, stack = (a, b) if a.ndim == 2 else (b, a)
+    scale = const[0, 0]
+    if np.array_equal(const, scale * np.eye(len(const))):
+        return stack if scale == 1 else scale * stack
+    n, r, c = stack.shape
+    if a.ndim == 2:
+        flat = a @ b.transpose(1, 0, 2).reshape(r, n * c)
+        return flat.reshape(-1, n, c).transpose(1, 0, 2)
+    return (a.reshape(n * r, c) @ b).reshape(n, r, -1)
 
 
 def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
