@@ -4,10 +4,11 @@ from importlib import resources
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trotterlab.algebra import (
     dagger,
+    expm_times,
     left_right_rep,
     superop_exp,
     superop_norm,
@@ -231,6 +232,64 @@ def test_batched_pairing_matches_walk(seed, dim, terms1, terms2, parts):
     batched = eval_pairing(e1, partition, e2, partition, gen).rep
     walk = _walk_pairing(e1, partition, e2, partition, gen).rep
     assert np.max(np.abs(batched - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 300), st.integers(1, 6), st.integers(1, 40))
+def test_chunked_pairing_matches_walk(monkeypatch, seed, dim, terms1, terms2, parts, pool,
+                                      chunk):
+    # Chunks of `chunk` intervals; widths drawn from `pool` values recur across chunks.
+    import trotterlab.trotter as trotter
+
+    monkeypatch.setattr(trotter, "_CHUNK_BYTES", 0)
+    monkeypatch.setattr(trotter, "_CHUNK_MIN_INTERVALS", chunk)
+    rng = np.random.default_rng(seed)
+    gen = random_christensen_evans(("a", "b"), dim, rng, scale=0.5)
+    e1 = random_unit_section(rng, dim, terms1)
+    e2 = random_unit_section(rng, dim, terms2)
+    widths = rng.choice(rng.uniform(0.1, 1.0, size=pool), size=parts)
+    partition = Partition(tuple(widths / widths.sum()))
+    chunked = trotter._batched_pairing(e1, e2, partition, gen).rep
+    walk = _walk_pairing(e1, partition, e2, partition, gen).rep
+    assert np.max(np.abs(chunked - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
+
+
+def test_affine_gram_takes_one_exponential_per_chunk(monkeypatch):
+    import trotterlab.trotter as trotter
+
+    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(3), scale=0.05)
+    y = affine_expression([2, -1], ["a", "b"], 2)
+    partition = random_schedule(1.0, 8, seed=42)[-1]
+    calls = []
+
+    def counting(rep, times):
+        calls.append((np.shape(rep), np.size(times)))
+        return expm_times(rep, times)
+
+    monkeypatch.setattr(trotter, "expm_times", counting)
+    eval_pairing(y, partition, y, partition, gen)
+    # Four keys, (a, a) (a, b) (b, a) (b, b) at fraction 1, of 4 x 4 complex entries.
+    step = max(trotter._CHUNK_MIN_INTERVALS, trotter._CHUNK_BYTES // (4 * 4 * 4 * 16))
+    assert len(calls) == -(-partition.size // step) > 1
+    assert all(shape == (4, 4, 4) and size <= step for shape, size in calls)
+
+
+def test_same_partition_pairing_memory_stays_bounded():
+    # 4,096 parts at d = 4.  Holding every interval's blocks at once peaked at 56 MB.
+    import tracemalloc
+
+    gen = random_christensen_evans(("a", "b"), 4, np.random.default_rng(3), scale=0.05)
+    y = affine_expression([2, -1], ["a", "b"], 4)
+    partition = random_schedule(1.0, 8, seed=42)[-1]
+    tracemalloc.start()
+    try:
+        eval_pairing(y, partition, y, partition, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def brute_force_pairing(e1, p1, e2, p2, semigroup):
