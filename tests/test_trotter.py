@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -277,9 +278,7 @@ def test_affine_gram_takes_one_exponential_per_chunk(monkeypatch):
 
 
 def test_same_partition_pairing_memory_stays_bounded():
-    # 4,096 parts at d = 4.  Holding every interval's blocks at once peaked at 56 MB.
-    import tracemalloc
-
+    # 4,096 parts at d = 4; a pairing that holds every interval's block at once peaks at 56 MB.
     gen = random_christensen_evans(("a", "b"), 4, np.random.default_rng(3), scale=0.05)
     y = affine_expression([2, -1], ["a", "b"], 4)
     partition = random_schedule(1.0, 8, seed=42)[-1]
