@@ -86,8 +86,12 @@ _LENGTH_TOL = 1e-12
 _RATE_FLOOR = 1e-13
 # A same-partition pairing exponentiates its stacked generator entries for
 # a chunk of intervals at a time: as many as fit this many bytes, at least
-# the floor.  Larger budgets ran slower at d = 2; without the floor, d >= 4
-# gets 1-4 intervals per chunk and pays numpy call overhead on each.
+# the floor.  The budget sets the chunk at d <= 2, the floor at d >= 3.
+# Larger budgets ran slower at d = 2.  At d = 1 the budget holds whole
+# partitions of 4,096 parts: a fixed 128 intervals instead made
+# counterexample_41 on random:8 take 125 ms rather than 78 ms (medians of
+# 12 fresh processes, 2 vCPU).  Without the floor, d >= 4 gets 1-4
+# intervals per chunk and pays numpy call overhead on each.
 _CHUNK_BYTES = 128 * 1024
 _CHUNK_MIN_INTERVALS = 64
 
@@ -169,14 +173,14 @@ def _open_mult(term: Term, width) -> np.ndarray:
     the multipliers stacked along a leading axis.
     """
     if term.twist_side == "right":
-        return _stack_matmul(expm_times(term.twist, width), term.right)
+        return expm_times(term.twist, width) @ term.right
     return term.right
 
 
 def _close_mult(term: Term, width) -> np.ndarray:
     """Multiplier entering at an interval's latest end (left factor); see :func:`_open_mult`."""
     if term.twist_side == "left":
-        return _stack_matmul(term.left, expm_times(term.twist, width))
+        return term.left @ expm_times(term.twist, width)
     return term.left
 
 
@@ -257,8 +261,8 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     * one :func:`trotterlab.algebra.expm_times` call exponentiates the whole
       stack at the chunk's distinct widths, laid out key-major;
     * each twisted term makes one more call, for its multipliers;
-    * every product of a constant multiplier with a stack is one GEMM
-      (:func:`_stack_matmul`);
+    * a constant multiplier that is a multiple of the identity scales the
+      stack instead of multiplying it (:func:`_stack_matmul`);
     * the chunk's blocks are multiplied in time order, earliest leftmost,
       by :func:`_tree_product`, and the chunk product is folded into the
       running product from the right.
@@ -291,25 +295,17 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
 
 
 def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` where either may be a stack; one GEMM when the other is a single matrix.
+    """``a @ b``, skipping the product where one side is a single multiple of the identity.
 
-    A matrix times an (n, r, c) stack broadcast by ``@`` runs one small
-    GEMM per slice; laid side by side, the stack is one (r, n * c) or
-    (n * r, c) operand instead.  A single matrix that is a multiple of
-    the identity, as the multipliers of affine sections are, scales the
-    stack instead.
+    The multipliers of affine sections are such multiples, so their
+    pairings scale a stack instead of running one small matmul per slice.
     """
-    if a.ndim == b.ndim:
-        return a @ b
-    const, stack = (a, b) if a.ndim == 2 else (b, a)
-    scale = const[0, 0]
-    if np.array_equal(const, scale * np.eye(len(const))):
-        return stack if scale == 1 else scale * stack
-    n, r, c = stack.shape
-    if a.ndim == 2:
-        flat = a @ b.transpose(1, 0, 2).reshape(r, n * c)
-        return flat.reshape(-1, n, c).transpose(1, 0, 2)
-    return (a.reshape(n * r, c) @ b).reshape(n, r, -1)
+    if a.ndim != b.ndim:
+        const, stack = (a, b) if a.ndim == 2 else (b, a)
+        scale = const[0, 0]
+        if np.array_equal(const, scale * np.eye(len(const))):
+            return stack if scale == 1 else scale * stack
+    return a @ b
 
 
 def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
