@@ -213,11 +213,12 @@ def expm_times(rep: np.ndarray, times) -> np.ndarray:
     while rho > 2.0 ** s:
         s += 1
     degree = _taylor_degree(rho / 2.0 ** s)
-    powers = [rep]
-    for _ in range(degree - 1):
-        powers.append(powers[-1] @ rep)
+    powers = np.empty((degree, *rep.shape), dtype=rep.dtype)
+    powers[0] = rep
+    for k in range(1, degree):
+        np.matmul(powers[k - 1], rep, out=powers[k])
     coef = np.cumprod(times.reshape(-1, 1) / 2.0 ** s / np.arange(1, degree + 1), axis=1)
-    dev = (coef @ np.reshape(powers, (degree, -1))).reshape(*times.shape, *rep.shape)
+    dev = (coef @ powers.reshape(degree, -1)).reshape(*times.shape, *rep.shape)
     for _ in range(s):
         dev = 2.0 * dev + dev @ dev
     return dev + np.eye(n)

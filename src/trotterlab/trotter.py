@@ -3,8 +3,8 @@
 A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 time order (earliest interval first); ``parts[0]`` covers ``[0, parts[0])``.
 Partitions of equal length are paired over their common refinement, the
-union of their cut points, which the transfer walk merges into its own
-event grid; no partition object is built for it.
+union of their cut points, which the transfer walk takes into its own
+event grid; two of its points coincide only when they are equal.
 
 A pairing takes a generator kernel.  :func:`convergence_verdict` passes
 the section's extended kernel and reads its limit maps off that kernel's
@@ -65,7 +65,7 @@ from .algebra import (
     unit_element,
 )
 from .kernels import CpdSemigroup, OperatorKernel
-from .units import ExtendedGenerator, Term, UnitExpression, _merged_segments, unit_expression
+from .units import ExtendedGenerator, UnitExpression, _merged_segments, unit_expression
 
 __all__ = [
     "Partition",
@@ -79,11 +79,14 @@ __all__ = [
     "fit_rate",
 ]
 
-# Of equal lengths and of merged walk events, relative to the partition length
-# so that no decision depends on the time unit.
+# Of equal partition lengths, relative to the length so that the decision
+# does not depend on the time unit; no tolerance decides where cuts coincide.
 _LENGTH_TOL = 1e-12
 # Defects at or below this are rounding noise and do not enter rate fits.
 _RATE_FLOOR = 1e-13
+# Draws per random partition.  One fails with probability about 1 - exp(-n * 1e-6),
+# at most 0.4% for n <= 4096, so only a horizon too small for n parts fails them all.
+_SCHEDULE_DRAWS = 100
 # A same-partition pairing exponentiates its stacked generator entries for
 # a chunk of intervals at a time: as many as fit this many bytes, at least
 # the floor.  The budget sets the chunk at d <= 2, the floor at d >= 3.
@@ -134,54 +137,35 @@ class Partition:
         return self.parts
 
 
-def _merge_cuts(cuts: Sequence[float], tol: float) -> list[float]:
-    out: list[float] = []
-    for c in sorted(cuts):
-        if not out or c - out[-1] > tol:
-            out.append(c)
-    return out
-
-
 def dyadic_schedule(length: float, k_min: int, k_max: int) -> list[Partition]:
     """Uniform partitions with 2^k parts, k = k_min..k_max."""
     return [Partition.uniform(length, 2 ** k) for k in range(k_min, k_max + 1)]
 
 
 def random_schedule(length: float, count: int, seed: int = 0) -> list[Partition]:
-    """Random partitions with shrinking norms, exercising the net claim."""
+    """Random partitions with shrinking norms, exercising the net claim.
+
+    A draw with a part narrower than ``1e-6 * length / n`` is redrawn, and
+    ``ValueError`` is raised after ``_SCHEDULE_DRAWS`` failed draws.
+    """
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         n = int(round(8 * 2 ** (i * 9.0 / max(count - 1, 1))))
-        while True:
+        for _ in range(_SCHEDULE_DRAWS):
             cuts = np.sort(rng.uniform(0.0, length, size=n - 1)) if n > 1 else np.array([])
             grid = np.concatenate([[0.0], cuts, [length]])
             widths = np.diff(grid)
             if widths.min(initial=length) > 1e-6 * length / n:
                 break
+        else:
+            raise ValueError(f"no random partition of horizon {length!r} into {n} parts "
+                             f"in {_SCHEDULE_DRAWS} draws; the horizon is too small")
         out.append(Partition(widths))
     return out
 
 
 # -- pairing evaluation -------------------------------------------------------
-
-
-def _open_mult(term: Term, width) -> np.ndarray:
-    """Multiplier entering at an interval's earliest end (right factor).
-
-    ``width`` is one interval width or an array of them; an array gives
-    the multipliers stacked along a leading axis.
-    """
-    if term.twist_side == "right":
-        return expm_times(term.twist, width) @ term.right
-    return term.right
-
-
-def _close_mult(term: Term, width) -> np.ndarray:
-    """Multiplier entering at an interval's latest end (left factor); see :func:`_open_mult`."""
-    if term.twist_side == "left":
-        return term.left @ expm_times(term.twist, width)
-    return term.left
 
 
 def _tree_product(stack: np.ndarray) -> np.ndarray:
@@ -215,8 +199,8 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
       work in O(n / chunk * log chunk) stacked numpy calls, and
       O(chunk * keys * d^4) memory whatever n, with keys the distinct
       (segment fraction, label pair) entries;
-    * otherwise the transfer walk over the N events of the common
-      refinement and the segment cuts (:func:`_walk_pairing`); O(N) numpy
+    * otherwise the transfer walk over the N distinct events of both
+      sides' bounds and segment cuts (:func:`_walk_pairing`); O(N) numpy
       steps on a (terms1, terms2, d^2, d^2) state, with the multipliers
       stacked per interval, O(n * terms * d^4), and the entry exponentials
       per event, O(N * terms1 * terms2 * d^4), gathered from one
@@ -280,8 +264,7 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     for start in range(0, parts.size, step):
         widths, inverse = np.unique(parts[start:start + step], return_inverse=True)
         exps = np.ascontiguousarray(expm_times(stack, widths).swapaxes(0, 1))
-        mults1, mults2 = ([(_open_mult(t, widths), _close_mult(t, widths)) for t in e.terms]
-                          for e in (e1, e2))
+        mults1, mults2 = ([t.end_multipliers(widths) for t in e.terms] for e in (e1, e2))
         blocks = 0.0
         for i, j, chain in pairs:
             (open1, close1), (open2, close2) = mults1[i], mults2[j]
@@ -312,27 +295,30 @@ def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Par
                   generator: OperatorKernel) -> Superoperator:
     """Pairing over arbitrary partitions by a transfer walk over the common refinement.
 
-    The walk visits, in time order, the events of the grid that merges
-    both sides' interval bounds and segment cuts.  Its state holds one map
+    The walk visits, in time order, the events between the distinct points
+    of both sides' interval bounds and segment cuts, both sides ending at
+    the first side's length.  Points a rounding error apart give an event
+    that narrow, so no segment is dropped.  The walk's state holds one map
     per pair of active terms, shape (n1, n2, d^2, d^2).  Where a side's
     interval starts, the state is summed over that side's term axis and
     multiplied by the stacked open multipliers; on every event it is
     multiplied by the entry exponentials of the two sides' labels,
     gathered by label code from the generator table exponentiated at
     every event width; where the interval ends, by the stacked close
-    multipliers.  Side-1 factors ``b -> m* b`` and side-2 factors
-    ``b -> b m`` act on opposite slots and commute, so bounds the two
-    sides share need no step of their own.
+    multipliers (:meth:`trotterlab.units.Term.end_multipliers`).  Side-1
+    factors ``b -> m* b`` and side-2 factors ``b -> b m`` act on opposite
+    slots and commute, so bounds the two sides share need no step of their
+    own, and nearly shared bounds may come in either order.
     Inputs are those :func:`eval_pairing` has validated.
     """
     d, labels = generator.dim, generator.labels
     bounds = [np.concatenate(([0.0], np.cumsum(p.parts))) for p in (p1, p2)]
-    events = [*bounds[0], *bounds[1]]
+    end = bounds[1][-1] = bounds[0][-1]
+    events = [*bounds]
     for expr, b in zip((e1, e2), bounds):
         for term in expr.terms:
-            cuts = b[:-1, None] + np.asarray(term.cut_fractions()) * np.diff(b)[:, None]
-            events.extend(cuts.ravel())
-    grid = np.array(_merge_cuts(events, _LENGTH_TOL * p1.length))
+            events.append((b[:-1, None] + term.cuts * np.diff(b)[:, None]).ravel())
+    grid = np.unique(np.minimum(np.concatenate(events), end))
     mids = (grid[:-1] + grid[1:]) / 2.0
     i1, start1, end1, codes1, open1, close1 = _walk_side(e1, bounds[0], mids, labels, 0)
     i2, start2, end2, codes2, open2, close2 = _walk_side(e2, bounds[1], mids, labels, 1)
@@ -373,9 +359,8 @@ def _walk_side(expr: UnitExpression, bounds: np.ndarray, mids: np.ndarray,
     widths = np.diff(bounds)
     eye = np.eye(expr.dim)
     factors = []
-    for mult in (_open_mult, _close_mult):
-        stack = np.stack([np.broadcast_to(mult(term, widths), (widths.size, *eye.shape))
-                          for term in expr.terms], axis=1)
+    for mults in zip(*(term.end_multipliers(widths) for term in expr.terms)):
+        stack = np.stack([np.broadcast_to(m, (widths.size, *eye.shape)) for m in mults], axis=1)
         rep = left_right_rep(dagger(stack), eye) if axis == 0 else left_right_rep(eye, stack)
         factors.append(np.expand_dims(rep, 2 - axis))
     return index, np.r_[True, change], np.r_[change, True], codes, *factors
@@ -458,6 +443,11 @@ class ConvergenceReport:
 
 def _decide_verdict(criterion: Sequence[float], rate: float | None,
                     ambient_final: float, thr: VerdictThresholds) -> str:
+    """``norm-convergent``, ``weak-only``, or else ``divergent``, which proves nothing.
+
+    A series converging at first order whose finest criterion defect is
+    above the absolute ``convergent_defect`` reads ``divergent`` too.
+    """
     finest = criterion[-1]
     if finest <= thr.convergent_defect and (rate is None or rate >= thr.convergent_rate):
         return "norm-convergent"

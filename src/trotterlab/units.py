@@ -27,12 +27,12 @@ of the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import Superoperator, dagger, left_right_rep, unit_element
+from .algebra import Superoperator, dagger, expm_times, left_right_rep, unit_element
 from .kernels import OperatorKernel, PositivityReport, is_conditionally_cpd
 
 __all__ = [
@@ -63,13 +63,18 @@ class Segment:
 
 @dataclass(frozen=True)
 class Term:
-    """One summand ``left * twist? * chain * twist? * right`` of a section."""
+    """One summand ``left * twist? * chain * twist? * right`` of a section.
+
+    ``cuts``, the chain's interior cut fractions in time order, is computed
+    once here; a chain whose fractions sum to just over 1 still ends at 1.
+    """
 
     left: np.ndarray
     right: np.ndarray
     segments: tuple[Segment, ...]
     twist: np.ndarray | None = None
     twist_side: str = "none"
+    cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         left = np.asarray(self.left, dtype=complex)
@@ -81,10 +86,11 @@ class Term:
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("a term needs at least one segment")
-        total = sum(seg.fraction for seg in segments)
-        if abs(total - 1.0) > _FRACTION_TOL:
-            raise ValueError(f"segment fractions must sum to 1, got {total}")
+        ends = np.cumsum([seg.fraction for seg in segments])
+        if abs(ends[-1] - 1.0) > _FRACTION_TOL:
+            raise ValueError(f"segment fractions must sum to 1, got {ends[-1]}")
         object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "cuts", np.minimum(ends[:-1], 1.0))
         if self.twist_side not in ("none", "left", "right"):
             raise ValueError(f"invalid twist side {self.twist_side!r}")
         if (self.twist is None) != (self.twist_side == "none"):
@@ -99,17 +105,22 @@ class Term:
     def dim(self) -> int:
         return self.left.shape[0]
 
-    def cut_fractions(self) -> tuple[float, ...]:
-        cuts = np.cumsum([seg.fraction for seg in self.segments])[:-1]
-        return tuple(float(c) for c in cuts)
-
     def segment_index(self, fraction):
         """Index of the segment containing ``fraction``, elementwise for an array."""
-        ends = np.cumsum([seg.fraction for seg in self.segments])
-        return np.minimum(np.searchsorted(ends, fraction, side="right"), len(ends) - 1)
+        return np.searchsorted(self.cuts, fraction, side="right")
 
-    def label_at(self, fraction: float) -> str:
-        return self.segments[int(self.segment_index(fraction))].label
+    def end_multipliers(self, width):
+        """The right and left multipliers, entering at an interval's earliest and latest ends.
+
+        A twist ``exp(width * twist)`` joins its declared side; an array of
+        widths stacks a twisted multiplier along a leading axis.
+        """
+        if self.twist_side == "none":
+            return self.right, self.left
+        twist = expm_times(self.twist, width)
+        if self.twist_side == "right":
+            return twist @ self.right, self.left
+        return self.right, self.left @ twist
 
 
 @dataclass(frozen=True)
@@ -150,15 +161,12 @@ def unit_expression(label: str, dim: int) -> UnitExpression:
     return UnitExpression(dim, (Term(eye, eye, (Segment(label, 1.0),)),))
 
 
-def _merged_segments(t1: Term, t2: Term):
-    """Yield (width, label1, label2) over the union of both segment grids."""
-    cuts = sorted(set(t1.cut_fractions()) | set(t2.cut_fractions()))
-    grid = [0.0, *cuts, 1.0]
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        if hi - lo <= 1e-15:
-            continue
-        mid = (lo + hi) / 2.0
-        yield hi - lo, t1.label_at(mid), t2.label_at(mid)
+def _merged_segments(t1: Term, t2: Term) -> list[tuple[float, str, str]]:
+    """(width, label1, label2) over the union of both terms' cut fractions, in time order."""
+    grid = np.unique(np.concatenate(([0.0, 1.0], t1.cuts, t2.cuts)))
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    labels1, labels2 = ([t.segments[i].label for i in t.segment_index(mids)] for t in (t1, t2))
+    return list(zip(np.diff(grid).tolist(), labels1, labels2))
 
 
 def pair_derivative(e1: UnitExpression, e2: UnitExpression,

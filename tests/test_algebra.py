@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -182,6 +184,27 @@ def test_expm_times_scalar_generators_are_np_exp():
     got = expm_times(rep, times)
     assert got.shape == (2, 2, 2, 1, 1)
     assert np.array_equal(got, np.exp(times[..., None, None, None] * rep))
+
+
+def test_expm_times_keeps_one_copy_of_the_taylor_powers():
+    # At this norm the Taylor degree is 14: the powers take 14 tables, and a
+    # second copy of them, made for the coefficient product, 28.
+    rng = np.random.default_rng(0)
+    table = rng.standard_normal((8, 32, 32)) + 1j * rng.standard_normal((8, 32, 32))
+    table /= np.abs(table).sum(axis=-2).max()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = expm_times(table, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert np.max(np.abs(result - scipy.linalg.expm(0.5 * table))) <= 1e-14
+    assert peak <= 20 * table.nbytes
 
 
 def test_expm_times_rejects_non_finite():

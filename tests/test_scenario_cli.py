@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from functools import reduce
 from importlib import resources
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trotterlab
 from trotterlab.cli import main
 from trotterlab.kernels import scalar_kernel
 from trotterlab.scenario import (
@@ -223,6 +226,21 @@ def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{bad}\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
     assert "line 4" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_horizon_too_small_for_a_random_schedule(tmp_path):
+    # Drawing the partitions used to loop forever, hence the subprocess.
+    scenario_path = tmp_path / "tiny.scenario"
+    text = bundled("counterexample_41.scenario").read_text()
+    scenario_path.write_text(text.replace("horizon 1.0", "horizon 1e-320"))
+    src = Path(trotterlab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "trotterlab.cli", "run", str(scenario_path),
+                           "--schedule", "random:8", "--out", str(tmp_path / "out")],
+                          cwd=src, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr == (f"{scenario_path}: no random partition of horizon 1e-320 into 283 "
+                           "parts in 100 draws; the horizon is too small\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_rejects_a_negative_seed_option(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,11 @@ from trotterlab.kernels import (
     OperatorKernel,
     scalar_kernel,
 )
+import trotterlab
 from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import (
     Partition,
+    _batched_pairing,
     _walk_pairing,
     VerdictThresholds,
     assemble_report,
@@ -72,6 +77,19 @@ def test_partition_basics():
     for parts in ((np.nan,), (1.0, np.inf), (0.5, -np.inf)):
         with pytest.raises(ValueError, match="positive and finite"):
             Partition(parts)
+
+
+def test_random_schedule_rejects_a_horizon_too_small_for_its_parts():
+    # 1e-320 holds about 2,000 subnormal floats, too few for 181 distinct cuts;
+    # an unbounded redraw loop never returns, hence the subprocess.
+    probe = "from trotterlab.trotter import random_schedule; random_schedule(1e-320, 3, seed=0)"
+    src = Path(trotterlab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ValueError: no random partition of horizon 1e-320 into 181 parts in 100 draws; "
+        "the horizon is too small")
 
 
 # -- pairing evaluation -----------------------------------------------------------
@@ -296,6 +314,39 @@ def test_same_partition_pairing_memory_stays_bounded():
     assert peak <= 8e6
 
 
+@pytest.mark.parametrize("fraction", [1e-6, 1e-8, 1e-10])
+def test_walk_keeps_short_segments(fraction):
+    # On an interval of width w the pairing of concat(a@f, b@1-f) with itself
+    # is exp(f w K_aa) exp((1 - f) w K_bb); merging cut points that lie closer
+    # than 1e-12 of the horizon dropped the short a-segments.
+    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(3), scale=0.5)
+    y = parse_section(f"concat(a@{fraction!r}, b@{1 - fraction!r})", gen)
+    partition = random_schedule(1.0, 8, seed=42)[-1]
+    widths = np.asarray(partition.parts)[:, None, None]
+    short = scipy.linalg.expm(fraction * widths * gen[("a", "a")].rep)
+    long = scipy.linalg.expm((1 - fraction) * widths * gen[("b", "b")].rep)
+    expected = np.eye(4, dtype=complex)
+    for a, b in zip(short, long):
+        expected = expected @ a @ b
+    for pairing in (_walk_pairing(y, partition, y, partition, gen),
+                    _batched_pairing(y, y, partition, gen)):
+        assert np.max(np.abs(pairing.rep - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_chain_summing_to_just_over_one_ends_at_the_interval_end():
+    # The first cut lies past 1 within the fraction tolerance; the walk used to
+    # place an event past the horizon and index beyond the last interval.
+    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(3), scale=0.5)
+    y = parse_section("concat(a@1.0000000005, b@1e-10)", gen)
+    u = unit_expression("a", 2)
+    p, q = Partition((0.3, 0.7)), Partition((0.5, 0.5))
+    for left, right in ((p, q), (p, p)):
+        expected = _walk_pairing(u, left, u, right, gen).rep
+        for pairing in (_walk_pairing(y, left, u, right, gen),
+                        eval_pairing(y, left, u, right, gen)):
+            assert np.max(np.abs(pairing.rep - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def brute_force_pairing(e1, p1, e2, p2, semigroup):
     """The pairing as a sum of single-term chains, one per assignment of terms to intervals.
 
@@ -313,7 +364,7 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
         bounds = np.concatenate(([0.0], np.cumsum(p.time_widths)))
         points.update(bounds)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            points.update(lo + f * (hi - lo) for term in expr.terms for f in term.cut_fractions())
+            points.update(lo + f * (hi - lo) for term in expr.terms for f in term.cuts)
         sides.append((expr, bounds))
     grid = [0.0]
     for x in sorted(points):
@@ -338,7 +389,7 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
                 term = expr.terms[chosen[i]]
                 width = bounds[i + 1] - bounds[i]
                 right, left = multipliers(term, width)
-                label = term.label_at((mid - bounds[i]) / width)
+                label = term.segments[term.segment_index((mid - bounds[i]) / width)].label
                 pieces.append((right, left, label, abs(lo - bounds[i]) <= 1e-12,
                                abs(hi - bounds[i + 1]) <= 1e-12))
             (r1, l1, s, open1, close1), (r2, l2, t, open2, close2) = pieces
