@@ -158,31 +158,20 @@ class _ExprReader:
             self.fail("each term needs exactly one unit label or concat group", node)
         at = unit_positions[0]
         eye = np.eye(self.dim, dtype=complex)
-        left = sign * eye
-        right = eye.copy()
+        sides = [sign * eye, eye]  # left, right
         twist = None
         twist_side = "none"
         for i, (kind, payload) in enumerate(factors):
-            if kind == "unit":
-                continue
             if kind == "twist":
                 if twist is not None:
                     raise ScenarioParseError("at most one expm twist per term", self.line)
                 twist = payload
                 twist_side = "left" if i < at else "right"
-            elif kind == "scalar":
-                if i < at:
-                    left = left * payload
-                else:
-                    right = right * payload
-            else:  # matrix
-                if i < at:
-                    left = left @ payload
-                else:
-                    right = right @ payload
+            elif kind == "matrix":
+                sides[i > at] = sides[i > at] @ payload
         segments = factors[at][1]
         try:
-            return Term(left, right, segments, twist=twist, twist_side=twist_side)
+            return Term(*sides, segments, twist=twist, twist_side=twist_side)
         except ValueError as exc:
             raise ScenarioParseError(str(exc), self.line) from exc
 
@@ -205,8 +194,8 @@ class _ExprReader:
 
     def factor(self, node):
         match node:
-            case ast.Constant():
-                return "scalar", self.number(node)
+            case ast.Constant():  # a number c is the matrix c * I
+                return "matrix", self.number(node) * np.eye(self.dim)
             case ast.Name(id=name) if name in self.labels:
                 return "unit", (Segment(name, 1.0),)
             case ast.Name(id=name) if name not in self.matrices:

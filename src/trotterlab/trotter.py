@@ -567,7 +567,8 @@ def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
     notes = []
     if candidate is not None:
         gap = float(np.linalg.norm(target_gram_one - limit_gram_one, 2))
-        if gap > 1e-12:
+        scale = max(np.linalg.norm(g, 2) for g in (target_gram_one, limit_gram_one))
+        if gap > 1e-12 * scale:
             notes.append(
                 f"candidate gram differs from the predicted limit gram by {gap:.6e}; "
                 "the limit unit lies outside the span of the candidate")

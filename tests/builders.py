@@ -1,5 +1,6 @@
 """Test-only kernel and section builders, the kernel document encoder,
-the paper's unit normalisation and the Prop 3.3 product-bound check.
+the paper's unit normalisation, a certified upper bound on the map norm
+and the Prop 3.3 product-bound check.
 
 ``trotterlab run`` and ``trotterlab validate`` reach none of this: the
 scenario grammar builds its own terms and generators, and the CLI only
@@ -15,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from trotterlab.algebra import Superoperator, dagger, superop_exp, superop_norm, unit_element
+from trotterlab.algebra import Superoperator, choi_matrix, dagger, superop_exp, unit_element
 from trotterlab.kernels import CpdSemigroup, OperatorKernel, christensen_evans_kernel
 from trotterlab.scenario import parse_expression
 from trotterlab.trotter import Partition, eval_pairing
@@ -93,6 +94,26 @@ def concat_expression(segments: Sequence[tuple[str, float]], dim: int) -> UnitEx
     return UnitExpression(dim, (Term(eye, eye, segs),))
 
 
+def certified_norm(op: Superoperator) -> float:
+    """An upper bound on the operator-norm-induced norm ``sup |A(b)| / |b|``.
+
+    A hermitian Choi matrix splits with one ``eigh`` as C+ - C-, the Choi
+    matrices of CP maps P and N, and the map's norm is at most ``|P + N| =
+    |(P + N)(1)|``, the norm of the sum of the diagonal d x d blocks of
+    ``|C|``.  A's Choi matrix is H + iK with H and K hermitian, and the
+    bound is the sum of theirs; K is rounding for a hermitian-preserving
+    A.  On a CP map the bound is ``|A(1)|``, the norm itself.
+    """
+    d = op.dim
+    choi = choi_matrix(op.rep)
+    bound = 0.0
+    for part in ((choi + dagger(choi)) / 2.0, (choi - dagger(choi)) / 2.0j):
+        values, vectors = np.linalg.eigh(part)
+        absolute = (vectors * np.abs(values)) @ dagger(vectors)
+        bound += float(np.linalg.norm(np.einsum("iaib->ab", absolute.reshape(d, d, d, d)), 2))
+    return bound
+
+
 def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
                        horizon: float, schedule: Sequence[Partition]):
     """Check the first-order-in-norm bound on the gram defect (Prop 3.3).
@@ -110,13 +131,13 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
     """
     kernel = extension.kernel
     diagonal = kernel[(extension.zeta, extension.zeta)]
-    k_norm = superop_norm(diagonal)
+    k_norm = certified_norm(diagonal)
     second = 0.0
     for s in SECOND_ORDER_TIMES:
         part = Partition((s,))
         remainder = (eval_pairing(section, part, section, part, kernel).rep
                      - np.eye(kernel.dim ** 2) - s * diagonal.rep)
-        second = max(second, superop_norm(Superoperator(kernel.dim, remainder)) / s ** 2)
+        second = max(second, certified_norm(Superoperator(kernel.dim, remainder)) / s ** 2)
     growth = max(k_norm, second)
     assembled = second + k_norm ** 2 * float(np.exp(horizon * k_norm))
 
@@ -127,9 +148,9 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
         for base in sorted(schedule, key=lambda p: p.norm, reverse=True):
             part = Partition(tuple(w * (t / base.length) for w in base.parts))
             pairing = eval_pairing(section, part, section, part, kernel)
-            defect = superop_norm(pairing - superop_exp(diagonal, t))
+            defect = certified_norm(pairing - superop_exp(diagonal, t))
             bound = part.norm * t * float(np.exp(t * growth)) * assembled
-            size = superop_norm(pairing)
+            size = certified_norm(pairing)
             size_bound = float(np.exp(part.length * growth))
             t_rows.append({
                 "n": part.size, "norm": part.norm, "gram_defect": defect,

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from trotterlab.algebra import Superoperator, dagger, superop_exp, superop_norm, unit_element
+from trotterlab.algebra import Superoperator, dagger, superop_exp, unit_element
 from trotterlab.fock import (
     ExponentialUnit,
     counterexample_scenario,
@@ -36,6 +36,7 @@ from trotterlab.units import (
 
 from builders import (
     affine_expression,
+    certified_norm,
     concat_expression,
     kernel_from_entries,
     normalize_unit,
@@ -209,7 +210,7 @@ def test_criterion_6_kernel_modification():
 
     richardson = 2.0 * quotient(5e-5) - quotient(1e-4)
     diagonal = extension.kernel[(extension.zeta, extension.zeta)]
-    deviation = superop_norm(Superoperator(2, richardson - diagonal.rep))
+    deviation = certified_norm(Superoperator(2, richardson - diagonal.rep))
     assert deviation <= 1e-9
     print(f"ACCEPTANCE 6: PASS  modified section with sum a_l b_l = 0: "
           f"conditional positivity holds, norm-convergent, bilinear diagonal "

@@ -26,7 +26,7 @@ from trotterlab.algebra import (
 )
 from trotterlab.kernels import KernelSymmetryError, is_cpd
 
-from builders import kernel_from_entries
+from builders import certified_norm, kernel_from_entries
 
 
 def is_cp(op):
@@ -329,6 +329,36 @@ def test_norm_submultiplicative(seed):
     a, b = random_superop(rng, 2), random_superop(rng, 2)
     product = Superoperator(2, a.rep @ b.rep)
     assert superop_norm(product) <= superop_norm(a) * superop_norm(b) + 1e-8
+
+
+def random_cp_rep(rng, d):
+    """The representation of ``b -> sum_k c_k b c_k*`` over one to three random ``c_k``."""
+    return sum(left_right_rep(c, dagger(c))
+               for c in (random_matrix(rng, d) for _ in range(int(rng.integers(1, 4)))))
+
+
+def test_certified_norm_is_never_below_the_estimator():
+    # Random maps, hermitian-preserving (differences of CP maps) and general,
+    # and b -> i tr(b) 1, whose Choi matrix i 1 has norm 1 while the map's is d.
+    rng = np.random.default_rng(17)
+    ops = []
+    for k in range(90):
+        d = 1 + k % 3
+        ops.append(Superoperator(d, random_cp_rep(rng, d) - random_cp_rep(rng, d))
+                   if k % 2 else random_superop(rng, d))
+    ops += [Superoperator(d, 1j * np.outer(np.eye(d).ravel(), np.eye(d).ravel()))
+            for d in (1, 2, 3)]
+    for op in ops:
+        assert superop_norm(op) <= certified_norm(op) * (1.0 + 1e-12)
+
+
+def test_certified_norm_of_a_cp_map_is_its_value_at_the_unit():
+    rng = np.random.default_rng(18)
+    for k in range(60):
+        d = 1 + k % 3
+        op = Superoperator(d, random_cp_rep(rng, d))
+        at_unit = np.linalg.norm(op.apply(unit_element(d)), 2)
+        assert certified_norm(op) == pytest.approx(at_unit, rel=1e-13, abs=0.0)
 
 
 def test_choi_of_identity_is_entangled_projector():

@@ -15,7 +15,6 @@ from trotterlab.algebra import (
     expm_times,
     left_right_rep,
     superop_exp,
-    superop_norm,
     unit_element,
 )
 from trotterlab.kernels import (
@@ -47,6 +46,7 @@ from trotterlab.units import (
 
 from builders import (
     affine_expression,
+    certified_norm,
     concat_expression,
     normalize_unit,
     parse_section,
@@ -114,7 +114,7 @@ def test_pairing_refinement_invariance_for_single_units():
     p2 = random_schedule(1.0, 2, seed=9)[-1]
     v1 = eval_pairing(xi, p1, eta, p2, gen)
     v2 = eval_pairing(xi, Partition((1.0,)), eta, Partition((1.0,)), gen)
-    assert superop_norm(v1 - v2) <= 1e-10
+    assert certified_norm(v1 - v2) <= 1e-10
 
 
 def test_counterexample_pairings_match_closed_forms():
@@ -164,7 +164,7 @@ def test_power_fast_path_matches_generic_walk():
     partition = Partition.uniform(1.0, 32)
     fast = eval_pairing(y, partition, y, partition, gen)
     slow = _walk_pairing(y, partition, y, partition, gen)
-    assert superop_norm(fast - slow) <= 1e-11
+    assert certified_norm(fast - slow) <= 1e-11
 
 
 def high_precision_affine_pairing(mp, coefficients, labels, gen, partition):
@@ -350,26 +350,24 @@ def test_chain_summing_to_just_over_one_ends_at_the_interval_end():
 def brute_force_pairing(e1, p1, e2, p2, semigroup):
     """The pairing as a sum of single-term chains, one per assignment of terms to intervals.
 
-    Each chain is the time-ordered product, over the grid of both sides'
-    bounds and every term's segment cuts, of the entry exponential of the
-    two assigned terms' labels, with a side's right multiplier (and right
-    twist) entering where its interval starts and its left multiplier (and
-    left twist) where it ends.
+    Each chain is the time-ordered product, over the grid of the distinct
+    points of both sides' bounds and every term's segment cuts (both sides
+    ending at the first side's length), of the entry exponential of the two
+    assigned terms' labels, with a side's right multiplier (and right
+    twist) entering where a grid point equals its interval's start and its
+    left multiplier (and left twist) where one equals its end.
     """
     d = semigroup.generator.dim
     eye = np.eye(d)
-    sides = []
+    sides = [(expr, np.concatenate(([0.0], np.cumsum(p.parts))))
+             for expr, p in ((e1, p1), (e2, p2))]
+    end = sides[1][1][-1] = sides[0][1][-1]
     points = set()
-    for expr, p in ((e1, p1), (e2, p2)):
-        bounds = np.concatenate(([0.0], np.cumsum(p.time_widths)))
+    for expr, bounds in sides:
         points.update(bounds)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             points.update(lo + f * (hi - lo) for term in expr.terms for f in term.cuts)
-        sides.append((expr, bounds))
-    grid = [0.0]
-    for x in sorted(points):
-        if x - grid[-1] > 1e-12:
-            grid.append(x)
+    grid = sorted({min(x, end) for x in points})
 
     def multipliers(term, width):
         twist = np.eye(d) if term.twist is None else scipy.linalg.expm(width * term.twist)
@@ -385,13 +383,12 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
             mid = (lo + hi) / 2
             pieces = []
             for (expr, bounds), chosen in zip(sides, assignment):
-                i = int(np.searchsorted(bounds, mid)) - 1
+                i = int(np.searchsorted(bounds, mid, side="right")) - 1
                 term = expr.terms[chosen[i]]
                 width = bounds[i + 1] - bounds[i]
                 right, left = multipliers(term, width)
                 label = term.segments[term.segment_index((mid - bounds[i]) / width)].label
-                pieces.append((right, left, label, abs(lo - bounds[i]) <= 1e-12,
-                               abs(hi - bounds[i + 1]) <= 1e-12))
+                pieces.append((right, left, label, lo == bounds[i], hi == bounds[i + 1]))
             (r1, l1, s, open1, close1), (r2, l2, t, open2, close2) = pieces
             if open1:
                 rep = rep @ left_right_rep(dagger(r1), eye)
@@ -420,6 +417,18 @@ def test_walk_matches_brute_force_chains_on_mismatched_partitions(seed, dim, ter
     oracle = brute_force_pairing(e1, p1, e2, p2, CpdSemigroup(gen))
     walk = _walk_pairing(e1, p1, e2, p2, gen).rep
     assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+
+def test_brute_force_chains_keep_a_segment_shorter_than_the_old_merge_distance():
+    # The 1e-13 segment lies closer to its interval's start than 1e-12; a
+    # reference that merged such points was off by 3.1e-12 relative here.
+    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(3), scale=3.0)
+    y = concat_expression([("a", 1e-13), ("b", 1 - 1e-13)], 2)
+    p = Partition((0.2, 0.3, 0.5))
+    for q in (Partition((0.5, 0.5)), p):
+        oracle = brute_force_pairing(y, p, y, q, CpdSemigroup(gen))
+        walk = _walk_pairing(y, p, y, q, gen).rep
+        assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,6 +519,26 @@ def test_candidate_not_approached_even_weakly_is_divergent():
                                  candidate="u")
     assert report.verdict == "divergent"
     assert report.ambient_defects["v"] == pytest.approx([np.exp(0.5) - 1.0] * 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 20.0, 40.0])
+def test_candidate_note_is_relative_to_the_grams(scale):
+    # 1.1 w - 0.1 w is exactly w, so the two grams agree to their rounding,
+    # which grows like exp(scale): 1.7e-6 at 20 and 1.7e3 at 40.
+    gen = scalar_kernel(np.array([[0.0, 0.0], [0.0, scale]]), ("u", "w"))
+    y = parse_section("1.1*w - 0.1*w", gen)
+    report = convergence_verdict(y, extend_generator(y, gen), 1.0, dyadic_schedule(1.0, 3, 5),
+                                 candidate="w")
+    assert not [note for note in report.notes if note.startswith("candidate gram")]
+
+
+def test_candidate_note_names_a_limit_outside_the_candidate_span():
+    gen = scalar_counterexample_generator()
+    y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
+    report = convergence_verdict(y, extend_generator(y, gen), 1.0, dyadic_schedule(1.0, 3, 5),
+                                 candidate="w")
+    assert report.notes == ("candidate gram differs from the predicted limit gram by "
+                            "3.646959e-01; the limit unit lies outside the span of the candidate",)
 
 
 def test_norm_defect_identity_reassembled_from_fresh_pairings():
