@@ -126,8 +126,10 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
     ``|<y_s, . y_s> - id - s K| / s^2`` over ``SECOND_ORDER_TIMES``, bounds
     the section pairing's remainder after its identity and first-order
     parts; ``assembled`` covers its per-interval distance from the limit
-    semigroup.  At the full horizon the gram defects are those of
-    :func:`trotterlab.trotter.convergence_verdict`.
+    semigroup.  Every norm is :func:`certified_norm`, so no defect reads
+    too small.  At the full horizon the gram differences are those of
+    :func:`trotterlab.trotter.convergence_verdict`, which measures them
+    with the lower estimate ``superop_norm``.
     """
     kernel = extension.kernel
     diagonal = kernel[(extension.zeta, extension.zeta)]

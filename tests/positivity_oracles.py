@@ -33,8 +33,8 @@ SCHOENBERG_GRID = tuple(np.geomspace(1e-3, 1.0, 12))
 def constrained_tuple(kernel: OperatorKernel, rng: np.random.Generator):
     """Draw (sigmas, lefts, rights) with ``sum_i a_i b_i = 0``.
 
-    The members carry every label once and two or three labels drawn at
-    random, in random order, so that a violation needing every label at
+    The members carry every label once and two or three more labels drawn
+    at random, in random order, so that a violation needing every label at
     once is sampled too.  Each drawn member has a norm log-uniform in
     [0.1, 10], so that tuples of unequal members are sampled too.  The last
     left factor is drawn invertible (condition number < 1e3) and the last
