@@ -128,16 +128,6 @@ class Superoperator:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return Superoperator(self.dim, self.rep - other.rep)
 
-    def star_conjugate(self) -> "Superoperator":
-        """The map ``b -> (T(b*))*``, the involution-conjugated partner of T.
-
-        Entry ``(a + b*d, i + j*d)`` of its representation is the conjugate
-        of T's entry ``(b + a*d, j + i*d)``: both vec indices transposed.
-        """
-        d = self.dim
-        rep = self.rep.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-        return Superoperator(d, rep.conj())
-
 
 def superop_exp(generator: Superoperator, t: float) -> Superoperator:
     """The exponential ``exp(t * G)`` via scaling and squaring.

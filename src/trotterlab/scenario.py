@@ -48,9 +48,11 @@ limit (about 2,970 terms on Python 3.11) is an error.
 Each term contains exactly one unit factor (a unit label or a ``concat``
 group).  Scalar and named-matrix factors to its left multiply from the
 left, those to its right from the right, and ``expm(t*B)`` declares an
-exponential twist on the side where it appears.  Complex coefficients can
-be split over terms (``2*xi1 + 1j*xi1``).  Parse errors carry source
-positions.
+exponential twist on the side where it appears, right next to the unit
+factor (``A*expm(t*B)*x*C``), at most one per term.  A term whose
+multipliers or their product are not finite is an error.  Complex
+coefficients can be split over terms (``2*xi1 + 1j*xi1``).  Parse errors
+carry source positions.
 """
 
 from __future__ import annotations
@@ -151,9 +153,10 @@ class _ExprReader:
     def source(self, node) -> str:
         return ast.get_source_segment(self.text, node)
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite multipliers are refused below
     def term(self, node, sign: float) -> Term:
-        factors = [self.factor(f) for _, f in _chain(node, ast.Mult)]
-        unit_positions = [i for i, f in enumerate(factors) if f[0] == "unit"]
+        factors = [(f, *self.factor(f)) for _, f in _chain(node, ast.Mult)]
+        unit_positions = [i for i, f in enumerate(factors) if f[1] == "unit"]
         if len(unit_positions) != 1:
             self.fail("each term needs exactly one unit label or concat group", node)
         at = unit_positions[0]
@@ -161,15 +164,20 @@ class _ExprReader:
         sides = [sign * eye, eye]  # left, right
         twist = None
         twist_side = "none"
-        for i, (kind, payload) in enumerate(factors):
+        for i, (factor, kind, payload) in enumerate(factors):
             if kind == "twist":
                 if twist is not None:
                     raise ScenarioParseError("at most one expm twist per term", self.line)
+                if abs(i - at) != 1:
+                    self.fail(f"{self.source(factor)} must stand next to the unit factor", factor)
                 twist = payload
                 twist_side = "left" if i < at else "right"
             elif kind == "matrix":
                 sides[i > at] = sides[i > at] @ payload
-        segments = factors[at][1]
+        if not all(np.isfinite(m).all() for m in (*sides, sides[0] @ sides[1])):
+            self.fail(f"term {self.source(node)!r}: its multipliers or their product "
+                      "are not finite", node)
+        segments = factors[at][2]
         try:
             return Term(*sides, segments, twist=twist, twist_side=twist_side)
         except ValueError as exc:

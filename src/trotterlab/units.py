@@ -19,10 +19,12 @@ by bilinear expansion over term pairs:
 * the constant multipliers conjugate the whole expression.
 
 Adjoining a new label for the prospective limit unit of a section ``y``
-extends the generator kernel with the derivative data; the extension is
-accepted only when it passes the conditional positivity test, which is
-precisely the condition for the limit unit to exist in some enlargement
-of the system.
+extends the generator kernel to the :func:`pair_derivative` kernel of the
+ambient units followed by ``y``.  The extension is accepted only when it
+passes the conditional positivity test, which is precisely the condition
+for the limit unit to exist in some enlargement of the system.  The test
+also checks the new row and column for hermitian symmetry, which nothing
+else guarantees, and raises ``KernelSymmetryError`` where it fails.
 """
 
 from __future__ import annotations
@@ -152,8 +154,10 @@ class UnitExpression:
         return sum(term.left @ term.right for term in self.terms)
 
     def unit_section_defect(self) -> float:
-        """Deviation of the time-zero value from the algebra unit."""
-        return float(np.linalg.norm(self.value_at_zero() - unit_element(self.dim), 2))
+        """Deviation of the time-zero value from the algebra unit; inf where it overflows."""
+        with np.errstate(all="ignore"):
+            deviation = self.value_at_zero() - unit_element(self.dim)
+        return float(np.linalg.norm(deviation, 2)) if np.isfinite(deviation).all() else np.inf
 
 
 def unit_expression(label: str, dim: int) -> UnitExpression:
@@ -213,8 +217,8 @@ class ExtendedGenerator:
     The limit row lives in ``kernel`` alone, as the last row and column of
     its table; the rows and columns before it are the generator's table.
     ``kernel[(zeta, zeta)]`` is the derivative of the section's own
-    pairing, ``kernel[(zeta, s)]`` pairs the section against unit ``s``,
-    and ``kernel[(s, zeta)]`` is its hermitian mirror.
+    pairing, and ``kernel[(zeta, s)]`` and ``kernel[(s, zeta)]`` pair it with
+    unit ``s`` in either order; the gate checks that they are mirrors.
     """
 
     zeta: str
@@ -233,24 +237,19 @@ def _fresh_label(taken: Sequence[str]) -> str:
 def extend_generator(section: UnitExpression, generator: OperatorKernel) -> ExtendedGenerator:
     """Adjoin the limit-unit label of ``section`` to ``generator``.
 
-    The diagonal entry of the new row is the derivative of the section's
-    own pairing, the cross entries pair the section against each existing
-    unit, and the mirror column is fixed by hermitian symmetry.  The
-    extension must pass the conditional positivity test; failure raises
-    with the witness attached.
+    Entry (a, b) of the extended table is ``pair_derivative(a, b)`` over
+    the ambient units followed by the section.  The extension must pass
+    the conditional positivity test, which checks the new row and column
+    for hermitian symmetry (1e-9 relative, else ``KernelSymmetryError``);
+    a positivity failure raises with the witness attached.
     """
     defect = section.unit_section_defect()
-    if defect > _UNIT_TOL:
+    if not defect <= _UNIT_TOL:
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
-    n, d = len(generator.labels), generator.dim
-    crosses = [pair_derivative(section, unit_expression(s, d), generator)
-               for s in generator.labels]
-    table = np.pad(generator.table, ((0, 1), (0, 1), (0, 0), (0, 0)))
-    table[n, :n] = [cross.rep for cross in crosses]
-    table[:n, n] = [cross.star_conjugate().rep for cross in crosses]
-    table[n, n] = pair_derivative(section, section, generator).rep
+    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
+    table = [[pair_derivative(a, b, generator).rep for b in family] for a in family]
     zeta = _fresh_label(generator.labels)
     kernel = OperatorKernel(generator.labels + (zeta,), table)
 

@@ -1,6 +1,6 @@
 """Test-only kernel and section builders, the kernel document encoder,
-the paper's unit normalisation, a certified upper bound on the map norm
-and the Prop 3.3 product-bound check.
+the paper's unit normalisation, the star conjugate of a map, a certified
+upper bound on the map norm and the Prop 3.3 product-bound check.
 
 ``trotterlab run`` and ``trotterlab validate`` reach none of this: the
 scenario grammar builds its own terms and generators, and the CLI only
@@ -51,6 +51,17 @@ def identity_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
 def zero_kernel(labels: Sequence[str], dim: int) -> OperatorKernel:
     zero = Superoperator(dim, np.zeros((dim * dim, dim * dim)))
     return build_kernel(labels, lambda s, t: zero)
+
+
+def star_conjugate(op: Superoperator) -> Superoperator:
+    """The map ``b -> (T(b*))*``, the involution-conjugated partner of T.
+
+    Entry ``(a + b*d, i + j*d)`` of its representation is the conjugate
+    of T's entry ``(b + a*d, j + i*d)``: both vec indices transposed.
+    """
+    d = op.dim
+    rep = op.rep.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    return Superoperator(d, rep.conj())
 
 
 def random_christensen_evans(labels: Sequence[str], dim: int, rng: np.random.Generator,

@@ -26,6 +26,7 @@ from builders import (
     kernel_from_entries,
     kernel_to_json_dict,
     random_christensen_evans,
+    star_conjugate,
     zero_kernel,
 )
 from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
@@ -212,10 +213,10 @@ def _perturbed_generator(rng, labels, d, size):
             raw = Superoperator(d, size * (rng.standard_normal((d * d, d * d))
                                            + 1j * rng.standard_normal((d * d, d * d))))
             if s == t:
-                raw = Superoperator(d, (raw.rep + raw.star_conjugate().rep) / 2)
+                raw = Superoperator(d, (raw.rep + star_conjugate(raw).rep) / 2)
             entries[(s, t)] = Superoperator(d, entries[(s, t)].rep + raw.rep)
             if s != t:
-                entries[(t, s)] = Superoperator(d, entries[(t, s)].rep + raw.star_conjugate().rep)
+                entries[(t, s)] = Superoperator(d, entries[(t, s)].rep + star_conjugate(raw).rep)
     return kernel_from_entries(labels, entries)
 
 
@@ -434,7 +435,7 @@ def loop_hermitian_defect(kernel):
     worst = 0.0
     for s in kernel.labels:
         for t in kernel.labels:
-            diff = kernel[(t, s)].rep - kernel[(s, t)].star_conjugate().rep
+            diff = kernel[(t, s)].rep - star_conjugate(kernel[(s, t)]).rep
             worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 

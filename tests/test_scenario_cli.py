@@ -145,8 +145,7 @@ def terms(draw, sign):
     if side != "none":
         name = draw(st.sampled_from(sorted(GRAMMAR_MATRICES)))
         twist = GRAMMAR_MATRICES[name]
-        at = draw(st.integers(0, len(texts[side])))
-        texts[side].insert(at, f"expm(t*{name})")
+        texts[side].insert(len(texts[side]) if side == "left" else 0, f"expm(t*{name})")
     eye = np.eye(2, dtype=complex)
     left = reduce(np.matmul, [sign * eye] + [v * eye if np.ndim(v) == 0 else v for _, v in lefts])
     right = reduce(np.matmul, [eye] + [v * eye if np.ndim(v) == 0 else v for _, v in rights])
@@ -181,6 +180,34 @@ def test_expression_grammar_property(case):
             assert got.twist is None
         else:
             assert np.array_equal(got.twist, want.twist)
+
+
+TWIST_MATRICES = {"A": np.array([[1, 1], [0, 1]], dtype=complex),
+                  "B": np.array([[0, 1], [0, 0]], dtype=complex),
+                  "C": np.array([[1, 0], [1, 1]], dtype=complex)}
+
+
+@pytest.mark.parametrize("text, col", [
+    ("A*expm(t*B)*C*xi1", 3), ("expm(t*B)*A*C*xi1", 1),
+    ("xi1*A*expm(t*B)*C", 7), ("xi1*A*C*expm(t*B)", 9), ("2*xi1 - A*expm(t * B)*C*xi1", 11)])
+def test_expression_twist_must_stand_next_to_the_unit(text, col):
+    with pytest.raises(ScenarioParseError) as info:
+        parse_expression(text, 2, ("xi1",), TWIST_MATRICES, line=5)
+    twist = "expm(t * B)" if "t * B" in text else "expm(t*B)"
+    assert str(info.value) == f"line 5, col {col}: {twist} must stand next to the unit factor"
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("1e200*1e200*u", 1), ("1e200*u*1e200j", 1), ("1e200*u*1e200", 1), ("u - 1e200*u*1e200", 5)])
+def test_cli_refuses_non_finite_multipliers(tmp_path, capsys, expr, col):
+    scenario_path = tmp_path / "huge.scenario"
+    scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[1.0]]\nexpression y = {expr}\n"
+                             "schedule dyadic 3 4\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    term = expr.split(" - ")[-1]
+    assert capsys.readouterr().err == (
+        f"{scenario_path}: line 4, col {col}: term {term!r}: its multipliers or their product "
+        "are not finite\n")
 
 
 def test_scenario_error_reporting():
@@ -571,6 +598,16 @@ def test_cli_section_off_the_unit_fails_the_extension(tmp_path, capsys):
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "y: extension failed: section value at t=0 differs from the unit by 1.000e+00; "
+        "the term multipliers must sum to the identity\n")
+
+
+def test_cli_overflowing_section_sum_fails_the_extension(tmp_path, capsys):
+    scenario_path = tmp_path / "sum.scenario"
+    scenario_path.write_text(
+        "dim 1\nlabels u\ngenerator gamma [[0.5]]\nexpression y = 1e308*u + 1e308*u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "y: extension failed: section value at t=0 differs from the unit by inf; "
         "the term multipliers must sum to the identity\n")
 
 

@@ -15,6 +15,7 @@ from trotterlab.units import (
     ExtensionPositivityError,
     Segment,
     Term,
+    UnitExpression,
     extend_generator,
     pair_derivative,
     unit_expression,
@@ -27,6 +28,7 @@ from builders import (
     normalize_unit,
     parse_section,
     random_christensen_evans,
+    star_conjugate,
 )
 from positivity_oracles import sampled_conditional_form, schoenberg_grid_ok
 
@@ -145,7 +147,7 @@ def test_hermitian_coherence(ce_generator):
     e2 = parse_section("x2*expm(t*B)", ce_generator, B=random_matrix(rng, 2, 0.4))
     forward = pair_derivative(e1, e2, ce_generator)
     backward = pair_derivative(e2, e1, ce_generator)
-    assert np.max(np.abs(forward.rep - backward.star_conjugate().rep)) <= 1e-10
+    assert np.max(np.abs(forward.rep - star_conjugate(backward).rep)) <= 1e-10
 
 
 # -- generator extension ---------------------------------------------------------
@@ -183,6 +185,15 @@ def test_affine_extension_passes_conditional_positivity(ce_generator):
 def test_extension_requires_unit_section(ce_generator):
     with pytest.raises(ValueError, match="sum to the identity"):
         extend_generator(affine_expression([2, -2], ["x1", "x2"], 2), ce_generator)
+
+
+@pytest.mark.parametrize("signs", [(1,), (1, -1)])  # value inf at zero, and inf - inf = nan
+def test_extension_refuses_a_non_finite_value_at_zero(ce_generator, signs):
+    big = np.diag([1e200, 1.0])
+    section = UnitExpression(2, tuple(Term(sign * big, big, (Segment("x1", 1.0),))
+                                      for sign in signs))
+    with pytest.raises(ValueError, match="differs from the unit by inf"):
+        extend_generator(section, ce_generator)
 
 
 def test_extension_fails_on_bad_base_generator():
