@@ -35,12 +35,16 @@ Python's own parser (nothing is evaluated) and must fit this subset of
 Python expression syntax:
 
     EXPR   := TERM (('+'|'-') TERM)*
-    TERM   := FACTOR ('*' FACTOR)*
-    FACTOR := NUMBER | NAME | concat(NAME@FRAC, ...) | expm(t*NAME)
+    TERM   := SIGN* FACTOR ('*' FACTOR)*
+    FACTOR := SIGN* (NUMBER | NAME | concat(NAME@FRAC, ...) | expm(t*NAME))
+    SIGN   := '+' | '-'
 
 NUMBER and FRAC are finite Python numeric literals, as in matrices
-(``0x10`` and ``1_000`` included); a FRAC is real and positive.  A NAME is
-a unit label or a matrix name, an ASCII identifier that is not a Python
+(``0x10`` and ``1_000`` included); a FRAC is real and positive.  A SIGN
+in front of a factor or a whole term is the multiplier +1 or -1: both
+``-xi2 + 2*xi1`` and ``-1*xi2 + 2*xi1`` have the terms of ``2*xi1 - xi2``
+in their own order, and ``u@-0.5`` has a non-positive FRAC.  A NAME is a
+unit label or a matrix name, an ASCII identifier that is not a Python
 keyword.  Redundant parentheses (``2*(u)``) and a trailing comma in
 ``concat(...)`` are allowed.  An expression nested beyond the parser's
 limit (about 2,970 terms on Python 3.11) is an error.
@@ -137,6 +141,14 @@ def _chain(node, ops):
     return [(None, node)] + links[::-1]
 
 
+def _signed(node):
+    """``(sign, operand)`` of ``node`` under its leading ``+``/``-`` signs; sign is 1.0 or -1.0."""
+    sign = 1.0
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign, node = (-sign if isinstance(node.op, ast.USub) else sign), node.operand
+    return sign, node
+
+
 @dataclass
 class _ExprReader:
     """Builds the terms of an expression from its syntax tree; nothing is evaluated."""
@@ -155,7 +167,10 @@ class _ExprReader:
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite multipliers are refused below
     def term(self, node, sign: float) -> Term:
-        factors = [(f, *self.factor(f)) for _, f in _chain(node, ast.Mult)]
+        outer, node = _signed(node)  # a sign in front of a parenthesised term
+        links = [_signed(f) for _, f in _chain(node, ast.Mult)]
+        sign *= outer * np.prod([s for s, _ in links])
+        factors = [(f, *self.factor(f)) for _, f in links]
         unit_positions = [i for i, f in enumerate(factors) if f[1] == "unit"]
         if len(unit_positions) != 1:
             self.fail("each term needs exactly one unit label or concat group", node)
@@ -184,12 +199,13 @@ class _ExprReader:
             raise ScenarioParseError(str(exc), self.line) from exc
 
     def number(self, node) -> complex:
-        value = node.value if isinstance(node, ast.Constant) else None
+        sign, operand = _signed(node)
+        value = operand.value if isinstance(operand, ast.Constant) else None
         if type(value) not in (int, float, complex):
             self.fail(f"expected a number, found {self.source(node)!r}", node)
         if not abs(value) <= sys.float_info.max:
             self.fail(f"number {self.source(node)!r} is not finite", node)
-        return complex(value)
+        return sign * complex(value)
 
     def matrix(self, node) -> np.ndarray:
         if not isinstance(node, ast.Name) or node.id not in self.matrices:

@@ -98,13 +98,32 @@ def test_expression_errors_carry_positions():
 
 @pytest.mark.parametrize("spelling, plain", [
     ("2*(u)", "2*u"), ("(2*u) - (v)", "2*u - v"), ("0x10*u", "16*u"), ("1_000*u", "1000*u"),
-    ("concat(u@0.5, v@0.5,)", "concat(u@0.5, v@0.5)")])
+    ("concat(u@0.5, v@0.5,)", "concat(u@0.5, v@0.5)"), ("+2*u - v", "2*u - v"),
+    ("2*u + -v", "2*u - v"), ("2*u + -1*v", "2*u - 1*v"), ("+v + -(2*u)", "v - 2*u")])
 def test_expression_python_spellings_keep_their_meaning(spelling, plain):
     parsed, expected = (parse_expression(text, 1, ("u", "v"), {}) for text in (spelling, plain))
-    assert len(parsed.terms) == len(expected.terms)
-    for got, want in zip(parsed.terms, expected.terms):
+    assert_same_terms(parsed.terms, expected.terms)
+
+
+def assert_same_terms(got_terms, want_terms):
+    assert len(got_terms) == len(want_terms)
+    for got, want in zip(got_terms, want_terms):
         assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
         assert got.segments == want.segments
+
+
+@pytest.mark.parametrize("signed", ["-1*xi2 + 2*xi1", "-xi2 + 2*xi1"])
+def test_expression_leading_sign_is_a_multiplier(signed):
+    # A sign in front of a number or of a whole term is the multiplier -1 or +1.
+    plain = parse_expression("2*xi1 - xi2", 2, ("xi1", "xi2"), {})
+    parsed = parse_expression(signed, 2, ("xi1", "xi2"), {})
+    assert_same_terms(parsed.terms, plain.terms[::-1])
+
+
+def test_expression_signed_fraction_is_refused_as_non_positive():
+    with pytest.raises(ScenarioParseError) as info:
+        parse_expression("concat(xi1@-0.5, xi2@1.5)", 2, ("xi1", "xi2"), {}, line=4)
+    assert str(info.value) == "line 4, col 12: segment fraction '-0.5' must be real and positive"
 
 
 # Property test of the expression grammar: a random sum of signed products,
