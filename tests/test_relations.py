@@ -13,7 +13,9 @@ The relations, each on affine_42 over dyadic 3..12 and ``random:8``:
 * time rescaling: horizon T under generator L against horizon 1 under
   T * L, over the rescaled schedule;
 * labels: adjoining an unused label, and reversing the label order;
-* rewriting a section: splitting a coefficient over repeated terms.
+* rewriting a section: splitting a coefficient over repeated terms;
+* unitary conjugation: eta and beta conjugated by b -> U b U*, run
+  through ``trotterlab run``; verdicts and exit codes only.
 
 The label relations hold exactly, and are also checked on random
 Christensen-Evans generators.  The other two can miss the tolerance,
@@ -26,7 +28,12 @@ generators, time rescaling at T = 3 and rewrites each miss it on a few
 draws in a thousand, so they are not checked there.
 """
 
+import ast
+import json
+import tempfile
+from contextlib import redirect_stdout
 from functools import lru_cache
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +41,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trotterlab
-from trotterlab.algebra import unit_element
+from trotterlab.algebra import dagger, unit_element
+from trotterlab.cli import main
 from trotterlab.kernels import CpdSemigroup, OperatorKernel
 from trotterlab.scenario import build_generator, build_schedule, parse_scenario
 from trotterlab.trotter import convergence_verdict, dyadic_schedule, random_schedule
@@ -112,6 +120,53 @@ def test_section_rewrites(schedule, rewrite):
 def test_labels(schedule, relabel):
     assert_same_answer(scenario_answer(AFFINE, schedule),
                        scenario_answer(relabel(AFFINE), schedule))
+
+
+def conjugated(text: str, unitary: np.ndarray) -> str:
+    """``text`` with every ``eta`` and ``beta`` matrix b replaced by ``U b U*``."""
+    lines = []
+    for line in text.splitlines():
+        directive, _, rest = line.partition(" ")
+        if directive in ("eta", "beta"):
+            label, _, matrix = rest.partition(" ")
+            b = np.array(ast.literal_eval(matrix), dtype=complex)
+            line = f"{directive} {label} {(unitary @ b @ dagger(unitary)).tolist()}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def random_unitary(seed: int, dim: int) -> np.ndarray:
+    """A Haar unitary: the QR factor of a complex Gaussian matrix, phases fixed by R."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@lru_cache(maxsize=None)
+def cli_answer(text: str, schedule: str):
+    """The exit code of ``trotterlab run`` on ``text`` and the verdict of its y."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.scenario"
+        path.write_text(text)
+        with redirect_stdout(StringIO()):
+            code = main(["run", str(path), "--schedule", schedule, "--out", tmp])
+        return code, json.loads((Path(tmp) / "y.json").read_text())["verdict"]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("seed", [3, 17, 2005])
+def test_unitary_conjugation_keeps_the_verdict(schedule, seed):
+    """Conjugating the generator by a unitary gives the same verdict and exit code.
+
+    The defect series are not compared: their exact values are unitarily
+    invariant, but the pairings' rounding, about 1e-12 absolute, moves the
+    n = 4096 defects by up to 3.4e-6 relative.  They join this relation
+    when the pairing arithmetic is exact to about 1e-16.
+    """
+    unitary = random_unitary(seed, 2)
+    text = conjugated(AFFINE, unitary)
+    assert text != AFFINE and np.allclose(unitary @ dagger(unitary), np.eye(2), atol=1e-14)
+    assert cli_answer(text, schedule) == cli_answer(AFFINE, schedule)
 
 
 def reversed_kernel(kernel: OperatorKernel) -> OperatorKernel:

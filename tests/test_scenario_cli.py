@@ -541,6 +541,18 @@ def test_cli_run_counterexample(tmp_path, capsys):
         np.exp(0.5) - np.exp(0.25), abs=1e-12)
 
 
+def test_cli_two_partitions_read_weak_only(tmp_path, capsys):
+    # No rate is fitted to two partitions; the plateau defect alone reads weak-only.
+    code = main(["run", str(bundled("counterexample_41.scenario")), "--schedule", "dyadic:3:4",
+                 "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert ("y: weak-only against candidate 'w' "
+            "(finest criterion defect 3.647e-01, rate n/a)") in out
+    report = json.loads((tmp_path / "y.json").read_text())
+    assert report["verdict"] == "weak-only" and report["criterion_rate"] is None
+
+
 def test_cli_run_affine(tmp_path, capsys):
     code = main(["run", str(bundled("affine_42.scenario")), "--out", str(tmp_path)])
     out = capsys.readouterr().out

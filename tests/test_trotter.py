@@ -295,6 +295,44 @@ def test_affine_gram_takes_one_exponential_per_chunk(monkeypatch):
     assert all(shape == (4, 4, 4) and size <= step for shape, size in calls)
 
 
+def test_uniform_chunks_are_the_power_of_one_interval_block(monkeypatch):
+    # 1,024 equal parts in 16 chunks of 64; each chunk exponentiates every width it holds.
+    import trotterlab.trotter as trotter
+
+    monkeypatch.setattr(trotter, "_CHUNK_BYTES", 0)
+    monkeypatch.setattr(trotter, "_CHUNK_MIN_INTERVALS", 64)
+    rng = np.random.default_rng(5)
+    gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.5)
+    e1, e2 = random_unit_section(rng, 2, 2), random_unit_section(rng, 2, 3)
+    partition = Partition.uniform(1.0, 1024)
+    chunked = trotter._batched_pairing(e1, e2, partition, gen).rep
+    block = trotter._batched_pairing(e1, e2, Partition(partition.parts[:1]), gen).rep
+    power = np.linalg.matrix_power(block, partition.size)
+    assert np.max(np.abs(chunked - power)) <= 1e-12 * np.max(np.abs(power))
+
+
+def test_only_equal_widths_take_the_power_path(monkeypatch):
+    # One width moved by an ulp makes the partition non-uniform, so it is paired whole.
+    import trotterlab.trotter as trotter
+
+    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(7), scale=0.4)
+    y = affine_expression([2, -1], ["a", "b"], 2)
+    uniform = Partition.uniform(1.0, 64)
+    moved = Partition((np.nextafter(uniform.parts[0], 1.0), *uniform.parts[1:]))
+    batched = []
+
+    def recording(e1, e2, partition, kernel):
+        batched.append(partition.size)
+        return _batched_pairing(e1, e2, partition, kernel)
+
+    monkeypatch.setattr(trotter, "_batched_pairing", recording)
+    power = eval_pairing(y, uniform, y, uniform, gen).rep
+    assert batched == [1]
+    whole = eval_pairing(y, moved, y, moved, gen).rep
+    assert batched == [1, 64]
+    assert np.max(np.abs(power - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
 def test_same_partition_pairing_memory_stays_bounded():
     # 4,096 parts at d = 4; a pairing that holds every interval's block at once peaks at 56 MB.
     gen = random_christensen_evans(("a", "b"), 4, np.random.default_rng(3), scale=0.05)
@@ -670,6 +708,20 @@ def test_obs35_note_needs_a_fitted_rate():
     assert first_order.verdict == "norm-convergent"
     assert first_order.criterion_rate == pytest.approx(1.0)
     assert first_order.obs35_sequences_suffice and len(first_order.notes) == 1
+
+
+def test_two_point_plateau_reads_weak_only():
+    # Two partitions fit no rate; a missing rate passes the plateau test as it passes
+    # the convergent one, and the ambient defects still decide.
+    def report(ambient):
+        return assemble_report(horizon=1.0, target="w", target_kind="ambient",
+                               partitions=dyadic_schedule(1.0, 3, 4), gram_defects=[0.6, 0.6],
+                               criterion_defects=[0.3647, 0.3647], norm_defects=[0.2, 0.2],
+                               ambient_defects={"u": ambient})
+
+    plateau = report([1e-9, 1e-10])
+    assert plateau.criterion_rate is None and plateau.verdict == "weak-only"
+    assert report([1e-3, 1e-3]).verdict == "divergent"
 
 
 def test_custom_thresholds_change_verdict():
