@@ -20,8 +20,8 @@ semidefinite; it is conditionally completely positive definite exactly
 when that matrix is positive semidefinite on the orthogonal complement
 of ``(Omega, ..., Omega)``, one copy of ``Omega = sum_i e_i (x) e_i``
 per label (:func:`is_conditionally_cpd` proves the equivalence).
-Tolerances are relative to the largest absolute eigenvalue of the block
-Choi matrix, so neither verdict changes when the kernel is multiplied by
+Tolerances are relative to the size of the block Choi matrix or of its
+compression, so neither verdict changes when the kernel is multiplied by
 a positive constant.  A negative eigenvector yields a concrete witness
 tuple violating the quadratic form (for the conditional test, one
 satisfying the constraint), which is re-evaluated directly so that every
@@ -65,10 +65,15 @@ __all__ = [
 
 # Relative tolerances, each against the size of the kernel under test: of
 # hermitian symmetry, of block-Choi positivity, and of positivity on the
-# constrained subspace.
+# constrained subspace (against the compressed matrix alone).
 _HERMITIAN_TOL = 1e-9
 _CPD_TOL = 1e-10
 _CONDITIONAL_TOL = 1e-8
+# ``eigh``'s backward error on a hermitian H of order N is a modest multiple
+# of N * 2^-53 * |H|_2 (Golub and Van Loan, Matrix Computations, 4th ed.,
+# Sec. 8.3); this is that multiple.  The conditional test allows it for the
+# rounding of the uncompressed H, drift included.
+_EIGH_BACKWARD = 64
 
 
 class KernelSymmetryError(ValueError):
@@ -267,10 +272,10 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
-                scale: float, tol: float) -> PositivityReport:
-    """Pass when the smallest eigenvalue is at least ``-tol * scale``, else a witness."""
+                scale: float, allowance: float) -> PositivityReport:
+    """Pass when the smallest eigenvalue is at least ``-allowance``, else a witness."""
     min_eig = float(eigvals[0])
-    if min_eig >= -tol * scale:
+    if min_eig >= -allowance:
         return PositivityReport(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
     return PositivityReport(False, min_eig, scale, witness)
@@ -285,7 +290,7 @@ def is_cpd(kernel: OperatorKernel) -> PositivityReport:
     Choi's test: a map T is completely positive exactly when its kernel passes.
     """
     _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
-    return _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL)
+    return _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL * scale)
 
 
 def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
@@ -296,9 +301,13 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     ``Omega = sum_i e_i (x) e_i`` (the vector ``vec`` of the identity in
     the Choi index ``i*d + k``).  The kernel is conditionally completely
     positive definite exactly when ``V* H V`` is positive semidefinite, V
-    an orthonormal basis of the orthogonal complement of ``omega``; it
-    passes when the smallest eigenvalue is at least
-    ``-_CONDITIONAL_TOL * scale``.
+    an orthonormal basis of the orthogonal complement of ``omega``.  It
+    passes when the smallest eigenvalue of ``V* H V`` is at least
+    ``-(_CONDITIONAL_TOL * max|eig(V* H V)| + _EIGH_BACKWARD * N * u * |H|_2)``,
+    with N = n d^2 the order of H and u = 2^-53.  The compression removes
+    a drift ``b -> b beta_t + beta_s* b``, which can make ``|H|_2`` as
+    large as it likes; so only ``eigh``'s rounding of H, not the relative
+    tolerance, grows with it.  The report's ``scale`` is ``|H|_2``.
 
     Proof of the equivalence.  Write a vector v in label blocks v_s, each
     reshaped to a d x d matrix ``V_s[i, k] = v[s, i*d + k]``.
@@ -337,7 +346,9 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     omega = np.tile(np.eye(d).reshape(-1), n) / np.sqrt(n * d)
     complement = np.linalg.svd(omega[None, :])[2][1:].T
     eigvals, eigvecs = np.linalg.eigh(dagger(complement) @ herm @ complement)
-    return _positivity(kernel, eigvals, complement @ eigvecs, scale, _CONDITIONAL_TOL)
+    allowance = (_CONDITIONAL_TOL * float(np.max(np.abs(eigvals)))
+                 + _EIGH_BACKWARD * n * d * d * 2.0 ** -53 * scale)
+    return _positivity(kernel, eigvals, complement @ eigvecs, scale, allowance)
 
 
 @dataclass(frozen=True)
@@ -392,7 +403,7 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
     factor per label, conjugated, in its label blocks.
     """
     _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
-    result = _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL)
+    result = _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL * scale)
     if not result.ok:
         raise NotCompletelyPositiveError(
             f"kernel is not completely positive definite "

@@ -2,49 +2,37 @@
 
 A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 time order (earliest interval first); ``parts[0]`` covers ``[0, parts[0])``.
-Partitions of equal length are paired over their common refinement, the
-union of their cut points, which the transfer walk takes into its own
-event grid; two of its points coincide only when they are equal.
-
-A pairing takes a generator kernel.  :func:`convergence_verdict` passes
-the section's extended kernel and reads its limit maps off that kernel's
-semigroup at the horizon.
+A pairing cuts both sides by the same partition and takes a generator
+kernel.  :func:`convergence_verdict` pairs every partition of its schedule
+with itself under the section's extended kernel, and reads its limit maps
+off that kernel's semigroup at the horizon.
 
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
-the two sides' labels on each interval of the common refinement.  The
-factor belonging to the *latest* interval acts first on the operand, so
-representation matrices multiply in time order, earliest leftmost:
+the two sides' labels on each interval.  The factor belonging to the
+*latest* interval acts first on the operand, so representation matrices
+multiply in time order, earliest leftmost:
 
-    rep(<x, . y>) = piece(I_1) @ piece(I_2) @ ... @ piece(I_N)
+    rep(<x, . y>) = block(I_1) @ block(I_2) @ ... @ block(I_n)
 
-with ``I_1`` the earliest interval.  A term's right multiplier (and a
-right-side twist, whose exponent scales with the interval width) enters
-at its interval's earliest position, the left multiplier (and left-side
-twist) at the latest position.
-
-A cut that both partitions share splits the pairing.  Units compose over
-consecutive intervals, so at such a cut both sides close an interval and
-open the next: every pair of terms ends on its close multipliers, the sum
-over term pairs is one map, and the rest of the product starts from that
-map alone.  The pairing is the ordered product of the pairings of the
-pieces between shared cuts.  :func:`eval_pairing` uses this where the
-pieces are alike: with every width equal on each side and
-g = gcd(n1, n2) > 8, it pairs one period and raises it to the g-th power.
-The same partition of n equal parts is the case g = n; nested dyadic
-partitions pair one interval against two.  Other pairs are evaluated
-whole, from the stacked interval blocks of a shared partition (every
-caller in this module) or by a transfer walk over both sides' events.
+with ``I_1`` the earliest interval.  Units compose over consecutive
+intervals, so at every cut both sides close an interval and open the
+next: every pair of terms ends on its close multipliers, and the sum over
+term pairs on one interval is one block map.  Within an interval a term's
+right multiplier (and a right-side twist, whose exponent scales with the
+interval width) enters at the earliest position, the left multiplier (and
+left-side twist) at the latest.  Equal widths give equal blocks, so
+:func:`eval_pairing` raises the block of one interval to the n-th power
+when more than 8 widths are all equal.
 
 Every matrix exponential here is a semigroup ``exp(w L)`` at many times
 ``w``, which :func:`trotterlab.algebra.expm_times` evaluates as one batch:
 one (times x degree) by (degree x table) matmul plus s stacked squarings,
-with s the scaling exponent of the largest time.  A same-partition
-pairing makes one such call per chunk of its intervals, on the stack of
-every (segment fraction, label pair) entry it needs, plus one per twisted
-term and chunk; it holds one chunk at a time, so its memory does not grow
-with the partition.  The walk makes one call on the generator table,
-plus one per twisted term.
+with s the scaling exponent of the largest time.  A pairing makes one
+such call per chunk of its intervals, on the stack of every (segment
+fraction, label pair) entry it needs, plus one per twisted term and
+chunk; it holds one chunk at a time, so its memory does not grow with the
+partition.
 """
 
 from __future__ import annotations
@@ -79,9 +67,6 @@ __all__ = [
     "fit_rate",
 ]
 
-# Of equal partition lengths, relative to the length so that the decision
-# does not depend on the time unit; no tolerance decides where cuts coincide.
-_LENGTH_TOL = 1e-12
 # Defects at or below this are rounding noise and do not enter rate fits.
 _RATE_FLOOR = 1e-13
 # Draws per random partition.  One fails with probability about 1 - exp(-n * 1e-6),
@@ -118,10 +103,6 @@ class Partition:
         if n < 1:
             raise ValueError("need at least one part")
         return cls((float(length) / n,) * n)
-
-    @property
-    def length(self) -> float:
-        return float(sum(self.parts))
 
     @property
     def norm(self) -> float:
@@ -179,55 +160,43 @@ def _tree_product(stack: np.ndarray) -> np.ndarray:
 
 def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
                  generator: OperatorKernel) -> Superoperator:
-    """The map ``b -> <x composed over p1, b * (y composed over p2)>``.
+    """The map ``b -> <x composed over p1, b * (y composed over p2)>``, for ``p1 == p2``.
 
     ``generator`` is the generator kernel over the expressions' labels.
-    Exact up to matrix-exponential accuracy: every interval of the common
-    refinement contributes the generator entry's exponential for the two
-    sides' active labels, with multipliers and twists inserted at the
-    proper boundaries.
-    One of three evaluations runs, chosen from the partitions:
+    Exact up to matrix-exponential accuracy: every interval contributes the
+    generator entry's exponential for the two sides' active labels, with
+    multipliers and twists inserted at the proper boundaries.  Both sides
+    are cut by the same partition; two different ones raise ``ValueError``.
+    One of two evaluations runs:
 
-    * every width equal on each side, with g = gcd(n1, n2) > 8: the pairing
-      of one period, n1/g parts against n2/g, from a recursive call, raised
-      to the g-th power; both sides cut at every multiple of t/g, where
-      the walk's state sums to a single map, so the product splits into g
-      equal factors; O(log g) products of d^2 x d^2 matrices;
-    * otherwise the same partition on both sides: the interval blocks of
-      one time-ordered chunk of intervals at a time, each chunk's ordered
-      product folded into the running one (:func:`_batched_pairing`); O(n)
-      work in O(n / chunk * log chunk) stacked numpy calls, and
-      O(chunk * keys * d^4) memory whatever n, with keys the distinct
-      (segment fraction, label pair) entries;
-    * otherwise the transfer walk over the N distinct events of both
-      sides' bounds and segment cuts (:func:`_walk_pairing`); O(N) numpy
-      steps on a (terms1, terms2, d^2, d^2) state, with the multipliers
-      stacked per interval, O(n * terms * d^4), and the entry exponentials
-      per event, O(N * terms1 * terms2 * d^4), gathered from one
-      exponential of the generator table at every event width.
+    * more than 8 parts, all of equal width: the pairing of one interval,
+      from a recursive call, raised to the n-th power; O(log n) products of
+      d^2 x d^2 matrices;
+    * otherwise the interval blocks of one time-ordered chunk of intervals
+      at a time, each chunk's ordered product folded into the running one
+      (:func:`_batched_pairing`); O(n) work in O(n / chunk * log chunk)
+      stacked numpy calls, and O(chunk * keys * d^4) memory whatever n,
+      with keys the distinct (segment fraction, label pair) entries.
 
     The exponentials come from :func:`trotterlab.algebra.expm_times`: one
     matmul per chunk of stacked (label pair, segment fraction) entries and
     per twisted term, plus s stacked squarings (2^s bounds the largest time
     times the generator's 1-norm).
     """
-    length = p1.length
-    if abs(length - p2.length) > _LENGTH_TOL * length:
-        raise ValueError(f"partition lengths differ: {length} vs {p2.length}")
+    if p1.parts != p2.parts:
+        raise ValueError(f"a pairing needs the same partition on both sides, got partitions "
+                         f"of {p1.size} and {p2.size} parts")
     if e1.dim != generator.dim or e2.dim != generator.dim:
         raise ValueError("expression and generator dimensions disagree")
     e1.require_labels(generator.labels)
     e2.require_labels(generator.labels)
 
-    g = math.gcd(p1.size, p2.size)
-    if g > 8 and all(p.parts.count(p.parts[0]) == p.size for p in (p1, p2)):
-        # Equal widths on each side: every (size // g)-th cut is shared, one period repeats.
-        period1, period2 = (Partition(p.parts[:p.size // g]) for p in (p1, p2))
-        block = eval_pairing(e1, period1, e2, period2, generator)
-        return Superoperator(generator.dim, np.linalg.matrix_power(block.rep, g))
-    if p1.parts == p2.parts:
-        return _batched_pairing(e1, e2, p1, generator)
-    return _walk_pairing(e1, p1, e2, p2, generator)
+    n = p1.size
+    if n > 8 and p1.parts.count(p1.parts[0]) == n:
+        interval = Partition(p1.parts[:1])
+        block = eval_pairing(e1, interval, e2, interval, generator)
+        return Superoperator(generator.dim, np.linalg.matrix_power(block.rep, n))
+    return _batched_pairing(e1, e2, p1, generator)
 
 
 def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partition,
@@ -289,81 +258,6 @@ def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.array_equal(const, scale * np.eye(len(const))):
             return stack if scale == 1 else scale * stack
     return a @ b
-
-
-def _walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
-                  generator: OperatorKernel) -> Superoperator:
-    """Pairing over arbitrary partitions by a transfer walk over the common refinement.
-
-    The walk visits, in time order, the events between the distinct points
-    of both sides' interval bounds and segment cuts, both sides ending at
-    the first side's length.  Points a rounding error apart give an event
-    that narrow, so no segment is dropped.  The walk's state holds one map
-    per pair of active terms, shape (n1, n2, d^2, d^2).  Where a side's
-    interval starts, the state is summed over that side's term axis and
-    multiplied by the stacked open multipliers; on every event it is
-    multiplied by the entry exponentials of the two sides' labels,
-    gathered by label code from the generator table exponentiated at
-    every event width; where the interval ends, by the stacked close
-    multipliers (:meth:`trotterlab.units.Term.end_multipliers`).  Side-1
-    factors ``b -> m* b`` and side-2 factors ``b -> b m`` act on opposite
-    slots and commute, so bounds the two sides share need no step of their
-    own, and nearly shared bounds may come in either order.
-    Inputs are those :func:`eval_pairing` has validated.
-    """
-    d, labels = generator.dim, generator.labels
-    bounds = [np.concatenate(([0.0], np.cumsum(p.parts))) for p in (p1, p2)]
-    end = bounds[1][-1] = bounds[0][-1]
-    events = [*bounds]
-    for expr, b in zip((e1, e2), bounds):
-        for term in expr.terms:
-            events.append((b[:-1, None] + term.cuts * np.diff(b)[:, None]).ravel())
-    grid = np.unique(np.minimum(np.concatenate(events), end))
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    i1, start1, end1, codes1, open1, close1 = _walk_side(e1, bounds[0], mids, labels, 0)
-    i2, start2, end2, codes2, open2, close2 = _walk_side(e2, bounds[1], mids, labels, 1)
-
-    table = expm_times(generator.table, np.diff(grid))
-    exps = table[np.arange(mids.size)[:, None, None], codes1[:, :, None], codes2[:, None, :]]
-
-    state = np.eye(d * d, dtype=complex)[None, None]
-    for k in range(mids.size):
-        if start1[k]:
-            state = state.sum(axis=0, keepdims=True) @ open1[i1[k]]
-        if start2[k]:
-            state = state.sum(axis=1, keepdims=True) @ open2[i2[k]]
-        state = state @ exps[k]
-        if end1[k]:
-            state = state @ close1[i1[k]]
-        if end2[k]:
-            state = state @ close2[i2[k]]
-    return Superoperator(d, state.sum(axis=(0, 1)))
-
-
-def _walk_side(expr: UnitExpression, bounds: np.ndarray, mids: np.ndarray,
-               labels: Sequence[str], axis: int):
-    """One side of :func:`_walk_pairing`, read off the midpoints of the event grid.
-
-    Per event: the side's interval index, whether that interval starts or
-    ends there, and the label index of every term (events x terms).  Per
-    interval: the open and close factors of every term, shaped to act on
-    the side's own term axis of the state, (intervals, terms, 1, d^2, d^2)
-    for side 1 (``axis`` 0, ``b -> m* b``) and (intervals, 1, terms, d^2,
-    d^2) for side 2 (``b -> b m``).
-    """
-    index = np.searchsorted(bounds, mids, side="right") - 1
-    change = index[1:] != index[:-1]
-    fractions = (mids - bounds[index]) / (bounds[index + 1] - bounds[index])
-    codes = np.stack([np.array([labels.index(seg.label) for seg in term.segments])
-                      [term.segment_index(fractions)] for term in expr.terms], axis=1)
-    widths = np.diff(bounds)
-    eye = np.eye(expr.dim)
-    factors = []
-    for mults in zip(*(term.end_multipliers(widths) for term in expr.terms)):
-        stack = np.stack([np.broadcast_to(m, (widths.size, *eye.shape)) for m in mults], axis=1)
-        rep = left_right_rep(dagger(stack), eye) if axis == 0 else left_right_rep(eye, stack)
-        factors.append(np.expand_dims(rep, 2 - axis))
-    return index, np.r_[True, change], np.r_[change, True], codes, *factors
 
 
 # -- reports ------------------------------------------------------------------

@@ -159,12 +159,12 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
         t = horizon * fraction
         t_rows = []
         for base in sorted(schedule, key=lambda p: p.norm, reverse=True):
-            part = Partition(tuple(w * (t / base.length) for w in base.parts))
+            part = Partition(tuple(w * (t / sum(base.parts)) for w in base.parts))
             pairing = eval_pairing(section, part, section, part, kernel)
             defect = certified_norm(pairing - superop_exp(diagonal, t))
             bound = part.norm * t * float(np.exp(t * growth)) * assembled
             size = certified_norm(pairing)
-            size_bound = float(np.exp(part.length * growth))
+            size_bound = float(np.exp(sum(part.parts) * growth))
             t_rows.append({
                 "n": part.size, "norm": part.norm, "gram_defect": defect,
                 "bound": bound, "bound_ok": defect <= bound + 1e-12,

@@ -145,6 +145,25 @@ def test_broken_generator_fails_with_reusable_witness():
     assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] < -1e-6
 
 
+@pytest.mark.parametrize("drift", [0.0, 1e6, 1e8])
+def test_imaginary_drift_does_not_widen_the_conditional_tolerance(drift):
+    # The drift beta = (0, i H) plus -0.001 on (v, v): the compressed form has
+    # the eigenvalue -5e-4 whatever H is.  A tolerance of 1e-8 * |H|_2, which
+    # counts the drift, passed it at H = 1e6 and 1e8.
+    gamma = np.array([[0.0, 1j * drift], [-1j * drift, -0.001]])
+    kernel = scalar_kernel(gamma, ("u", "v"))
+    report = is_conditionally_cpd(kernel)
+    assert not report.ok
+    assert report.min_eigenvalue == pytest.approx(-5e-4, rel=1e-6)
+    assert report.scale == pytest.approx(max(drift, 1e-3), rel=1e-6)
+    w = report.witness
+    form = evaluate_positivity_form(kernel, w.sigmas, w.lefts, w.rights)
+    assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] == pytest.approx(-5e-4, rel=1e-3)
+    # The drift alone is conditionally positive definite at every H.
+    gamma[1, 1] = 0.0
+    assert is_conditionally_cpd(scalar_kernel(gamma, ("u", "v"))).ok
+
+
 def _scaled(kernel, factor):
     return OperatorKernel(kernel.labels, factor * kernel.table)
 
@@ -162,11 +181,14 @@ def test_conditional_report_records_coverage():
             basis = scipy.linalg.null_space(omega[None, :])
             assert basis.shape[1] == len(labels) * d * d - 1
             scale = np.linalg.norm(herm, 2)
-            lowest = np.linalg.eigvalsh(dagger(basis) @ herm @ basis)[0]
+            compressed = np.linalg.eigvalsh(dagger(basis) @ herm @ basis)
+            lowest = compressed[0]
             report = is_conditionally_cpd(kernel)
             assert report.scale == pytest.approx(scale, rel=1e-12)
             assert report.min_scaled_eigenvalue == pytest.approx(lowest / scale, abs=1e-12)
-            assert report.ok == (lowest >= -1e-8 * scale)
+            allowance = (1e-8 * np.max(np.abs(compressed))
+                         + 64 * len(herm) * 2.0 ** -53 * scale)
+            assert report.ok == (lowest >= -allowance)
     # One label over the scalars has an empty constrained subspace.
     report = is_conditionally_cpd(scalar_kernel(np.array([[-5.0]]), ("a",)))
     assert report.ok and report.min_scaled_eigenvalue == 0.0 and report.witness is None

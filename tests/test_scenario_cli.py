@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from functools import reduce
@@ -577,6 +578,26 @@ def test_cli_outputs_are_deterministic(tmp_path, scenario, schedule, names, code
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("scenario, schedule", [("affine_42", "dyadic:3:6"),
+                                                ("counterexample_41", "random:2")])
+def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, scenario, schedule):
+    src = Path(trotterlab.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "trotterlab.cli", "run",
+                               str(bundled(f"{scenario}.scenario")), "--schedule", schedule,
+                               "--out", str(out)],
+                              cwd=src, env=env, capture_output=True, timeout=120)
+        # affine_42 reads divergent on dyadic:3:6 and exits 1; the test needs the files.
+        assert proc.returncode in (0, 1) and not proc.stderr
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        outputs.append((proc.returncode, proc.stdout, files))
+    assert outputs[0] == outputs[1]
+    assert {name.rsplit(".", 1)[1] for name in outputs[0][2]} == {"csv", "json"}
+
+
 def test_cli_expectation_mismatch(tmp_path, capsys):
     text = bundled("counterexample_41.scenario").read_text().replace(
         "expect y weak-only", "expect y norm-convergent")
@@ -597,6 +618,21 @@ def test_cli_gate_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "FAIL" in out and "witness" in out
+
+
+@pytest.mark.parametrize("drift", ["1000000.0", "100000000.0"])
+def test_cli_gate_failure_under_a_large_drift(tmp_path, capsys, drift):
+    # Only the -0.001 on (v, v) survives the compression; the drift used to
+    # widen the tolerance until this generator passed.
+    scenario_path = tmp_path / "drift.scenario"
+    scenario_path.write_text(
+        f"dim 1\nlabels u v\ngenerator gamma [[0.0, {drift}j], [-{drift}j, -0.001]]\n"
+        "expression y = 2*u - v\nhorizon 1.0\nschedule dyadic 3 4\n")
+    code = main(["run", str(scenario_path), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("gate: generator conditional positivity FAIL")
+    assert "quadratic form minimum eigenvalue: -5.000000e-04" in out
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,3 @@
-import itertools
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from trotterlab.algebra import (
     dagger,
     expm_times,
-    left_right_rep,
     superop_exp,
     unit_element,
 )
@@ -27,7 +25,6 @@ from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import (
     Partition,
     _batched_pairing,
-    _walk_pairing,
     VerdictThresholds,
     assemble_report,
     convergence_verdict,
@@ -53,6 +50,7 @@ from builders import (
     prop33_bound_check,
     random_christensen_evans,
 )
+from pairing_oracles import brute_force_pairing, walk_pairing
 
 
 def scalar_counterexample_generator():
@@ -66,7 +64,6 @@ def scalar_counterexample_generator():
 
 def test_partition_basics():
     p = Partition((0.25, 0.25, 0.5))
-    assert p.length == pytest.approx(1.0)
     assert p.norm == 0.5
     assert p.size == 3
     assert p.time_widths == (0.25, 0.25, 0.5)
@@ -112,7 +109,7 @@ def test_pairing_refinement_invariance_for_single_units():
     xi, eta = unit_expression("a", 2), unit_expression("b", 2)
     p1 = Partition.uniform(1.0, 4)
     p2 = random_schedule(1.0, 2, seed=9)[-1]
-    v1 = eval_pairing(xi, p1, eta, p2, gen)
+    v1 = walk_pairing(xi, p1, eta, p2, gen)
     v2 = eval_pairing(xi, Partition((1.0,)), eta, Partition((1.0,)), gen)
     assert certified_norm(v1 - v2) <= 1e-10
 
@@ -132,7 +129,7 @@ def test_counterexample_pairings_match_closed_forms():
 def test_pairing_respects_mismatched_partitions():
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
-    v1 = eval_pairing(y, Partition.uniform(1.0, 3), y, Partition.uniform(1.0, 5), gen)
+    v1 = walk_pairing(y, Partition.uniform(1.0, 3), y, Partition.uniform(1.0, 5), gen)
     # Interleaved alternations overlap on a computable measure; the overlap
     # of the two u/v patterns determines the exponent exactly.
     cuts = sorted({i / 3 for i in range(1, 3)} | {i / 5 for i in range(1, 5)}
@@ -163,7 +160,7 @@ def test_power_fast_path_matches_generic_walk():
     y = affine_expression([2, -1], ["a", "b"], 2)
     partition = Partition.uniform(1.0, 32)
     fast = eval_pairing(y, partition, y, partition, gen)
-    slow = _walk_pairing(y, partition, y, partition, gen)
+    slow = walk_pairing(y, partition, y, partition, gen)
     assert certified_norm(fast - slow) <= 1e-11
 
 
@@ -249,7 +246,7 @@ def test_batched_pairing_matches_walk(seed, dim, terms1, terms2, parts):
     widths = rng.uniform(0.1, 1.0, size=parts)
     partition = Partition(tuple(widths / widths.sum()))
     batched = eval_pairing(e1, partition, e2, partition, gen).rep
-    walk = _walk_pairing(e1, partition, e2, partition, gen).rep
+    walk = walk_pairing(e1, partition, e2, partition, gen).rep
     assert np.max(np.abs(batched - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
 
 
@@ -271,7 +268,7 @@ def test_chunked_pairing_matches_walk(monkeypatch, seed, dim, terms1, terms2, pa
     widths = rng.choice(rng.uniform(0.1, 1.0, size=pool), size=parts)
     partition = Partition(tuple(widths / widths.sum()))
     chunked = trotter._batched_pairing(e1, e2, partition, gen).rep
-    walk = _walk_pairing(e1, partition, e2, partition, gen).rep
+    walk = walk_pairing(e1, partition, e2, partition, gen).rep
     assert np.max(np.abs(chunked - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
 
 
@@ -366,7 +363,7 @@ def test_walk_keeps_short_segments(fraction):
     expected = np.eye(4, dtype=complex)
     for a, b in zip(short, long):
         expected = expected @ a @ b
-    for pairing in (_walk_pairing(y, partition, y, partition, gen),
+    for pairing in (walk_pairing(y, partition, y, partition, gen),
                     _batched_pairing(y, y, partition, gen)):
         assert np.max(np.abs(pairing.rep - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -379,66 +376,12 @@ def test_chain_summing_to_just_over_one_ends_at_the_interval_end():
     u = unit_expression("a", 2)
     p, q = Partition((0.3, 0.7)), Partition((0.5, 0.5))
     for left, right in ((p, q), (p, p)):
-        expected = _walk_pairing(u, left, u, right, gen).rep
-        for pairing in (_walk_pairing(y, left, u, right, gen),
-                        eval_pairing(y, left, u, right, gen)):
+        expected = walk_pairing(u, left, u, right, gen).rep
+        pairings = [walk_pairing(y, left, u, right, gen)]
+        if left == right:
+            pairings.append(eval_pairing(y, left, u, right, gen))
+        for pairing in pairings:
             assert np.max(np.abs(pairing.rep - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-def brute_force_pairing(e1, p1, e2, p2, semigroup):
-    """The pairing as a sum of single-term chains, one per assignment of terms to intervals.
-
-    Each chain is the time-ordered product, over the grid of the distinct
-    points of both sides' bounds and every term's segment cuts (both sides
-    ending at the first side's length), of the entry exponential of the two
-    assigned terms' labels, with a side's right multiplier (and right
-    twist) entering where a grid point equals its interval's start and its
-    left multiplier (and left twist) where one equals its end.
-    """
-    d = semigroup.generator.dim
-    eye = np.eye(d)
-    sides = [(expr, np.concatenate(([0.0], np.cumsum(p.parts))))
-             for expr, p in ((e1, p1), (e2, p2))]
-    end = sides[1][1][-1] = sides[0][1][-1]
-    points = set()
-    for expr, bounds in sides:
-        points.update(bounds)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            points.update(lo + f * (hi - lo) for term in expr.terms for f in term.cuts)
-    grid = sorted({min(x, end) for x in points})
-
-    def multipliers(term, width):
-        twist = np.eye(d) if term.twist is None else scipy.linalg.expm(width * term.twist)
-        right = twist @ term.right if term.twist_side == "right" else term.right
-        left = term.left @ twist if term.twist_side == "left" else term.left
-        return right, left
-
-    total = np.zeros((d * d, d * d), dtype=complex)
-    choices = [itertools.product(range(len(expr.terms)), repeat=len(b) - 1) for expr, b in sides]
-    for assignment in itertools.product(*choices):
-        rep = np.eye(d * d, dtype=complex)
-        for lo, hi in zip(grid[:-1], grid[1:]):
-            mid = (lo + hi) / 2
-            pieces = []
-            for (expr, bounds), chosen in zip(sides, assignment):
-                i = int(np.searchsorted(bounds, mid, side="right")) - 1
-                term = expr.terms[chosen[i]]
-                width = bounds[i + 1] - bounds[i]
-                right, left = multipliers(term, width)
-                label = term.segments[term.segment_index((mid - bounds[i]) / width)].label
-                pieces.append((right, left, label, lo == bounds[i], hi == bounds[i + 1]))
-            (r1, l1, s, open1, close1), (r2, l2, t, open2, close2) = pieces
-            if open1:
-                rep = rep @ left_right_rep(dagger(r1), eye)
-            if open2:
-                rep = rep @ left_right_rep(eye, r2)
-            rep = rep @ semigroup.entry_rep(s, t, hi - lo)
-            if close1:
-                rep = rep @ left_right_rep(dagger(l1), eye)
-            if close2:
-                rep = rep @ left_right_rep(eye, l2)
-        total += rep
-    return total
 
 
 @settings(max_examples=200, deadline=None)
@@ -453,7 +396,7 @@ def test_walk_matches_brute_force_chains_on_mismatched_partitions(seed, dim, ter
     w1, w2 = rng.uniform(0.1, 1.0, size=parts1), rng.uniform(0.1, 1.0, size=parts2)
     p1, p2 = Partition(tuple(w1 / w1.sum())), Partition(tuple(w2 / w2.sum()))
     oracle = brute_force_pairing(e1, p1, e2, p2, CpdSemigroup(gen))
-    walk = _walk_pairing(e1, p1, e2, p2, gen).rep
+    walk = walk_pairing(e1, p1, e2, p2, gen).rep
     assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
@@ -465,7 +408,7 @@ def test_brute_force_chains_keep_a_segment_shorter_than_the_old_merge_distance()
     p = Partition((0.2, 0.3, 0.5))
     for q in (Partition((0.5, 0.5)), p):
         oracle = brute_force_pairing(y, p, y, q, CpdSemigroup(gen))
-        walk = _walk_pairing(y, p, y, q, gen).rep
+        walk = walk_pairing(y, p, y, q, gen).rep
         assert np.max(np.abs(walk - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
@@ -473,34 +416,28 @@ def test_brute_force_chains_keep_a_segment_shorter_than_the_old_merge_distance()
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3),
        st.integers(1, 3), st.integers(9, 64), st.integers(1, 4), st.integers(1, 4))
 def test_commensurate_uniform_pairing_matches_walk(seed, dim, terms1, terms2, g, a, b):
-    # g * a against g * b equal parts share every cut at a multiple of 1/g.
+    # g * a against g * b equal parts share every cut at a multiple of 1/g, where
+    # the walk's state sums to a single map: the walk is the g-th power of one period's.
     rng = np.random.default_rng(seed)
     gen = random_christensen_evans(("a", "b"), dim, rng, scale=0.5)
     e1 = random_unit_section(rng, dim, terms1)
     e2 = random_unit_section(rng, dim, terms2)
     p1, p2 = Partition.uniform(1.0, g * a), Partition.uniform(1.0, g * b)
-    power = eval_pairing(e1, p1, e2, p2, gen).rep
-    walk = _walk_pairing(e1, p1, e2, p2, gen).rep
+    period = walk_pairing(e1, Partition(p1.parts[:a]), e2, Partition(p2.parts[:b]), gen).rep
+    power = np.linalg.matrix_power(period, g)
+    walk = walk_pairing(e1, p1, e2, p2, gen).rep
     assert np.max(np.abs(power - walk)) <= 1e-11 * max(1.0, np.max(np.abs(walk)))
 
 
-def test_nested_uniform_pairing_walks_one_period(monkeypatch):
-    import trotterlab.trotter as trotter
-
+def test_pairing_refuses_differing_partitions():
+    # Nested dyadic partitions, and one width moved by an ulp, name both sides.
     gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(11), scale=0.4)
     y = affine_expression([2, -1], ["a", "b"], 2)
     p1, p2 = Partition.uniform(1.0, 2 ** 11), Partition.uniform(1.0, 2 ** 12)
-    walked = []
-
-    def recording_walk(e1, q1, e2, q2, kernel):
-        walked.append((q1.parts, q2.parts))
-        return _walk_pairing(e1, q1, e2, q2, kernel)
-
-    monkeypatch.setattr(trotter, "_walk_pairing", recording_walk)
-    power = eval_pairing(y, p1, y, p2, gen).rep
-    assert walked == [(p1.parts[:1], p2.parts[:2])]
-    walk = _walk_pairing(y, p1, y, p2, gen).rep
-    assert np.max(np.abs(power - walk)) <= 1e-11 * max(1.0, np.max(np.abs(walk)))
+    moved = Partition((np.nextafter(p1.parts[0], 1.0), *p1.parts[1:]))
+    for left, right in ((p1, p2), (p2, p1), (p1, moved)):
+        with pytest.raises(ValueError, match=f"of {left.size} and {right.size} parts"):
+            eval_pairing(y, left, y, right, gen)
 
 
 # -- convergence verdicts ----------------------------------------------------------
@@ -645,7 +582,7 @@ def test_walk_pairing_is_invariant_under_time_rescaling(c):
         y, gen, horizon = affine_42_rescaled(c)
         partitions = random_schedule(horizon, 8, seed=42)
         kernel = extend_generator(y, gen).kernel
-        return eval_pairing(y, partitions[4], y, partitions[5], kernel).rep
+        return walk_pairing(y, partitions[4], y, partitions[5], kernel).rep
 
     base = walk(1.0)
     deviation = np.max(np.abs(base - np.eye(len(base))))
