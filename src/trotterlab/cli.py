@@ -46,7 +46,7 @@ from .scenario import (
     parse_scenario,
 )
 from .trotter import convergence_verdict
-from .units import ExtensionPositivityError, extend_generator
+from .units import extend_generator
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -60,6 +60,15 @@ def _print_witness(witness) -> None:
         print(f"    {sigma}: left={np.array2string(left, precision=4)} "
               f"right={np.array2string(right, precision=4)}")
     print(f"  quadratic form minimum eigenvalue: {witness.form_min_eigenvalue:.6e}")
+
+
+def _print_conditional(title: str, report) -> None:
+    """One conditional positivity line, with the witness on FAIL."""
+    print(f"{title} {'PASS' if report.ok else 'FAIL'} "
+          f"(min scaled eigenvalue {report.min_scaled_eigenvalue:.3e}, "
+          f"scale {report.scale:.3e})")
+    if not report.ok:
+        _print_witness(report.witness)
 
 
 def cmd_run(args) -> int:
@@ -91,18 +100,13 @@ def cmd_run(args) -> int:
     try:
         generator = build_generator(scenario, base_dir=path.parent)
         schedule = build_schedule(scenario, args.schedule, seed=seed)
-        generator.require_hermitian()  # the gate's precondition, as malformed input
+        gate = is_conditionally_cpd(generator)  # a non-hermitian generator is malformed
     except (ScenarioParseError, OSError, ValueError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    gate = is_conditionally_cpd(generator)
-    print(f"gate: generator conditional positivity "
-          f"{'PASS' if gate.ok else 'FAIL'} "
-          f"(min scaled eigenvalue {gate.min_scaled_eigenvalue:.3e}, "
-          f"scale {gate.scale:.3e})")
+    _print_conditional("gate: generator conditional positivity", gate)
     if not gate.ok:
-        _print_witness(gate.witness)
         return EXIT_GATE
 
     failures = []
@@ -110,7 +114,7 @@ def cmd_run(args) -> int:
         candidate = scenario.candidates.get(name)
         try:
             extension = extend_generator(expression, generator)
-        except (ExtensionPositivityError, ValueError) as exc:
+        except ValueError as exc:
             print(f"{name}: extension failed: {exc}", file=sys.stderr)
             return EXIT_GATE
         try:
@@ -172,13 +176,8 @@ def cmd_validate(args) -> int:
               f"(min eigenvalue {cpd.min_eigenvalue:.3e})")
         _print_witness(cpd.witness)
 
-    conditional = is_conditionally_cpd(kernel)
-    print(f"conditionally completely positive definite: "
-          f"{'PASS' if conditional.ok else 'FAIL'} "
-          f"(min scaled eigenvalue {conditional.min_scaled_eigenvalue:.3e}, "
-          f"scale {conditional.scale:.3e})")
-    if not conditional.ok:
-        _print_witness(conditional.witness)
+    _print_conditional("conditionally completely positive definite:",
+                       is_conditionally_cpd(kernel))
     return EXIT_OK
 
 

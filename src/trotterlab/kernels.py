@@ -20,12 +20,15 @@ semidefinite; it is conditionally completely positive definite exactly
 when that matrix is positive semidefinite on the orthogonal complement
 of ``(Omega, ..., Omega)``, one copy of ``Omega = sum_i e_i (x) e_i``
 per label (:func:`is_conditionally_cpd` proves the equivalence).
-Tolerances are relative to the size of the block Choi matrix or of its
-compression, so neither verdict changes when the kernel is multiplied by
-a positive constant.  A negative eigenvector yields a concrete witness
-tuple violating the quadratic form (for the conditional test, one
-satisfying the constraint), which is re-evaluated directly so that every
-negative verdict carries a certificate.  Sampling the constrained
+Both tests use one rule: with H the block Choi matrix, of order
+N = n d^2, and u = 2^-53, the kernel passes exactly when the smallest
+eigenvalue (of H, or of its compression) is at least
+``-_EIGH_BACKWARD * N * u * |H|_2``, the backward error of ``eigh`` on H.
+No other allowance is chosen, and no verdict changes when the kernel is
+multiplied by a positive constant.  A negative eigenvector yields a
+concrete witness tuple violating the quadratic form (for the conditional
+test, one satisfying the constraint), which is re-evaluated directly so
+that every negative verdict carries a certificate.  Sampling the constrained
 quadratic form and testing the exponentials on a small-time grid remain
 in the test suite as independent oracles.
 """
@@ -63,16 +66,12 @@ __all__ = [
     "kernel_from_json_dict",
 ]
 
-# Relative tolerances, each against the size of the kernel under test: of
-# hermitian symmetry, of block-Choi positivity, and of positivity on the
-# constrained subspace (against the compressed matrix alone).
+# Relative tolerance of hermitian symmetry, against the largest table entry.
 _HERMITIAN_TOL = 1e-9
-_CPD_TOL = 1e-10
-_CONDITIONAL_TOL = 1e-8
 # ``eigh``'s backward error on a hermitian H of order N is a modest multiple
 # of N * 2^-53 * |H|_2 (Golub and Van Loan, Matrix Computations, 4th ed.,
-# Sec. 8.3); this is that multiple.  The conditional test allows it for the
-# rounding of the uncompressed H, drift included.
+# Sec. 8.3); this is that multiple.  Every eigenvalue test allows exactly
+# that much (:func:`_positivity`).
 _EIGH_BACKWARD = 64
 
 
@@ -175,9 +174,8 @@ def christensen_evans_kernel(labels: Sequence[str], dim: int,
     eye = np.eye(dim)
     etas = np.array([eta[s] for s in labels], dtype=complex)
     betas = np.array([beta[s] for s in labels], dtype=complex)
-    table = (left_right_rep(dagger(etas)[:, None], etas[None, :])
-             + left_right_rep(eye, betas)[None, :]
-             + left_right_rep(dagger(betas), eye)[:, None])
+    drift = left_right_rep(eye, betas)[None, :] + left_right_rep(dagger(betas), eye)[:, None]
+    table = drift + left_right_rep(dagger(etas)[:, None], etas[None, :])
     return OperatorKernel(labels, table)
 
 
@@ -272,10 +270,14 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
-                scale: float, allowance: float) -> PositivityReport:
-    """Pass when the smallest eigenvalue is at least ``-allowance``, else a witness."""
+                scale: float) -> PositivityReport:
+    """Pass when ``eigvals[0] >= -_EIGH_BACKWARD * N * u * scale``, else a witness.
+
+    N = n d^2 is the order of the block Choi matrix H, ``scale`` is |H|_2 and u = 2^-53.
+    """
     min_eig = float(eigvals[0])
-    if min_eig >= -allowance:
+    order = kernel.table.shape[0] * kernel.table.shape[2]
+    if min_eig >= -_EIGH_BACKWARD * order * 2.0 ** -53 * scale:
         return PositivityReport(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
     return PositivityReport(False, min_eig, scale, witness)
@@ -290,7 +292,7 @@ def is_cpd(kernel: OperatorKernel) -> PositivityReport:
     Choi's test: a map T is completely positive exactly when its kernel passes.
     """
     _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
-    return _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL * scale)
+    return _positivity(kernel, eigvals, eigvecs, scale)
 
 
 def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
@@ -303,11 +305,11 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     positive definite exactly when ``V* H V`` is positive semidefinite, V
     an orthonormal basis of the orthogonal complement of ``omega``.  It
     passes when the smallest eigenvalue of ``V* H V`` is at least
-    ``-(_CONDITIONAL_TOL * max|eig(V* H V)| + _EIGH_BACKWARD * N * u * |H|_2)``,
-    with N = n d^2 the order of H and u = 2^-53.  The compression removes
+    ``-_EIGH_BACKWARD * N * u * |H|_2``, with N = n d^2 the order of H and
+    u = 2^-53: the same rule as :func:`is_cpd`.  The compression removes
     a drift ``b -> b beta_t + beta_s* b``, which can make ``|H|_2`` as
-    large as it likes; so only ``eigh``'s rounding of H, not the relative
-    tolerance, grows with it.  The report's ``scale`` is ``|H|_2``.
+    large as it likes; only ``eigh``'s rounding of H grows with it.  The
+    report's ``scale`` is ``|H|_2``.
 
     Proof of the equivalence.  Write a vector v in label blocks v_s, each
     reshaped to a d x d matrix ``V_s[i, k] = v[s, i*d + k]``.
@@ -346,9 +348,7 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     omega = np.tile(np.eye(d).reshape(-1), n) / np.sqrt(n * d)
     complement = np.linalg.svd(omega[None, :])[2][1:].T
     eigvals, eigvecs = np.linalg.eigh(dagger(complement) @ herm @ complement)
-    allowance = (_CONDITIONAL_TOL * float(np.max(np.abs(eigvals)))
-                 + _EIGH_BACKWARD * n * d * d * 2.0 ** -53 * scale)
-    return _positivity(kernel, eigvals, complement @ eigvecs, scale, allowance)
+    return _positivity(kernel, eigvals, complement @ eigvecs, scale)
 
 
 @dataclass(frozen=True)
@@ -397,13 +397,14 @@ def kolmogorov_decompose(kernel: OperatorKernel) -> KolmogorovDecomposition:
     """Single-time Kolmogorov-type factorization via the block Choi matrix.
 
     Requires the kernel to be completely positive definite (the test of
-    :func:`is_cpd`, from the same eigendecomposition); eigenvalues below
-    the positivity tolerance raise, tiny negative ripple is clipped.  Each
+    :func:`is_cpd`, from the same eigendecomposition, else
+    :class:`NotCompletelyPositiveError`); the negative ripple that test
+    allows is clipped.  Each
     kept eigenvector, scaled by the root of its eigenvalue, holds one
     factor per label, conjugated, in its label blocks.
     """
     _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
-    result = _positivity(kernel, eigvals, eigvecs, scale, _CPD_TOL * scale)
+    result = _positivity(kernel, eigvals, eigvecs, scale)
     if not result.ok:
         raise NotCompletelyPositiveError(
             f"kernel is not completely positive definite "

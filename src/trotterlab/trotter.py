@@ -53,7 +53,7 @@ from .algebra import (
     unit_element,
 )
 from .kernels import CpdSemigroup, OperatorKernel
-from .units import ExtendedGenerator, UnitExpression, _merged_segments, unit_expression
+from .units import UnitExpression, _merged_segments, unit_expression
 
 __all__ = [
     "Partition",
@@ -392,7 +392,7 @@ def _hermitian_top_eigenvalue(matrix: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises the ValueError below
-def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
+def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
                         horizon: float, schedule: Sequence[Partition], *,
                         candidate: str | None = None,
                         thresholds: VerdictThresholds | None = None,
@@ -400,8 +400,8 @@ def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
     """Run the full convergence analysis of a section over a schedule.
 
     ``extension`` is the section's :func:`trotterlab.units.extend_generator`
-    result.  Every limit map is an entry of its kernel's semigroup at the
-    horizon, and its labels other than the adjoined one are the ambient
+    kernel.  Every limit map is an entry of its semigroup at the horizon;
+    its last label is the adjoined one, and the others are the ambient
     units.  With ``candidate`` set, the criterion pairing is taken
     against that ambient unit instead, which tests whether the section
     converges to it; the limit gram stays the one the extension predicts.
@@ -412,7 +412,7 @@ def convergence_verdict(section: UnitExpression, extension: ExtendedGenerator,
     that overflows is not finite, and raises ``ValueError`` naming the
     partition size.
     """
-    kernel, zeta = extension.kernel, extension.zeta
+    kernel, zeta = extension, extension.labels[-1]
     semigroup = CpdSemigroup(kernel)
     ambient_labels = tuple(s for s in kernel.labels if s != zeta)
     d = kernel.dim

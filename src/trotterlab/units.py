@@ -20,9 +20,10 @@ by bilinear expansion over term pairs:
 
 Adjoining a new label for the prospective limit unit of a section ``y``
 extends the generator kernel to the :func:`pair_derivative` kernel of the
-ambient units followed by ``y``.  The extension is accepted only when it
-passes the conditional positivity test, which is precisely the condition
-for the limit unit to exist in some enlargement of the system.  The test
+ambient units followed by ``y``, with the new label last.  The extension
+is accepted only when it passes the conditional positivity test, which is
+precisely the condition for the limit unit to exist in some enlargement
+of the system; the test allows ``eigh``'s backward error and no more.  It
 also checks the new row and column for hermitian symmetry, which nothing
 else guarantees, and raises ``KernelSymmetryError`` where it fails.
 """
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Superoperator, dagger, expm_times, left_right_rep, unit_element
-from .kernels import OperatorKernel, PositivityReport, is_conditionally_cpd
+from .kernels import NotCompletelyPositiveError, OperatorKernel, is_conditionally_cpd
 
 __all__ = [
     "Segment",
@@ -43,8 +44,6 @@ __all__ = [
     "UnitExpression",
     "unit_expression",
     "pair_derivative",
-    "ExtendedGenerator",
-    "ExtensionPositivityError",
     "extend_generator",
 ]
 
@@ -198,34 +197,6 @@ def pair_derivative(e1: UnitExpression, e2: UnitExpression,
     return Superoperator(d, total)
 
 
-class ExtensionPositivityError(ValueError):
-    """The extended kernel failed conditional positivity.
-
-    Either the section violates the first-order hypotheses, or the check
-    broke down numerically; the witness magnitude distinguishes the two.
-    """
-
-    def __init__(self, message, report: PositivityReport):
-        super().__init__(message)
-        self.report = report
-
-
-@dataclass(frozen=True)
-class ExtendedGenerator:
-    """Generator kernel extended by a new label for the limit unit of a section.
-
-    The limit row lives in ``kernel`` alone, as the last row and column of
-    its table; the rows and columns before it are the generator's table.
-    ``kernel[(zeta, zeta)]`` is the derivative of the section's own
-    pairing, and ``kernel[(zeta, s)]`` and ``kernel[(s, zeta)]`` pair it with
-    unit ``s`` in either order; the gate checks that they are mirrors.
-    """
-
-    zeta: str
-    kernel: OperatorKernel
-    report: PositivityReport
-
-
 def _fresh_label(taken: Sequence[str]) -> str:
     label, k = "zeta", 0
     while label in taken:
@@ -234,14 +205,15 @@ def _fresh_label(taken: Sequence[str]) -> str:
     return label
 
 
-def extend_generator(section: UnitExpression, generator: OperatorKernel) -> ExtendedGenerator:
-    """Adjoin the limit-unit label of ``section`` to ``generator``.
+def extend_generator(section: UnitExpression, generator: OperatorKernel) -> OperatorKernel:
+    """The kernel ``generator`` extended by a fresh last label for ``section``'s limit unit.
 
-    Entry (a, b) of the extended table is ``pair_derivative(a, b)`` over
-    the ambient units followed by the section.  The extension must pass
-    the conditional positivity test, which checks the new row and column
-    for hermitian symmetry (1e-9 relative, else ``KernelSymmetryError``);
-    a positivity failure raises with the witness attached.
+    Entry (a, b) of its table is ``pair_derivative(a, b)`` over the ambient
+    units followed by the section.  It must pass the conditional positivity
+    test (``eigh``'s backward error allowed), which also checks the new row
+    and column for hermitian symmetry (1e-9 relative, else
+    ``KernelSymmetryError``); a positivity failure raises
+    ``NotCompletelyPositiveError`` with the report, witness included.
     """
     defect = section.unit_section_defect()
     if not defect <= _UNIT_TOL:
@@ -250,17 +222,15 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Exte
             "the term multipliers must sum to the identity")
     family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
     table = [[pair_derivative(a, b, generator).rep for b in family] for a in family]
-    zeta = _fresh_label(generator.labels)
-    kernel = OperatorKernel(generator.labels + (zeta,), table)
+    kernel = OperatorKernel(generator.labels + (_fresh_label(generator.labels),), table)
 
     report = is_conditionally_cpd(kernel)
     if not report.ok:
         magnitude = abs(report.min_scaled_eigenvalue)
         kind = ("hypothesis violation" if magnitude > 1e-3
                 else "numerical breakdown near tolerance")
-        raise ExtensionPositivityError(
+        raise NotCompletelyPositiveError(
             f"extended kernel is not conditionally positive definite "
             f"(worst scaled eigenvalue {report.min_scaled_eigenvalue:.3e}; "
             f"likely {kind})", report)
-    return ExtendedGenerator(zeta, kernel, report)
-
+    return kernel

@@ -20,7 +20,7 @@ from trotterlab.algebra import Superoperator, choi_matrix, dagger, superop_exp, 
 from trotterlab.kernels import CpdSemigroup, OperatorKernel, christensen_evans_kernel
 from trotterlab.scenario import parse_expression
 from trotterlab.trotter import Partition, eval_pairing
-from trotterlab.units import ExtendedGenerator, Segment, Term, UnitExpression, extend_generator
+from trotterlab.units import Segment, Term, UnitExpression, extend_generator
 
 # Small times of the second-order estimate, and the fractions of the
 # horizon at which the Prop 3.3 bound is checked.
@@ -125,7 +125,7 @@ def certified_norm(op: Superoperator) -> float:
     return bound
 
 
-def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
+def prop33_bound_check(section: UnitExpression, kernel: OperatorKernel,
                        horizon: float, schedule: Sequence[Partition]):
     """Check the first-order-in-norm bound on the gram defect (Prop 3.3).
 
@@ -142,8 +142,8 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
     :func:`trotterlab.trotter.convergence_verdict`, which measures them
     with the lower estimate ``superop_norm``.
     """
-    kernel = extension.kernel
-    diagonal = kernel[(extension.zeta, extension.zeta)]
+    zeta = kernel.labels[-1]
+    diagonal = kernel[(zeta, zeta)]
     k_norm = certified_norm(diagonal)
     second = 0.0
     for s in SECOND_ORDER_TIMES:
@@ -180,7 +180,7 @@ def prop33_bound_check(section: UnitExpression, extension: ExtendedGenerator,
 @dataclass(frozen=True)
 class NormalizedUnit:
     expression: UnitExpression
-    extension: ExtendedGenerator
+    extension: OperatorKernel
     beta: np.ndarray
 
 
@@ -216,7 +216,8 @@ def normalize_unit(label: str, generator: OperatorKernel,
     extension = extend_generator(expression, generator)
 
     # K(1) = L(1) + beta* + beta cancels to zero; its rounding scales with the summands.
-    k_at_one = extension.kernel[(extension.zeta, extension.zeta)].apply(eye)
+    zeta = extension.labels[-1]
+    k_at_one = extension[(zeta, zeta)].apply(eye)
     k_scale = (float(np.linalg.norm(generator[(label, label)].rep, 2))
                + 2.0 * float(np.linalg.norm(beta, 2)))
     if float(np.linalg.norm(k_at_one, 2)) > _NORMALIZE_TOL * k_scale:

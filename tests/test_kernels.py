@@ -86,6 +86,19 @@ def _lopsided_kernel():
         ("b", "b"): Superoperator(2, eye)})
 
 
+def test_small_negative_eigenvalue_beside_a_large_one_is_not_cpd():
+    # A tolerance of 1e-10 times the largest eigenvalue (1e-4 here) passed it.
+    kernel = scalar_kernel(np.diag([1e6, -1e-5]), ("u", "v"))
+    report = is_cpd(kernel)
+    assert not report.ok
+    assert report.min_eigenvalue == pytest.approx(-1e-5, rel=1e-9)
+    w = report.witness
+    form = evaluate_positivity_form(kernel, w.sigmas, w.lefts, w.rights)
+    assert np.linalg.eigvalsh((form + dagger(form)) / 2)[0] == pytest.approx(-1e-5, rel=1e-9)
+    with pytest.raises(NotCompletelyPositiveError):
+        kolmogorov_decompose(kernel)
+
+
 def test_is_cpd_rejects_non_hermitian():
     with pytest.raises(KernelSymmetryError, match="not a kernel candidate"):
         is_cpd(_lopsided_kernel())
@@ -164,6 +177,22 @@ def test_imaginary_drift_does_not_widen_the_conditional_tolerance(drift):
     assert is_conditionally_cpd(scalar_kernel(gamma, ("u", "v"))).ok
 
 
+def test_identity_drift_generators_pass_the_gate():
+    # One label, beta = B + i H 1: the drift cancels in the compression.  A
+    # builder that added eta* b eta + b beta before beta* b rounded at
+    # ulp(H) first, and its table failed the gate.
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        d = int(rng.choice((1, 2, 3)))
+        drift = 10.0 ** rng.uniform(0, 8)
+        size = 10.0 ** rng.uniform(-3, 1)
+        eta, b = (size * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                  for _ in range(2))
+        kernel = christensen_evans_kernel(("x",), d, {"x": eta},
+                                          {"x": b + 1j * drift * np.eye(d)})
+        assert is_conditionally_cpd(kernel).ok, (d, drift, size)
+
+
 def _scaled(kernel, factor):
     return OperatorKernel(kernel.labels, factor * kernel.table)
 
@@ -186,8 +215,7 @@ def test_conditional_report_records_coverage():
             report = is_conditionally_cpd(kernel)
             assert report.scale == pytest.approx(scale, rel=1e-12)
             assert report.min_scaled_eigenvalue == pytest.approx(lowest / scale, abs=1e-12)
-            allowance = (1e-8 * np.max(np.abs(compressed))
-                         + 64 * len(herm) * 2.0 ** -53 * scale)
+            allowance = 64 * len(herm) * 2.0 ** -53 * scale
             assert report.ok == (lowest >= -allowance)
     # One label over the scalars has an empty constrained subspace.
     report = is_conditionally_cpd(scalar_kernel(np.array([[-5.0]]), ("a",)))
@@ -469,8 +497,9 @@ def loop_block_choi(kernel):
 
 def loop_christensen_evans(labels, dim, eta, beta):
     eye = np.eye(dim)
-    return {(s, t): left_right_rep(dagger(eta[s]), eta[t]) + left_right_rep(eye, beta[t])
-            + left_right_rep(dagger(beta[s]), eye) for s in labels for t in labels}
+    return {(s, t): left_right_rep(dagger(eta[s]), eta[t])
+            + (left_right_rep(eye, beta[t]) + left_right_rep(dagger(beta[s]), eye))
+            for s in labels for t in labels}
 
 
 def loop_reconstruction_error(decomposition, kernel):

@@ -60,7 +60,8 @@ XI3 = ("eta xi3 [[0.02, 0.01j], [-0.01, 0.03]]\n"
 def analyse(section: UnitExpression, generator: OperatorKernel, horizon: float, schedule):
     """The report of ``section`` and the norm of its predicted limit gram."""
     extension = extend_generator(section, generator)
-    gram = CpdSemigroup(extension.kernel).entry(extension.zeta, extension.zeta, horizon)
+    zeta = extension.labels[-1]
+    gram = CpdSemigroup(extension).entry(zeta, zeta, horizon)
     report = convergence_verdict(section, extension, horizon, schedule)
     return report, float(np.linalg.norm(gram.apply(unit_element(generator.dim)), 2))
 

@@ -712,6 +712,17 @@ def test_cli_validate_indefinite_scalar(tmp_path, capsys):
     assert "witness" in out and "-1.0" in out
 
 
+def test_cli_validate_fails_a_small_negative_eigenvalue_beside_a_large_one(tmp_path, capsys):
+    # A tolerance of 1e-10 times the largest eigenvalue (1e-4 here) passed it.
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(kernel_to_json_dict(
+        scalar_kernel(np.diag([1e6, -1e-5]), ("u", "v")))))
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "completely positive definite: FAIL (min eigenvalue -1.000e-05)\n" in out
+    assert "quadratic form minimum eigenvalue: -1.000000e-05" in out
+
+
 def test_cli_validate_generator_conditional_only(tmp_path, capsys):
     rng = np.random.default_rng(11)
     generator = random_christensen_evans(("a", "b"), 2, rng, scale=0.8)

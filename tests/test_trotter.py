@@ -272,6 +272,19 @@ def test_chunked_pairing_matches_walk(monkeypatch, seed, dim, terms1, terms2, pa
     assert np.max(np.abs(chunked - walk)) <= 1e-12 * max(1.0, np.max(np.abs(walk)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.integers(1, 3),
+       st.floats(-3.0, 1.0))
+def test_random_sections_extend_through_the_gate(seed, dim, n_terms, log_scale):
+    # The extended kernel's semigroup holds limits of Gram kernels of actual
+    # elements, so it is conditionally positive definite whenever the
+    # generator is; its rounding must stay inside the gate's eigh allowance.
+    rng = np.random.default_rng(seed)
+    gen = random_christensen_evans(("a", "b"), dim, rng, scale=10.0 ** log_scale)
+    extension = extend_generator(random_unit_section(rng, dim, n_terms), gen)
+    assert extension.labels == ("a", "b", "zeta")
+
+
 def test_affine_gram_takes_one_exponential_per_chunk(monkeypatch):
     import trotterlab.trotter as trotter
 
@@ -524,12 +537,12 @@ def test_norm_defect_identity_reassembled_from_fresh_pairings():
     schedule = dyadic_schedule(1.0, 3, 6)
     report = convergence_verdict(y, ext, 1.0, schedule)
     eye = unit_element(2)
-    zeta = unit_expression(ext.zeta, 2)
-    limit_one = superop_exp(ext.kernel[(ext.zeta, ext.zeta)], 1.0).apply(eye)
+    zeta = unit_expression(ext.labels[-1], 2)
+    limit_one = superop_exp(ext[(ext.labels[-1],) * 2], 1.0).apply(eye)
     for partition, stored in zip(sorted(schedule, key=lambda p: p.norm, reverse=True),
                                  report.norm_defects):
-        gram_one = eval_pairing(y, partition, y, partition, ext.kernel).apply(eye)
-        crit_one = eval_pairing(zeta, partition, y, partition, ext.kernel).apply(eye)
+        gram_one = eval_pairing(y, partition, y, partition, ext).apply(eye)
+        crit_one = eval_pairing(zeta, partition, y, partition, ext).apply(eye)
         difference = gram_one - crit_one - dagger(crit_one) + limit_one
         herm = (difference + dagger(difference)) / 2
         eigs = np.linalg.eigvalsh(herm)
@@ -581,7 +594,7 @@ def test_walk_pairing_is_invariant_under_time_rescaling(c):
     def walk(c):
         y, gen, horizon = affine_42_rescaled(c)
         partitions = random_schedule(horizon, 8, seed=42)
-        kernel = extend_generator(y, gen).kernel
+        kernel = extend_generator(y, gen)
         return walk_pairing(y, partitions[4], y, partitions[5], kernel).rep
 
     base = walk(1.0)

@@ -9,10 +9,9 @@ from trotterlab.algebra import (
     superop_norm,
     unit_element,
 )
-from trotterlab.kernels import scalar_kernel
+from trotterlab.kernels import NotCompletelyPositiveError, is_conditionally_cpd, scalar_kernel
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import (
-    ExtensionPositivityError,
     Segment,
     Term,
     UnitExpression,
@@ -153,33 +152,33 @@ def test_hermitian_coherence(ce_generator):
 # -- generator extension ---------------------------------------------------------
 
 def test_extension_of_single_unit_duplicates_its_row(ce_generator):
-    ext = extend_generator(unit_expression("x1", 2), ce_generator)
-    kernel = ext.kernel
-    assert kernel.labels == ("x1", "x2", "x3", ext.zeta)
-    assert np.array_equal(kernel[(ext.zeta, ext.zeta)].rep, ce_generator[("x1", "x1")].rep)
+    kernel = extend_generator(unit_expression("x1", 2), ce_generator)
+    assert kernel.labels == ("x1", "x2", "x3", "zeta")
+    assert np.array_equal(kernel[("zeta", "zeta")].rep, ce_generator[("x1", "x1")].rep)
     for s in ("x1", "x2", "x3"):
-        assert np.array_equal(kernel[(ext.zeta, s)].rep, ce_generator[("x1", s)].rep)
-        assert np.max(np.abs(kernel[(s, ext.zeta)].rep
+        assert np.array_equal(kernel[("zeta", s)].rep, ce_generator[("x1", s)].rep)
+        assert np.max(np.abs(kernel[(s, "zeta")].rep
                              - ce_generator[(s, "x1")].rep)) <= 1e-12
-    assert ext.report.ok
+    assert is_conditionally_cpd(kernel).ok
 
 
 def test_extension_restricts_to_base(ce_generator):
     y = affine_expression([2, -1], ["x1", "x2"], 2)
     ext = extend_generator(y, ce_generator)
     for pair, op in ce_generator.entries.items():
-        assert np.array_equal(ext.kernel[pair].rep, op.rep)
-    assert ext.kernel.hermitian_defect() <= 1e-12
+        assert np.array_equal(ext[pair].rep, op.rep)
+    assert ext.hermitian_defect() <= 1e-12
 
 
 def test_affine_extension_passes_conditional_positivity(ce_generator):
     y = affine_expression([2, -1], ["x1", "x2"], 2)
     ext = extend_generator(y, ce_generator)
-    assert ext.report.ok and ext.report.min_scaled_eigenvalue >= -1e-8
+    report = is_conditionally_cpd(ext)
+    assert report.ok and report.min_scaled_eigenvalue >= -1e-8
     # Both oracles accept the extended kernel too.
-    sampled_ok, worst, _ = sampled_conditional_form(ext.kernel)
+    sampled_ok, worst, _ = sampled_conditional_form(ext)
     assert sampled_ok and worst >= -1e-8
-    assert schoenberg_grid_ok(ext.kernel)
+    assert schoenberg_grid_ok(ext)
 
 
 def test_extension_requires_unit_section(ce_generator):
@@ -198,9 +197,9 @@ def test_extension_refuses_a_non_finite_value_at_zero(ce_generator, signs):
 
 def test_extension_fails_on_bad_base_generator():
     bad = scalar_kernel(np.array([[0.0, 2.0], [2.0, -6.0]]), ("u", "v"))
-    with pytest.raises(ExtensionPositivityError) as info:
+    with pytest.raises(NotCompletelyPositiveError) as info:
         extend_generator(affine_expression([0.5, 0.5], ["u", "v"], 1), bad)
-    assert info.value.report.witness is not None
+    assert info.value.result.witness is not None
 
 
 def test_modified_expression_extension_matches_bilinear_forms(ce_generator):
@@ -223,12 +222,13 @@ def test_modified_expression_extension_matches_bilinear_forms(ce_generator):
             piece = (np.kron(rights[j].T, dagger(rights[i]))
                      @ inner.rep @ np.kron(lefts[j].T, dagger(lefts[i])))
             expected += piece
-    assert np.max(np.abs(ext.kernel[(ext.zeta, ext.zeta)].rep - expected)) <= 1e-12
+    zeta = ext.labels[-1]
+    assert np.max(np.abs(ext[(zeta, zeta)].rep - expected)) <= 1e-12
 
     cross_expected = sum(
         np.kron(np.eye(2), dagger(rights[i])) @ ce_generator[(labels[i], "x2")].rep
         @ np.kron(np.eye(2), dagger(lefts[i])) for i in range(3))
-    assert np.max(np.abs(ext.kernel[(ext.zeta, "x2")].rep - cross_expected)) <= 1e-12
+    assert np.max(np.abs(ext[(zeta, "x2")].rep - cross_expected)) <= 1e-12
 
 
 def test_affine_rule_restricted_to_candidate_and_limit():
@@ -242,7 +242,7 @@ def test_affine_rule_restricted_to_candidate_and_limit():
     kappa = 0.5
     y = concat_expression([("u", kappa), ("v", 1 - kappa)], 1)
     ext = extend_generator(y, gen)
-    got = ext.kernel[("x", ext.zeta)].rep[0, 0]
+    got = ext[("x", ext.labels[-1])].rep[0, 0]
     want = kappa * gamma[2, 0] + (1 - kappa) * gamma[2, 1]
     assert got == pytest.approx(want, abs=1e-14)
 
@@ -262,7 +262,7 @@ def test_normalize_scalar_unit_growth():
     # K(b) = b + (-1/2) b + b (-1/2) = 0
     assert result.beta[0, 0] == pytest.approx(-0.5)
     ext = result.extension
-    assert np.max(np.abs(ext.kernel[(ext.zeta, ext.zeta)].rep)) <= 1e-14
+    assert np.max(np.abs(ext[(ext.labels[-1],) * 2].rep)) <= 1e-14
 
 
 def test_normalize_ce_generator_is_unital(ce_generator):
@@ -270,7 +270,7 @@ def test_normalize_ce_generator_is_unital(ce_generator):
     result = normalize_unit("x1", ce_generator, h=h)
     eye = unit_element(2)
     ext = result.extension
-    diagonal = ext.kernel[(ext.zeta, ext.zeta)]
+    diagonal = ext[(ext.labels[-1],) * 2]
     assert np.linalg.norm(diagonal.apply(eye), 2) <= 1e-10
     for t in (0.25, 0.5, 1.0):
         image = superop_exp(diagonal, t).apply(eye)
@@ -282,9 +282,9 @@ def test_left_and_right_twists_extend_equally(ce_generator):
     beta = random_matrix(rng, 2, 0.4)
     left = extend_generator(parse_section("expm(t*B)*x1", ce_generator, B=beta), ce_generator)
     right = extend_generator(parse_section("x1*expm(t*B)", ce_generator, B=beta), ce_generator)
-    assert left.kernel.labels == right.kernel.labels
-    assert max(np.max(np.abs(op.rep - right.kernel[pair].rep))
-               for pair, op in left.kernel.entries.items()) <= 1e-9
+    assert left.labels == right.labels
+    assert max(np.max(np.abs(op.rep - right[pair].rep))
+               for pair, op in left.entries.items()) <= 1e-9
 
 
 def test_normalize_rejects_bad_inputs(ce_generator):
