@@ -118,9 +118,8 @@ def cmd_run(args) -> int:
             print(f"{name}: extension failed: {exc}", file=sys.stderr)
             return EXIT_GATE
         try:
-            report = convergence_verdict(
-                expression, extension, scenario.horizon, schedule,
-                candidate=candidate, thresholds=scenario.thresholds, seed=seed)
+            report = convergence_verdict(expression, extension, scenario.horizon, schedule,
+                                         candidate=candidate, seed=seed)
         except ValueError as exc:
             print(f"{name}: numerical breakdown: {exc}", file=sys.stderr)
             return EXIT_GATE

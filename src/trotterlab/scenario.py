@@ -19,12 +19,13 @@ comment; blank lines are ignored; fields are separated by whitespace
     schedule random COUNT           # 1 <= COUNT <= 64
     candidate EXPRNAME LABEL        # test EXPR against an ambient unit
     expect EXPRNAME VERDICT         # norm-convergent | weak-only | divergent
-    threshold FIELD VALUE           # override a verdict threshold field
     seed N                          # N >= 0; draws random schedules; recorded in reports
 
 A scenario without a ``schedule`` line runs ``dyadic 3 10``.  Every error
 in the file names its line, except a missing ``dim``, ``labels`` or
-``generator`` line.
+``generator`` line.  Verdicts compare generator entries, with no thresholds,
+so the retired ``threshold`` directive is an error.  ``divergent`` means "not
+even weakly" to the candidate; without a candidate no verdict is ``divergent``.
 
 Matrices are nested bracket lists of Python numeric literals; complex
 entries like ``(0.5+0.25j)`` are allowed.  Labels, matrix and expression
@@ -65,7 +66,7 @@ import ast
 import keyword
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .kernels import (
     kernel_from_json_dict,
     scalar_kernel,
 )
-from .trotter import Partition, VerdictThresholds, dyadic_schedule, random_schedule
+from .trotter import Partition, dyadic_schedule, random_schedule
 from .units import Segment, Term, UnitExpression
 
 __all__ = [
@@ -92,8 +93,8 @@ _SCHEDULE_ARITY = {"dyadic": 2, "random": 1}
 _SINGLE_DIRECTIVES = ("dim", "labels", "generator", "horizon", "schedule", "seed")
 # Directives by the rank parse_scenario reads them in, after those they refer to.
 _DIRECTIVES = {"dim": 0, "labels": 1, "generator": 2, "eta": 3, "beta": 3, "matrix": 4,
-               "expression": 5, "horizon": 6, "schedule": 7, "threshold": 8,
-               "candidate": 9, "expect": 10, "seed": 11}
+               "expression": 5, "horizon": 6, "schedule": 7, "candidate": 8, "expect": 9,
+               "seed": 10}
 # A dyadic partition of 2^20 parts already holds about 1M widths.
 _DYADIC_KMAX = 20
 # Every random partition (up to 4,096 widths) is built before any output.
@@ -126,7 +127,6 @@ class Scenario:
     schedule_args: tuple[int, ...] = (3, 10)
     candidates: dict = field(default_factory=dict)
     expectations: dict = field(default_factory=dict)
-    thresholds: VerdictThresholds = field(default_factory=VerdictThresholds)
     seed: int = 0
 
 
@@ -331,9 +331,12 @@ def parse_scenario(text: str) -> Scenario:
         if not line:
             continue
         head, rest = _first_field(line)
+        if head == "threshold":
+            raise ScenarioParseError("the threshold directive is retired: verdicts compare "
+                                     "generator entries, with no thresholds", line_no)
         if head not in _DIRECTIVES:
             raise ScenarioParseError(f"unknown directive {head!r}", line_no)
-        # A single directive may appear once, any other once per name (or field).
+        # A single directive may appear once, any other once per name.
         key = (head,) if head in _SINGLE_DIRECTIVES else (head, re.match(r"[^\s=]*", rest)[0])
         if key in directives:
             raise ScenarioParseError(f"{' '.join(key)} is already defined", line_no)
@@ -403,17 +406,6 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioParseError("horizon must be positive and finite", line_no)
         elif head == "schedule":
             sc.schedule_kind, sc.schedule_args = _parse_schedule(rest, None, line_no)
-        elif head == "threshold":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ScenarioParseError("threshold needs: FIELD VALUE", line_no)
-            if parts[0] not in vars(sc.thresholds):
-                raise ScenarioParseError(f"unknown threshold field {parts[0]!r}, expected one "
-                                         f"of {sorted(vars(sc.thresholds))}", line_no)
-            value = _parse_number(float, parts[1], line_no)
-            if not np.isfinite(value):
-                raise ScenarioParseError("threshold value must be finite", line_no)
-            sc.thresholds = replace(sc.thresholds, **{parts[0]: value})
         elif head == "candidate":
             parts = rest.split()
             if len(parts) != 2:

@@ -4,8 +4,9 @@ A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 time order (earliest interval first); ``parts[0]`` covers ``[0, parts[0])``.
 A pairing cuts both sides by the same partition and takes a generator
 kernel.  :func:`convergence_verdict` pairs every partition of its schedule
-with itself under the section's extended kernel, and reads its limit maps
-off that kernel's semigroup at the horizon.
+with itself under the section's extended kernel, reads its limit maps off
+that kernel's semigroup at the horizon, and decides its verdict by
+comparing entries of that kernel.
 
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
@@ -52,15 +53,14 @@ from .algebra import (
     superop_norm,
     unit_element,
 )
-from .kernels import CpdSemigroup, OperatorKernel
-from .units import UnitExpression, _merged_segments, unit_expression
+from .kernels import _EIGH_BACKWARD, CpdSemigroup, OperatorKernel
+from .units import UnitExpression, _merged_segments, pair_derivative, unit_expression
 
 __all__ = [
     "Partition",
     "dyadic_schedule",
     "random_schedule",
     "eval_pairing",
-    "VerdictThresholds",
     "ConvergenceReport",
     "assemble_report",
     "convergence_verdict",
@@ -69,6 +69,9 @@ __all__ = [
 
 # Defects at or below this are rounding noise and do not enter rate fits.
 _RATE_FLOOR = 1e-13
+# A norm-convergent criterion defect fitted at least this rate in h2 decays at
+# first order (Obs. 3.5): uniform dyadic sequences then suffice.
+_OBS35_RATE = 0.9
 # Draws per random partition.  One fails with probability about 1 - exp(-n * 1e-6),
 # at most 0.4% for n <= 4096, so only a horizon too small for n parts fails them all.
 _SCHEDULE_DRAWS = 100
@@ -264,7 +267,7 @@ def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fit_rate(norms: Sequence[float], defects: Sequence[float]) -> float | None:
-    """Log-log slope of defect against partition norm, ignoring noise-floor points."""
+    """Log-log slope of defect against step size, ignoring noise-floor points."""
     xs, ys = [], []
     for nrm, dft in zip(norms, defects):
         if dft > _RATE_FLOOR:
@@ -277,18 +280,6 @@ def fit_rate(norms: Sequence[float], defects: Sequence[float]) -> float | None:
 
 
 @dataclass(frozen=True)
-class VerdictThresholds:
-    """Floating-point realization of the convergent / weak-only / divergent split."""
-
-    convergent_defect: float = 1e-6
-    convergent_rate: float = 0.5
-    plateau_defect: float = 1e-3
-    plateau_rate: float = 0.1
-    ambient_defect: float = 1e-6
-    obs35_rate: float = 0.9
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Defect series of a sectioned product against a target unit.
 
@@ -298,7 +289,8 @@ class ConvergenceReport:
     gram, both evaluated at the algebra unit for the element form; and
     ``norm_defect`` is the squared distance assembled from the three
     pairings, reported as the top eigenvalue of the (ideally positive)
-    difference element.
+    difference element.  ``norms`` are the partition norms; the rates are
+    fitted against h2 = sum of squared widths over the horizon.
     """
 
     horizon: float
@@ -314,7 +306,6 @@ class ConvergenceReport:
     gram_rate: float | None
     verdict: str
     obs35_sequences_suffice: bool
-    thresholds: VerdictThresholds
     notes: tuple[str, ...] = ()
     seed: int | None = None
 
@@ -335,19 +326,33 @@ class ConvergenceReport:
             handle.write("\n")
 
 
-def _decide_verdict(criterion: Sequence[float], rate: float | None,
-                    ambient_final: float, thr: VerdictThresholds) -> str:
-    """``norm-convergent``, ``weak-only``, or else ``divergent``, which proves nothing.
+def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
+                    candidate: str | None) -> str:
+    """The verdict from entries K of the extended kernel, zeta its last label.
 
-    A missing rate (under three defects above the noise floor) passes both rate tests.
-    A series converging at first order whose finest criterion defect is
-    above the absolute ``convergent_defect`` reads ``divergent`` too.
+    By Chernoff's product formula every pairing of sectioned products tends
+    to ``exp(t K)``.  Without a candidate the section converges in norm when
+    ``pair_derivative(zeta, section)`` equals ``K^{zeta zeta}``, and else
+    weakly.  Against an ambient candidate w it converges in norm when
+    ``K^{zeta zeta} = K^{w zeta} = K^{w w}``, weakly when ``K^{s zeta} = K^{s w}``
+    for every ambient s, and otherwise not even weakly (``divergent``).
+    Entries are equal when they differ nowhere by more than
+    ``_EIGH_BACKWARD * N * u * max|table|``, N = n d^2 and u = 2^-53: the
+    rounding allowance of the positivity tests in :mod:`trotterlab.kernels`.
     """
-    finest = criterion[-1]
-    if finest <= thr.convergent_defect and (rate is None or rate >= thr.convergent_rate):
+    table = extension.table
+    allowance = _EIGH_BACKWARD * table.shape[0] * table.shape[2] * 2.0 ** -53 * np.abs(table).max()
+
+    def equal(first, *pairs):
+        return all(np.abs(first - extension[pair].rep).max() <= allowance for pair in pairs)
+
+    zeta, w = extension.labels[-1], candidate
+    if w is None:
+        criterion = pair_derivative(unit_expression(zeta, extension.dim), section, extension)
+        return "norm-convergent" if equal(criterion.rep, (zeta, zeta)) else "weak-only"
+    if equal(extension[(zeta, zeta)].rep, (w, zeta), (w, w)):
         return "norm-convergent"
-    plateau = rate is None or rate < thr.plateau_rate
-    if finest > thr.plateau_defect and plateau and ambient_final <= thr.ambient_defect:
+    if all(equal(extension[(s, zeta)].rep, (s, w)) for s in extension.labels[:-1]):
         return "weak-only"
     return "divergent"
 
@@ -358,21 +363,19 @@ def assemble_report(*, horizon: float, target: str, target_kind: str,
                     criterion_defects: Sequence[float],
                     norm_defects: Sequence[float],
                     ambient_defects: Mapping[str, Sequence[float]],
-                    thresholds: VerdictThresholds | None = None,
+                    verdict: str,
                     notes: Sequence[str] = (), seed: int | None = None) -> ConvergenceReport:
-    """Fit rates and apply the verdict rules to precomputed defect series."""
-    thr = thresholds or VerdictThresholds()
+    """Fit rates against h2 to precomputed defect series, and record the caller's verdict."""
     norms = tuple(p.norm for p in partitions)
     sizes = tuple(p.size for p in partitions)
-    crit_rate = fit_rate(norms, criterion_defects)
-    gram_rate = fit_rate(norms, gram_defects)
-    ambient_final = max((series[-1] for series in ambient_defects.values()), default=0.0)
-    verdict = _decide_verdict(tuple(criterion_defects), crit_rate, ambient_final, thr)
-    obs35 = verdict == "norm-convergent" and crit_rate is not None and crit_rate >= thr.obs35_rate
+    h2 = [float(w @ w / w.sum()) for w in (np.asarray(p.parts) for p in partitions)]
+    crit_rate = fit_rate(h2, criterion_defects)
+    gram_rate = fit_rate(h2, gram_defects)
+    obs35 = verdict == "norm-convergent" and crit_rate is not None and crit_rate >= _OBS35_RATE
     all_notes = list(notes)
     if obs35:
         all_notes.append(
-            "criterion defect decays at first order in the partition norm "
+            "criterion defect decays at first order in h2 = sum of squared widths / t "
             "(second order per interval); uniform dyadic sequences suffice")
     return ConvergenceReport(
         horizon=horizon, target=target, target_kind=target_kind,
@@ -382,8 +385,7 @@ def assemble_report(*, horizon: float, target: str, target_kind: str,
         norm_defects=tuple(float(m) for m in norm_defects),
         ambient_defects={k: tuple(float(x) for x in v) for k, v in ambient_defects.items()},
         criterion_rate=crit_rate, gram_rate=gram_rate, verdict=verdict,
-        obs35_sequences_suffice=obs35, thresholds=thr,
-        notes=tuple(all_notes), seed=seed)
+        obs35_sequences_suffice=obs35, notes=tuple(all_notes), seed=seed)
 
 
 def _hermitian_top_eigenvalue(matrix: np.ndarray) -> float:
@@ -395,7 +397,6 @@ def _hermitian_top_eigenvalue(matrix: np.ndarray) -> float:
 def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
                         horizon: float, schedule: Sequence[Partition], *,
                         candidate: str | None = None,
-                        thresholds: VerdictThresholds | None = None,
                         seed: int | None = None) -> ConvergenceReport:
     """Run the full convergence analysis of a section over a schedule.
 
@@ -408,7 +409,9 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     Each ambient defect compares the pairing of unit ``s`` with the
     section against ``s``'s pairing with the target (the adjoined label,
     or the candidate), so a candidate that the products do not approach
-    even weakly leaves a finite ambient defect.  A pairing or limit map
+    even weakly leaves a finite ambient defect.  The verdict compares
+    entries of ``extension`` (:func:`_decide_verdict`); the defect series
+    show how the schedule approaches the limits.  A pairing or limit map
     that overflows is not finite, and raises ``ValueError`` naming the
     partition size.
     """
@@ -471,5 +474,5 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
         horizon=horizon, target=target, target_kind=target_kind,
         partitions=schedule, gram_defects=gram, criterion_defects=crit,
         norm_defects=norm_d, ambient_defects=ambient,
-        thresholds=thresholds, notes=notes, seed=seed)
+        verdict=_decide_verdict(section, extension, candidate), notes=notes, seed=seed)
 

@@ -17,6 +17,12 @@ The relations, each on affine_42 over dyadic 3..12 and ``random:8``:
 * unitary conjugation: eta and beta conjugated by b -> U b U*, run
   through ``trotterlab run``; verdicts and exit codes only.
 
+Three more relations compare verdicts only, each of which must be
+``norm-convergent``: affine_42 on ``random:8`` under four seeds against
+dyadic 3..12 (relation 1), affine_42 at horizons 0.25 to 4 (relation 2),
+and the unit section ``y = u`` under ``gamma [[G]]`` at every scale G
+(relations 4 and 7), whose defects are rounding at the ulp of exp(G).
+
 The label relations hold exactly, and are also checked on random
 Christensen-Evans generators.  The other two can miss the tolerance,
 which scales with the limit gram while the rounding scales with the
@@ -81,13 +87,36 @@ def assert_same_answer(first, second):
 
 
 @lru_cache(maxsize=None)
-def scenario_answer(text: str, schedule: str, factor: float = 1.0):
-    """``analyse`` of the scenario's y with its generator multiplied by ``factor``."""
+def scenario_answer(text: str, schedule: str, factor: float = 1.0, seed: int | None = None):
+    """``analyse`` of the scenario's y with its generator multiplied by ``factor``.
+
+    ``seed`` draws a random schedule; the scenario's own seed by default.
+    """
     sc = parse_scenario(text)
     generator = build_generator(sc)
     generator = OperatorKernel(generator.labels, factor * generator.table)
     return analyse(sc.expressions["y"], generator, sc.horizon,
-                   build_schedule(sc, schedule, seed=sc.seed))
+                   build_schedule(sc, schedule, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [None, 3, 17, 2005])
+def test_schedule_keeps_the_verdict(seed):
+    dyadic, _ = scenario_answer(AFFINE, "dyadic:3:12")
+    drawn, _ = scenario_answer(AFFINE, "random:8", seed=seed)
+    assert dyadic.verdict == drawn.verdict == "norm-convergent"
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("horizon", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_horizon_keeps_the_verdict(schedule, horizon):
+    text = AFFINE.replace("horizon 1.0", f"horizon {horizon!r}")
+    assert scenario_answer(text, schedule)[0].verdict == "norm-convergent"
+
+
+@pytest.mark.parametrize("scale", [5.0, 20.0, 40.0])
+def test_unit_section_converges_at_every_generator_scale(scale):
+    text = f"dim 1\nlabels u\ngenerator gamma [[{scale!r}]]\nexpression y = u\n"
+    assert scenario_answer(text, "dyadic:3:6")[0].verdict == "norm-convergent"
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

@@ -243,7 +243,7 @@ def test_scenario_error_reporting():
         parse_scenario("dim 1\nlabels u\ngenerator gamma [[0]]\nexpect y weak-only\n")
 
 
-EVERY_DIRECTIVE_SCENARIO = CE_SCENARIO + "threshold convergent_defect 1e-5\ncandidate z xi1\n"
+EVERY_DIRECTIVE_SCENARIO = CE_SCENARIO + "candidate z xi1\n"
 GAMMA_SCENARIO = "dim 1\nlabels u v\ngenerator gamma [[1.0, 0.5], [0.5, 1.0]]\nexpression y = u\n"
 
 
@@ -272,7 +272,23 @@ def test_cli_malformed_scenario_numbers(tmp_path, capsys, bad):
     scenario_path = tmp_path / "bad.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{bad}\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
-    assert "line 4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 4" in err
+    # Every threshold line is refused as retired, whatever its fields.
+    assert ("threshold directive is retired" in err) == bad.startswith("threshold")
+
+
+def test_cli_refuses_the_retired_threshold_directive(tmp_path, capsys):
+    # A well-formed threshold line in a scenario that otherwise runs.
+    scenario_path = tmp_path / "threshold.scenario"
+    text = bundled("affine_42.scenario").read_text()
+    scenario_path.write_text(text + "threshold convergent_defect 1e-5\n")
+    line = len(text.splitlines()) + 1
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"{scenario_path}: line {line}: the threshold directive is retired: verdicts compare "
+        "generator entries, with no thresholds\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_a_horizon_too_small_for_a_random_schedule(tmp_path):
@@ -306,9 +322,7 @@ def test_cli_rejects_a_negative_seed_option(tmp_path, capsys):
     ("matrix M [[1]]\nmatrix M [[2]]", 5, "matrix M"), ("eta u [[0]]\neta u [[1]]", 5, "eta u"),
     ("beta u [[0]]\nbeta u [[1]]", 5, "beta u"),
     ("expression y = u\ncandidate y u\ncandidate y u", 6, "candidate y"),
-    ("expression y = u\nexpect y divergent\nexpect y weak-only", 6, "expect y"),
-    ("threshold convergent_defect 1e-6\nthreshold convergent_defect 1e-5", 5,
-     "threshold convergent_defect")])
+    ("expression y = u\nexpect y divergent\nexpect y weak-only", 6, "expect y")])
 def test_cli_rejects_repeated_definitions(tmp_path, capsys, extra, line, repeated):
     scenario_path = tmp_path / "repeated.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[0.0]]\n{extra}\n")
@@ -590,8 +604,7 @@ def test_cli_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, scenario, 
                                str(bundled(f"{scenario}.scenario")), "--schedule", schedule,
                                "--out", str(out)],
                               cwd=src, env=env, capture_output=True, timeout=120)
-        # affine_42 reads divergent on dyadic:3:6 and exits 1; the test needs the files.
-        assert proc.returncode in (0, 1) and not proc.stderr
+        assert proc.returncode == 0 and not proc.stderr
         files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
         outputs.append((proc.returncode, proc.stdout, files))
     assert outputs[0] == outputs[1]

@@ -16,6 +16,7 @@ from trotterlab.algebra import (
     unit_element,
 )
 from trotterlab.kernels import (
+    _EIGH_BACKWARD,
     CpdSemigroup,
     OperatorKernel,
     scalar_kernel,
@@ -25,7 +26,6 @@ from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import (
     Partition,
     _batched_pairing,
-    VerdictThresholds,
     assemble_report,
     convergence_verdict,
     dyadic_schedule,
@@ -38,6 +38,7 @@ from trotterlab.units import (
     Term,
     UnitExpression,
     extend_generator,
+    pair_derivative,
     unit_expression,
 )
 
@@ -498,6 +499,52 @@ def test_counterexample_verdicts():
     assert against_limit.verdict == "weak-only"
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 3)), st.floats(-3.0, 0.0),
+       st.floats(-2.0, 3.0), st.floats(0.1, 0.9))
+def test_random_generators_read_affine_sections_norm_convergent(seed, dim, log_scale,
+                                                                coefficient, fraction):
+    # By bilinearity an affine section's criterion generator is its K^{zeta zeta},
+    # so it converges in norm on every schedule; a concat section without a
+    # candidate converges at least weakly, so it is never divergent.
+    rng = np.random.default_rng(seed)
+    gen = random_christensen_evans(("a", "b"), dim, rng, scale=10.0 ** log_scale)
+    affine = affine_expression([coefficient, 1.0 - coefficient], ["a", "b"], dim)
+    chain = concat_expression([("a", fraction), ("b", 1.0 - fraction)], dim)
+    affine_ext, chain_ext = extend_generator(affine, gen), extend_generator(chain, gen)
+    for schedule in (dyadic_schedule(1.0, 3, 8), random_schedule(1.0, 4, seed)):
+        assert convergence_verdict(affine, affine_ext, 1.0, schedule).verdict == "norm-convergent"
+        assert convergence_verdict(chain, chain_ext, 1.0, schedule).verdict != "divergent"
+
+
+def entry_gap_share(section, gen):
+    """max |pair_derivative(zeta, section) - K^{zeta zeta}| over the verdict's allowance."""
+    ext = extend_generator(section, gen)
+    criterion = pair_derivative(unit_expression("zeta", gen.dim), section, ext).rep
+    n, d2 = ext.table.shape[0], ext.table.shape[2]
+    allowance = _EIGH_BACKWARD * n * d2 * 2.0 ** -53 * np.abs(ext.table).max()
+    return np.abs(criterion - ext[("zeta", "zeta")].rep).max() / allowance
+
+
+def test_affine_sections_use_a_tenth_of_the_entry_allowance():
+    # 300 affine sections of random generators: d <= 3, 2-3 labels, scales 1e-3...10,
+    # real or complex coefficients summing to 1 with l1 size <= 5.  The concat
+    # section of the counterexample misses the same allowance by more than 1e10.
+    rng = np.random.default_rng(2029)
+    worst = 0.0
+    for _ in range(300):
+        dim, n = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        labels = ("a", "b", "c")[:n]
+        gen = random_christensen_evans(labels, dim, rng, scale=10.0 ** rng.uniform(-3, 1))
+        head = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1) * (rng.random() < 0.5)
+        head *= rng.uniform(0.0, 2.0) / np.abs(head).sum()
+        section = affine_expression([*head, 1.0 - head.sum()], labels, dim)
+        worst = max(worst, entry_gap_share(section, gen))
+    assert worst <= 0.1
+    y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
+    assert entry_gap_share(y, scalar_counterexample_generator()) >= 1e10
+
+
 def test_candidate_not_approached_even_weakly_is_divergent():
     # <v, y_P> = e^{1/2} on every partition, while <v, u> = 1: the products
     # do not approach u even weakly, although the criterion plateaus.
@@ -635,7 +682,7 @@ def test_report_serialization(tmp_path):
     import json as json_module
     data = json_module.loads(json_path.read_text())
     assert data["verdict"] == "weak-only"
-    assert data["thresholds"]["convergent_defect"] == 1e-6
+    assert "thresholds" not in data
 
 
 def test_fit_rate_handles_noise_floor():
@@ -645,11 +692,11 @@ def test_fit_rate_handles_noise_floor():
 
 
 def test_obs35_note_needs_a_fitted_rate():
-    def report(criterion):
+    def report(criterion, verdict="norm-convergent"):
         return assemble_report(horizon=1.0, target="zeta", target_kind="adjoined",
                                partitions=dyadic_schedule(1.0, 3, 5), gram_defects=criterion,
                                criterion_defects=criterion, norm_defects=criterion,
-                               ambient_defects={})
+                               ambient_defects={}, verdict=verdict)
 
     exact = report([0.0, 0.0, 0.0])
     assert exact.verdict == "norm-convergent" and exact.criterion_rate is None
@@ -658,29 +705,35 @@ def test_obs35_note_needs_a_fitted_rate():
     assert first_order.verdict == "norm-convergent"
     assert first_order.criterion_rate == pytest.approx(1.0)
     assert first_order.obs35_sequences_suffice and len(first_order.notes) == 1
+    assert report([8e-7, 4e-7, 2e-7], "weak-only").notes == ()
+
+
+def test_rates_are_fitted_against_h2():
+    # Widths (2, 1, 1) / 4k repeated k times have norm 4/3 h2, with h2 the sum of
+    # squared widths over t, while n equal parts have norm = h2 = 1/n.  A defect
+    # equal to h2 fits rate 1 against h2, and a smaller slope against the norms.
+    partitions = [Partition((0.5 / k, 0.25 / k, 0.25 / k) * k) for k in (1, 2, 4)]
+    partitions.append(Partition.uniform(1.0, 64))
+    h2 = [sum(w * w for w in p.parts) for p in partitions]
+    report = assemble_report(horizon=1.0, target="zeta", target_kind="adjoined",
+                             partitions=partitions, gram_defects=h2, criterion_defects=h2,
+                             norm_defects=h2, ambient_defects={}, verdict="norm-convergent")
+    assert report.criterion_rate == pytest.approx(1.0, abs=1e-12)
+    assert report.gram_rate == pytest.approx(1.0, abs=1e-12)
+    assert report.norms == tuple(p.norm for p in partitions)
+    assert fit_rate(report.norms, h2) < 0.95
 
 
 def test_two_point_plateau_reads_weak_only():
-    # Two partitions fit no rate; a missing rate passes the plateau test as it passes
-    # the convergent one, and the ambient defects still decide.
-    def report(ambient):
-        return assemble_report(horizon=1.0, target="w", target_kind="ambient",
-                               partitions=dyadic_schedule(1.0, 3, 4), gram_defects=[0.6, 0.6],
-                               criterion_defects=[0.3647, 0.3647], norm_defects=[0.2, 0.2],
-                               ambient_defects={"u": ambient})
-
-    plateau = report([1e-9, 1e-10])
-    assert plateau.criterion_rate is None and plateau.verdict == "weak-only"
-    assert report([1e-3, 1e-3]).verdict == "divergent"
-
-
-def test_custom_thresholds_change_verdict():
+    # Two partitions fit no rate; the verdict compares entries of the extended
+    # kernel, so it needs none: weak-only against w, and divergent against u,
+    # which the products do not approach even weakly.
     gen = scalar_counterexample_generator()
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
-    strict = VerdictThresholds(plateau_defect=1.0)
-    report = convergence_verdict(y, extend_generator(y, gen), 1.0, dyadic_schedule(1.0, 3, 5),
-                                 candidate="w", thresholds=strict)
-    assert report.verdict == "divergent"
+    ext, schedule = extend_generator(y, gen), dyadic_schedule(1.0, 3, 4)
+    plateau = convergence_verdict(y, ext, 1.0, schedule, candidate="w")
+    assert plateau.criterion_rate is None and plateau.verdict == "weak-only"
+    assert convergence_verdict(y, ext, 1.0, schedule, candidate="u").verdict == "divergent"
 
 
 # -- product bounds -----------------------------------------------------------------
