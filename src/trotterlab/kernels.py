@@ -21,10 +21,10 @@ when that matrix is positive semidefinite on the orthogonal complement
 of ``(Omega, ..., Omega)``, one copy of ``Omega = sum_i e_i (x) e_i``
 per label (:func:`is_conditionally_cpd` proves the equivalence).
 Both tests use one rule: with H the block Choi matrix, of order
-N = n d^2, and u = 2^-53, the kernel passes exactly when the smallest
-eigenvalue (of H, or of its compression) is at least
-``-_EIGH_BACKWARD * N * u * |H|_2``, the backward error of ``eigh`` on H.
-No other allowance is chosen, and no verdict changes when the kernel is
+N = n d^2, the kernel passes exactly when the smallest eigenvalue (of H,
+or of its compression) is at least ``-_allowance(N, |H|_2)``, ``eigh``'s
+backward error on H; the unit check, extension gate and verdict use it,
+sized by what they summed.  No verdict changes when the kernel is
 multiplied by a positive constant.  A negative eigenvector yields a
 concrete witness tuple violating the quadratic form (for the conditional
 test, one satisfying the constraint), which is re-evaluated directly so
@@ -70,9 +70,13 @@ __all__ = [
 _HERMITIAN_TOL = 1e-9
 # ``eigh``'s backward error on a hermitian H of order N is a modest multiple
 # of N * 2^-53 * |H|_2 (Golub and Van Loan, Matrix Computations, 4th ed.,
-# Sec. 8.3); this is that multiple.  Every eigenvalue test allows exactly
-# that much (:func:`_positivity`).
+# Sec. 8.3); this is that multiple.
 _EIGH_BACKWARD = 64
+
+
+def _allowance(order: int, scale: float) -> float:
+    """The one rounding allowance; ``scale`` sizes what was summed, |H|_2 for ``eigh`` on H."""
+    return _EIGH_BACKWARD * order * 2.0 ** -53 * scale
 
 
 class KernelSymmetryError(ValueError):
@@ -271,13 +275,9 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
 
 def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
                 scale: float) -> PositivityReport:
-    """Pass when ``eigvals[0] >= -_EIGH_BACKWARD * N * u * scale``, else a witness.
-
-    N = n d^2 is the order of the block Choi matrix H, ``scale`` is |H|_2 and u = 2^-53.
-    """
+    """Pass when ``eigvals[0] >= -_allowance(N, scale)``, N = n d^2, else a witness."""
     min_eig = float(eigvals[0])
-    order = kernel.table.shape[0] * kernel.table.shape[2]
-    if min_eig >= -_EIGH_BACKWARD * order * 2.0 ** -53 * scale:
+    if min_eig >= -_allowance(kernel.table.shape[0] * kernel.table.shape[2], scale):
         return PositivityReport(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
     return PositivityReport(False, min_eig, scale, witness)
@@ -305,11 +305,10 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     positive definite exactly when ``V* H V`` is positive semidefinite, V
     an orthonormal basis of the orthogonal complement of ``omega``.  It
     passes when the smallest eigenvalue of ``V* H V`` is at least
-    ``-_EIGH_BACKWARD * N * u * |H|_2``, with N = n d^2 the order of H and
-    u = 2^-53: the same rule as :func:`is_cpd`.  The compression removes
-    a drift ``b -> b beta_t + beta_s* b``, which can make ``|H|_2`` as
-    large as it likes; only ``eigh``'s rounding of H grows with it.  The
-    report's ``scale`` is ``|H|_2``.
+    ``-_allowance(N, |H|_2)``, N = n d^2 the order of H: the rule of
+    :func:`is_cpd`.  The compression removes a drift ``b -> b beta_t +
+    beta_s* b``, which can make ``|H|_2``, the report's ``scale``, as large
+    as it likes; only ``eigh``'s rounding of H grows with it.
 
     Proof of the equivalence.  Write a vector v in label blocks v_s, each
     reshaped to a d x d matrix ``V_s[i, k] = v[s, i*d + k]``.

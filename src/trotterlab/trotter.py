@@ -53,7 +53,7 @@ from .algebra import (
     superop_norm,
     unit_element,
 )
-from .kernels import _EIGH_BACKWARD, CpdSemigroup, OperatorKernel
+from .kernels import CpdSemigroup, OperatorKernel, _allowance
 from .units import UnitExpression, _merged_segments, pair_derivative, unit_expression
 
 __all__ = [
@@ -326,6 +326,13 @@ class ConvergenceReport:
             handle.write("\n")
 
 
+def _entry_equality(section: UnitExpression, extension: OperatorKernel):
+    """``equal(rep, *pairs)``: ``rep`` equals each listed entry (see :func:`_decide_verdict`)."""
+    table = extension.table
+    allowance = _allowance(table.shape[0] * table.shape[2], section.size ** 2 * np.abs(table).max())
+    return lambda rep, *pairs: all(np.abs(rep - extension[p].rep).max() <= allowance for p in pairs)
+
+
 def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
                     candidate: str | None) -> str:
     """The verdict from entries K of the extended kernel, zeta its last label.
@@ -337,15 +344,10 @@ def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
     ``K^{zeta zeta} = K^{w zeta} = K^{w w}``, weakly when ``K^{s zeta} = K^{s w}``
     for every ambient s, and otherwise not even weakly (``divergent``).
     Entries are equal when they differ nowhere by more than
-    ``_EIGH_BACKWARD * N * u * max|table|``, N = n d^2 and u = 2^-53: the
-    rounding allowance of the positivity tests in :mod:`trotterlab.kernels`.
+    ``_allowance(N, s^2 max|table|)``, N = n d^2 and s = ``section.size``:
+    each entry sums products of up to s^2 generator entries.
     """
-    table = extension.table
-    allowance = _EIGH_BACKWARD * table.shape[0] * table.shape[2] * 2.0 ** -53 * np.abs(table).max()
-
-    def equal(first, *pairs):
-        return all(np.abs(first - extension[pair].rep).max() <= allowance for pair in pairs)
-
+    equal = _entry_equality(section, extension)
     zeta, w = extension.labels[-1], candidate
     if w is None:
         criterion = pair_derivative(unit_expression(zeta, extension.dim), section, extension)
@@ -411,9 +413,9 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     or the candidate), so a candidate that the products do not approach
     even weakly leaves a finite ambient defect.  The verdict compares
     entries of ``extension`` (:func:`_decide_verdict`); the defect series
-    show how the schedule approaches the limits.  A pairing or limit map
-    that overflows is not finite, and raises ``ValueError`` naming the
-    partition size.
+    show how the schedule approaches the limits.  A note gives the limit
+    grams' gap when ``K^{zeta zeta}`` and ``K^{w w}`` differ.  A pairing or
+    limit map that overflows raises ``ValueError`` naming the partition size.
     """
     kernel, zeta = extension, extension.labels[-1]
     semigroup = CpdSemigroup(kernel)
@@ -463,13 +465,11 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     ambient = {s: [r[3][s] for r in results] for s in ambient_labels}
 
     notes = []
-    if candidate is not None:
+    equal = _entry_equality(section, kernel)
+    if candidate is not None and not equal(kernel[(zeta, zeta)].rep, (candidate, candidate)):
         gap = float(np.linalg.norm(target_gram_one - limit_gram_one, 2))
-        scale = max(np.linalg.norm(g, 2) for g in (target_gram_one, limit_gram_one))
-        if gap > 1e-12 * scale:
-            notes.append(
-                f"candidate gram differs from the predicted limit gram by {gap:.6e}; "
-                "the limit unit lies outside the span of the candidate")
+        notes.append(f"candidate gram differs from the predicted limit gram by {gap:.6e}; "
+                     "the limit unit lies outside the span of the candidate")
     return assemble_report(
         horizon=horizon, target=target, target_kind=target_kind,
         partitions=schedule, gram_defects=gram, criterion_defects=crit,

@@ -23,9 +23,9 @@ extends the generator kernel to the :func:`pair_derivative` kernel of the
 ambient units followed by ``y``, with the new label last.  The extension
 is accepted only when it passes the conditional positivity test, which is
 precisely the condition for the limit unit to exist in some enlargement
-of the system; the test allows ``eigh``'s backward error and no more.  It
-also checks the new row and column for hermitian symmetry, which nothing
-else guarantees, and raises ``KernelSymmetryError`` where it fails.
+of the system; it allows the rounding of entries that sum up to s(y)^2
+generator entries, s(y) = ``y.size``.  It also checks the new row and
+column for hermitian symmetry, which nothing else guarantees.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Superoperator, dagger, expm_times, left_right_rep, unit_element
-from .kernels import NotCompletelyPositiveError, OperatorKernel, is_conditionally_cpd
+from .kernels import NotCompletelyPositiveError, OperatorKernel, _allowance, is_conditionally_cpd
 
 __all__ = [
     "Segment",
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 _FRACTION_TOL = 1e-9
-# A section's value at t = 0 may differ from the unit by this much.
-_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,12 @@ class UnitExpression:
         if missing:
             raise KeyError(f"expression uses unknown unit labels {sorted(missing)}")
 
+    @property
+    def size(self) -> float:
+        """s(y), the sum over terms of ``|left|_2 |right|_2``; at least 1 for a unit section."""
+        return sum(float(np.linalg.norm(t.left, 2)) * float(np.linalg.norm(t.right, 2))
+                   for t in self.terms)
+
     def value_at_zero(self) -> np.ndarray:
         """The element the section degenerates to at ``t = 0``."""
         return sum(term.left @ term.right for term in self.terms)
@@ -208,15 +212,15 @@ def _fresh_label(taken: Sequence[str]) -> str:
 def extend_generator(section: UnitExpression, generator: OperatorKernel) -> OperatorKernel:
     """The kernel ``generator`` extended by a fresh last label for ``section``'s limit unit.
 
-    Entry (a, b) of its table is ``pair_derivative(a, b)`` over the ambient
-    units followed by the section.  It must pass the conditional positivity
-    test (``eigh``'s backward error allowed), which also checks the new row
-    and column for hermitian symmetry (1e-9 relative, else
-    ``KernelSymmetryError``); a positivity failure raises
-    ``NotCompletelyPositiveError`` with the report, witness included.
+    Its value at t = 0 must be finite and the unit within ``_allowance(d, s)``,
+    s = ``section.size``.  Entry (a, b) of the table is ``pair_derivative(a, b)``
+    over the ambient units and the section, a sum of up to s^2 generator entries.
+    The conditional positivity test must find it hermitian (1e-9 relative, else
+    ``KernelSymmetryError``) and its smallest eigenvalue at least
+    ``-_allowance(N, s^2 |H|_2)``, else ``NotCompletelyPositiveError`` with the report.
     """
     defect = section.unit_section_defect()
-    if not defect <= _UNIT_TOL:
+    if defect == np.inf or not defect <= _allowance(generator.dim, section.size):
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
@@ -225,12 +229,9 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Oper
     kernel = OperatorKernel(generator.labels + (_fresh_label(generator.labels),), table)
 
     report = is_conditionally_cpd(kernel)
-    if not report.ok:
-        magnitude = abs(report.min_scaled_eigenvalue)
-        kind = ("hypothesis violation" if magnitude > 1e-3
-                else "numerical breakdown near tolerance")
+    allowance = _allowance(len(family) * generator.dim ** 2, section.size ** 2 * report.scale)
+    if not report.min_eigenvalue >= -allowance:
         raise NotCompletelyPositiveError(
-            f"extended kernel is not conditionally positive definite "
-            f"(worst scaled eigenvalue {report.min_scaled_eigenvalue:.3e}; "
-            f"likely {kind})", report)
+            f"extended kernel is not conditionally positive definite (worst eigenvalue "
+            f"{report.min_eigenvalue:.3e} below the rounding allowance {-allowance:.3e})", report)
     return kernel

@@ -17,11 +17,13 @@ The relations, each on affine_42 over dyadic 3..12 and ``random:8``:
 * unitary conjugation: eta and beta conjugated by b -> U b U*, run
   through ``trotterlab run``; verdicts and exit codes only.
 
-Three more relations compare verdicts only, each of which must be
+Four more relations compare verdicts only, each of which must be
 ``norm-convergent``: affine_42 on ``random:8`` under four seeds against
 dyadic 3..12 (relation 1), affine_42 at horizons 0.25 to 4 (relation 2),
-and the unit section ``y = u`` under ``gamma [[G]]`` at every scale G
-(relations 4 and 7), whose defects are rounding at the ulp of exp(G).
+the unit section ``y = u`` under ``gamma [[G]]`` at every scale G
+(relations 4 and 7), whose defects are rounding at the ulp of exp(G), and
+``y = u`` against the cancelling rewrites ``30*u - 29*u`` and
+``100*u - 99*u`` (relation 6).
 
 The label relations hold exactly, and are also checked on random
 Christensen-Evans generators.  The other two can miss the tolerance,
@@ -140,6 +142,15 @@ REWRITE_ROUNDING = pytest.mark.xfail(
 def test_section_rewrites(schedule, rewrite):
     rewritten = AFFINE.replace("y = 2*xi1 - 1*xi2", f"y = {rewrite}")
     assert_same_answer(scenario_answer(AFFINE, schedule), scenario_answer(rewritten, schedule))
+
+
+@pytest.mark.parametrize("rewrite", ["30*u - 29*u", "100*u - 99*u"])
+def test_cancelling_rewrite_keeps_the_verdict(rewrite):
+    # The terms cancel to exactly u; the extension and the verdict carry
+    # rounding of the size of the coefficients, which they must allow.
+    text = "dim 1\nlabels u v\ngenerator gamma [[0.7, 0.3], [0.3, 0.9]]\nexpression y = {}\n"
+    plain = scenario_answer(text.format("u"), "dyadic:3:6")[0]
+    assert scenario_answer(text.format(rewrite), "dyadic:3:6")[0].verdict == plain.verdict
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

@@ -681,6 +681,18 @@ def test_cli_section_off_the_unit_fails_the_extension(tmp_path, capsys):
         "the term multipliers must sum to the identity\n")
 
 
+@pytest.mark.parametrize("expr, code", [("1.0000000001*u", 2), ("0.7*u + 0.2*u + 0.1*u", 0)])
+def test_cli_unit_check_allows_the_rounding_of_the_sum_only(tmp_path, capsys, expr, code):
+    # c^n u with c = 1 + 1e-10 does not converge; 0.7 + 0.2 + 0.1 is 1 up to rounding.
+    scenario_path = tmp_path / "near.scenario"
+    scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[1.0]]\nexpression y = {expr}\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   "y: extension failed: section value at t=0 differs from the unit by 1.000e-10; "
+                   "the term multipliers must sum to the identity\n")
+
+
 def test_cli_overflowing_section_sum_fails_the_extension(tmp_path, capsys):
     scenario_path = tmp_path / "sum.scenario"
     scenario_path.write_text(

@@ -26,6 +26,7 @@ from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import (
     Partition,
     _batched_pairing,
+    _decide_verdict,
     assemble_report,
     convergence_verdict,
     dyadic_schedule,
@@ -543,6 +544,21 @@ def test_affine_sections_use_a_tenth_of_the_entry_allowance():
     assert worst <= 0.1
     y = concat_expression([("u", 0.5), ("v", 0.5)], 1)
     assert entry_gap_share(y, scalar_counterexample_generator()) >= 1e10
+
+
+def test_cancelling_affine_sections_read_norm_convergent():
+    # c a + (1 - c) x with x = a or b and |c| = 1...1000: the terms cancel, and
+    # the unit check, the extension gate and the verdict must each allow the
+    # rounding of the coefficients' size.
+    rng = np.random.default_rng(30)
+    verdicts = []
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        gen = random_christensen_evans(("a", "b"), dim, rng, scale=10.0 ** rng.uniform(-3, 1))
+        c = float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 3))
+        section = affine_expression([c, 1.0 - c], ["a", ("a", "b")[int(rng.integers(2))]], dim)
+        verdicts.append(_decide_verdict(section, extend_generator(section, gen), None))
+    assert verdicts == ["norm-convergent"] * 300
 
 
 def test_candidate_not_approached_even_weakly_is_divergent():
