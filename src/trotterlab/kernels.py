@@ -22,9 +22,10 @@ of ``(Omega, ..., Omega)``, one copy of ``Omega = sum_i e_i (x) e_i``
 per label (:func:`is_conditionally_cpd` proves the equivalence).
 Both tests use one rule: with H the block Choi matrix, of order
 N = n d^2, the kernel passes exactly when the smallest eigenvalue (of H,
-or of its compression) is at least ``-_allowance(N, |H|_2)``, ``eigh``'s
-backward error on H; the unit check, extension gate and verdict use it,
-sized by what they summed.  No verdict changes when the kernel is
+or of its compression) is at least ``-_allowance(_EIGH_BACKWARD * N,
+|H|_2)``, ``eigh``'s backward error on H; the unit check, extension gate
+and verdict use the same allowance, each counting its own roundings and
+sizing them by what it summed.  No verdict changes when the kernel is
 multiplied by a positive constant.  A negative eigenvector yields a
 concrete witness tuple violating the quadratic form (for the conditional
 test, one satisfying the constraint), which is re-evaluated directly so
@@ -74,9 +75,10 @@ _HERMITIAN_TOL = 1e-9
 _EIGH_BACKWARD = 64
 
 
-def _allowance(order: int, scale: float) -> float:
-    """The one rounding allowance; ``scale`` sizes what was summed, |H|_2 for ``eigh`` on H."""
-    return _EIGH_BACKWARD * order * 2.0 ** -53 * scale
+def _allowance(roundings: int, scale: float) -> float:
+    """The one rounding allowance: n = ``roundings`` roundings of terms whose magnitudes sum
+    to ``scale`` err by at most n 2^-53 ``scale`` (Higham, Accuracy and Stability, Ch. 3)."""
+    return roundings * 2.0 ** -53 * scale
 
 
 class KernelSymmetryError(ValueError):
@@ -275,9 +277,10 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
 
 def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
                 scale: float) -> PositivityReport:
-    """Pass when ``eigvals[0] >= -_allowance(N, scale)``, N = n d^2, else a witness."""
+    """Pass when ``eigvals[0] >= -_allowance(_EIGH_BACKWARD * N, scale)``, N = n d^2."""
     min_eig = float(eigvals[0])
-    if min_eig >= -_allowance(kernel.table.shape[0] * kernel.table.shape[2], scale):
+    order = kernel.table.shape[0] * kernel.table.shape[2]
+    if min_eig >= -_allowance(_EIGH_BACKWARD * order, scale):
         return PositivityReport(True, min_eig, scale, None)
     witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
     return PositivityReport(False, min_eig, scale, witness)
@@ -304,8 +307,7 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     the Choi index ``i*d + k``).  The kernel is conditionally completely
     positive definite exactly when ``V* H V`` is positive semidefinite, V
     an orthonormal basis of the orthogonal complement of ``omega``.  It
-    passes when the smallest eigenvalue of ``V* H V`` is at least
-    ``-_allowance(N, |H|_2)``, N = n d^2 the order of H: the rule of
+    passes when the smallest eigenvalue of ``V* H V`` passes the rule of
     :func:`is_cpd`.  The compression removes a drift ``b -> b beta_t +
     beta_s* b``, which can make ``|H|_2``, the report's ``scale``, as large
     as it likes; only ``eigh``'s rounding of H grows with it.

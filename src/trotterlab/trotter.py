@@ -54,7 +54,7 @@ from .algebra import (
     unit_element,
 )
 from .kernels import CpdSemigroup, OperatorKernel, _allowance
-from .units import UnitExpression, _merged_segments, pair_derivative, unit_expression
+from .units import UnitExpression, _merged_segments, _pair_table, pair_derivative, unit_expression
 
 __all__ = [
     "Partition",
@@ -327,14 +327,31 @@ class ConvergenceReport:
 
 
 def _entry_equality(section: UnitExpression, extension: OperatorKernel):
-    """``equal(rep, *pairs)``: ``rep`` equals each listed entry (see :func:`_decide_verdict`)."""
-    table = extension.table
-    allowance = _allowance(table.shape[0] * table.shape[2], section.size ** 2 * np.abs(table).max())
+    """``equal(rep, *pairs)``: ``rep`` equals each listed entry (see :func:`_decide_verdict`).
+
+    ``ValueError`` when the allowance reaches the largest entry: no digit of it is certain.
+    """
+    # Every multiplier, twist and generator entry by its absolute value: each entry of
+    # ``magnitudes`` is the sum of the magnitudes of the products its entry adds up.
+    ambient = OperatorKernel(extension.labels[:-1], np.abs(extension.table[:-1, :-1]))
+    magnitude = section.magnitude()
+    magnitudes = OperatorKernel(extension.labels, _pair_table(magnitude, ambient))
+    zeta = unit_expression(extension.labels[-1], extension.dim)
+    criterion = pair_derivative(zeta, magnitude, magnitudes)
+    k, d = len(section.terms), extension.dim
+    chain = max(len(term.segments) for term in section.terms)
+    allowance = _allowance(2 * (k * k + 2 * d * d + 2 * chain + 3),
+                           max(magnitudes.table.real.max(), criterion.rep.real.max()))
+    largest = np.abs(extension.table).max()
+    if allowance >= largest > 0:
+        raise ValueError(f"rounding allowance {allowance:.3e} of the extended kernel reaches "
+                         f"its largest entry {largest:.3e}; the section's terms cancel "
+                         "beyond double precision")
     return lambda rep, *pairs: all(np.abs(rep - extension[p].rep).max() <= allowance for p in pairs)
 
 
 def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
-                    candidate: str | None) -> str:
+                    candidate: str | None, equal) -> str:
     """The verdict from entries K of the extended kernel, zeta its last label.
 
     By Chernoff's product formula every pairing of sectioned products tends
@@ -343,11 +360,14 @@ def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
     weakly.  Against an ambient candidate w it converges in norm when
     ``K^{zeta zeta} = K^{w zeta} = K^{w w}``, weakly when ``K^{s zeta} = K^{s w}``
     for every ambient s, and otherwise not even weakly (``divergent``).
-    Entries are equal when they differ nowhere by more than
-    ``_allowance(N, s^2 max|table|)``, N = n d^2 and s = ``section.size``:
-    each entry sums products of up to s^2 generator entries.
+    Under ``equal`` (:func:`_entry_equality`) entries are equal when they
+    differ nowhere by more than ``_allowance(2 L, M)``: M is the largest
+    magnitude summed into an entry or into the criterion, and
+    L = k^2 + 2 d^2 + 2 m + 3 bounds the roundings along one
+    ``pair_derivative`` of a section of k terms of at most m segments (the
+    criterion nests two).  Terms that meet only zero generator entries add
+    nothing to M, so a cancelling section reads as what it cancels to.
     """
-    equal = _entry_equality(section, extension)
     zeta, w = extension.labels[-1], candidate
     if w is None:
         criterion = pair_derivative(unit_expression(zeta, extension.dim), section, extension)
@@ -414,8 +434,9 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     even weakly leaves a finite ambient defect.  The verdict compares
     entries of ``extension`` (:func:`_decide_verdict`); the defect series
     show how the schedule approaches the limits.  A note gives the limit
-    grams' gap when ``K^{zeta zeta}`` and ``K^{w w}`` differ.  A pairing or
-    limit map that overflows raises ``ValueError`` naming the partition size.
+    grams' gap when ``K^{zeta zeta}`` and ``K^{w w}`` differ under the same
+    rule.  A pairing or limit map that overflows raises ``ValueError`` naming
+    the partition size; an allowance that reaches the entries raises it too.
     """
     kernel, zeta = extension, extension.labels[-1]
     semigroup = CpdSemigroup(kernel)
@@ -474,5 +495,5 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
         horizon=horizon, target=target, target_kind=target_kind,
         partitions=schedule, gram_defects=gram, criterion_defects=crit,
         norm_defects=norm_d, ambient_defects=ambient,
-        verdict=_decide_verdict(section, extension, candidate), notes=notes, seed=seed)
+        verdict=_decide_verdict(section, kernel, candidate, equal), notes=notes, seed=seed)
 

@@ -30,13 +30,14 @@ column for hermitian symmetry, which nothing else guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import Superoperator, dagger, expm_times, left_right_rep, unit_element
-from .kernels import NotCompletelyPositiveError, OperatorKernel, _allowance, is_conditionally_cpd
+from .kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, OperatorKernel, _allowance,
+                      is_conditionally_cpd)
 
 __all__ = [
     "Segment",
@@ -152,6 +153,12 @@ class UnitExpression:
         return sum(float(np.linalg.norm(t.left, 2)) * float(np.linalg.norm(t.right, 2))
                    for t in self.terms)
 
+    def magnitude(self) -> UnitExpression:
+        """The section with every multiplier and twist replaced by its entrywise absolute value."""
+        return UnitExpression(self.dim, tuple(
+            replace(t, left=np.abs(t.left), right=np.abs(t.right),
+                    twist=None if t.twist is None else np.abs(t.twist)) for t in self.terms))
+
     def value_at_zero(self) -> np.ndarray:
         """The element the section degenerates to at ``t = 0``."""
         return sum(term.left @ term.right for term in self.terms)
@@ -209,27 +216,39 @@ def _fresh_label(taken: Sequence[str]) -> str:
     return label
 
 
+def _pair_table(section: UnitExpression, generator: OperatorKernel) -> list[list[np.ndarray]]:
+    """``pair_derivative(a, b)`` over the ambient units and, last, ``section``."""
+    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
+    return [[pair_derivative(a, b, generator).rep for b in family] for a in family]
+
+
 def extend_generator(section: UnitExpression, generator: OperatorKernel) -> OperatorKernel:
     """The kernel ``generator`` extended by a fresh last label for ``section``'s limit unit.
 
-    Its value at t = 0 must be finite and the unit within ``_allowance(d, s)``,
-    s = ``section.size``.  Entry (a, b) of the table is ``pair_derivative(a, b)``
-    over the ambient units and the section, a sum of up to s^2 generator entries.
-    The conditional positivity test must find it hermitian (1e-9 relative, else
+    Its value at t = 0 must be the unit within the rounding of its sum of k
+    products: ``_allowance(d + k, (d + 1) s)``, s = ``section.size``, since
+    each entry rounds d + k times and the entrywise magnitudes have 2-norm
+    at most (d + 1) s.  A non-finite value or size is refused.  Entry (a, b)
+    of the table is ``pair_derivative(a, b)`` over the ambient units and
+    the section, a sum of up to s^2 generator entries.  The conditional
+    positivity test must find it hermitian (1e-9 relative, else
     ``KernelSymmetryError``) and its smallest eigenvalue at least
-    ``-_allowance(N, s^2 |H|_2)``, else ``NotCompletelyPositiveError`` with the report.
+    ``-_allowance(_EIGH_BACKWARD * N, s^2 |H|_2)``, else
+    ``NotCompletelyPositiveError`` with the report.
     """
-    defect = section.unit_section_defect()
-    if defect == np.inf or not defect <= _allowance(generator.dim, section.size):
+    d, size, defect = generator.dim, section.size, section.unit_section_defect()
+    if defect == np.inf or not defect <= _allowance(d + len(section.terms), (d + 1) * size):
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
-    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
-    table = [[pair_derivative(a, b, generator).rep for b in family] for a in family]
+    if not np.isfinite(size):
+        raise ValueError(f"section size {size} is not finite: the norms of its term "
+                         "multipliers overflow")
+    table = _pair_table(section, generator)
     kernel = OperatorKernel(generator.labels + (_fresh_label(generator.labels),), table)
 
     report = is_conditionally_cpd(kernel)
-    allowance = _allowance(len(family) * generator.dim ** 2, section.size ** 2 * report.scale)
+    allowance = _allowance(_EIGH_BACKWARD * len(table) * d * d, size ** 2 * report.scale)
     if not report.min_eigenvalue >= -allowance:
         raise NotCompletelyPositiveError(
             f"extended kernel is not conditionally positive definite (worst eigenvalue "

@@ -23,7 +23,8 @@ dyadic 3..12 (relation 1), affine_42 at horizons 0.25 to 4 (relation 2),
 the unit section ``y = u`` under ``gamma [[G]]`` at every scale G
 (relations 4 and 7), whose defects are rounding at the ulp of exp(G), and
 ``y = u`` against the cancelling rewrites ``30*u - 29*u`` and
-``100*u - 99*u`` (relation 6).
+``100*u - 99*u`` (relation 6).  Relation 6 also pads counterexample_41's
+y with cancelling terms, which must keep its verdict ``weak-only``.
 
 The label relations hold exactly, and are also checked on random
 Christensen-Evans generators.  The other two can miss the tolerance,
@@ -59,6 +60,8 @@ from trotterlab.units import UnitExpression, extend_generator
 from builders import affine_expression, random_christensen_evans
 
 AFFINE = (Path(trotterlab.__file__).parent / "scenarios" / "affine_42.scenario").read_text()
+COUNTEREXAMPLE = (Path(trotterlab.__file__).parent / "scenarios"
+                  / "counterexample_41.scenario").read_text()
 SCHEDULES = ("dyadic:3:12", "random:8")
 # An unused third label for affine_42, with generator data of the same size.
 XI3 = ("eta xi3 [[0.02, 0.01j], [-0.01, 0.03]]\n"
@@ -151,6 +154,19 @@ def test_cancelling_rewrite_keeps_the_verdict(rewrite):
     text = "dim 1\nlabels u v\ngenerator gamma [[0.7, 0.3], [0.3, 0.9]]\nexpression y = {}\n"
     plain = scenario_answer(text.format("u"), "dyadic:3:6")[0]
     assert scenario_answer(text.format(rewrite), "dyadic:3:6")[0].verdict == plain.verdict
+
+
+@pytest.mark.parametrize("padding", ["2000000*u - 2000000*u", "2000000*v - 2000000*v"])
+def test_cancelling_padding_keeps_the_weak_verdict(padding):
+    # The u row of gamma is zero, so u padding leaves every entry of the
+    # extended kernel as it was; v padding adds rounding far below the gap
+    # K^{zeta zeta} - K^{w w} = 1/4 that makes y weak-only against w.
+    y = "expression y = concat(u@0.5, v@0.5)"
+    sc = parse_scenario(COUNTEREXAMPLE.replace(y, f"{y} + {padding}"))
+    section = sc.expressions["y"]
+    report = convergence_verdict(section, extend_generator(section, build_generator(sc)),
+                                 sc.horizon, build_schedule(sc, "dyadic:3:6"), candidate="w")
+    assert report.verdict == "weak-only"
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES)

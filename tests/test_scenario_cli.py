@@ -681,15 +681,21 @@ def test_cli_section_off_the_unit_fails_the_extension(tmp_path, capsys):
         "the term multipliers must sum to the identity\n")
 
 
-@pytest.mark.parametrize("expr, code", [("1.0000000001*u", 2), ("0.7*u + 0.2*u + 0.1*u", 0)])
-def test_cli_unit_check_allows_the_rounding_of_the_sum_only(tmp_path, capsys, expr, code):
-    # c^n u with c = 1 + 1e-10 does not converge; 0.7 + 0.2 + 0.1 is 1 up to rounding.
+@pytest.mark.parametrize("expr, defect", [
+    ("1.0000000001*u", "1.000e-10"),
+    ("1000000*u - 999999*u + 0.00000001*u", "1.000e-08"),
+    ("0.7*u + 0.2*u + 0.1*u", None),
+])
+def test_cli_unit_check_allows_the_rounding_of_the_sum_only(tmp_path, capsys, expr, defect):
+    # c^n u with c = 1 + 1e-10 or 1 + 1e-8 does not converge, however large the
+    # terms that sum to c; 0.7 + 0.2 + 0.1 is 1 up to rounding.
     scenario_path = tmp_path / "near.scenario"
     scenario_path.write_text(f"dim 1\nlabels u\ngenerator gamma [[1.0]]\nexpression y = {expr}\n")
-    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == code
+    code = main(["run", str(scenario_path), "--out", str(tmp_path / "out")])
+    assert code == (0 if defect is None else 2)
     err = capsys.readouterr().err
-    assert err == ("" if code == 0 else
-                   "y: extension failed: section value at t=0 differs from the unit by 1.000e-10; "
+    assert err == ("" if defect is None else
+                   f"y: extension failed: section value at t=0 differs from the unit by {defect}; "
                    "the term multipliers must sum to the identity\n")
 
 
@@ -701,6 +707,33 @@ def test_cli_overflowing_section_sum_fails_the_extension(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "y: extension failed: section value at t=0 differs from the unit by inf; "
         "the term multipliers must sum to the identity\n")
+
+
+def test_cli_overflowing_section_size_fails_the_extension(tmp_path, capsys):
+    # The value at t=0 is exactly 1, but the size s(y), and with it every
+    # rounding allowance, is infinite.
+    scenario_path = tmp_path / "size.scenario"
+    scenario_path.write_text(
+        "dim 1\nlabels u\ngenerator gamma [[0.5]]\nexpression y = 1e308*u - 1e308*u + u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "y: extension failed: section size inf is not finite: "
+        "the norms of its term multipliers overflow\n")
+
+
+def test_cli_cancellation_beyond_double_precision_is_refused(tmp_path, capsys):
+    # (1e8)^2 * gamma_vv cancels: the entries' rounding allowance exceeds the
+    # entries, so no verdict can be read from them.
+    scenario_path = tmp_path / "cancel.scenario"
+    scenario_path.write_text(
+        "dim 1\nlabels u v w\n"
+        "generator gamma [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 0.25]]\n"
+        "expression y = concat(u@0.5, v@0.5) + 100000000*v - 100000000*v\n"
+        "schedule dyadic 3 4\ncandidate y w\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("y: numerical breakdown: rounding allowance ")
+    assert err.endswith("the section's terms cancel beyond double precision\n")
 
 
 def test_cli_limit_label_avoids_a_declared_zeta(tmp_path, capsys):

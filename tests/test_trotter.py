@@ -27,6 +27,7 @@ from trotterlab.trotter import (
     Partition,
     _batched_pairing,
     _decide_verdict,
+    _entry_equality,
     assemble_report,
     convergence_verdict,
     dyadic_schedule,
@@ -557,7 +558,9 @@ def test_cancelling_affine_sections_read_norm_convergent():
         gen = random_christensen_evans(("a", "b"), dim, rng, scale=10.0 ** rng.uniform(-3, 1))
         c = float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 3))
         section = affine_expression([c, 1.0 - c], ["a", ("a", "b")[int(rng.integers(2))]], dim)
-        verdicts.append(_decide_verdict(section, extend_generator(section, gen), None))
+        extension = extend_generator(section, gen)
+        equal = _entry_equality(section, extension)
+        verdicts.append(_decide_verdict(section, extension, None, equal))
     assert verdicts == ["norm-convergent"] * 300
 
 
