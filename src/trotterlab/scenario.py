@@ -271,13 +271,23 @@ def _first_field(text: str) -> tuple[str, str]:
     return first, rest
 
 
+def _is_numbers(value) -> bool:
+    """Whether a literal is a number (not a bool) or a nested list or tuple of numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_numbers, value))
+    return isinstance(value, (int, float, complex)) and not isinstance(value, bool)
+
+
 def _parse_matrix(text: str, line: int) -> np.ndarray:
+    not_numbers = f"{text!r} is not a nested list of numbers"
     try:
-        matrix = np.asarray(ast.literal_eval(text), dtype=complex)
+        value = ast.literal_eval(text)
+        if not _is_numbers(value):  # numpy would read True, "1" and b"1" as numbers
+            raise ValueError(not_numbers)
+        matrix = np.asarray(value, dtype=complex)
     except (ValueError, SyntaxError, TypeError) as exc:
-        reason = exc
-        if str(exc).startswith("malformed node"):  # it shows the node's memory address
-            reason = f"{text!r} is not a nested list of numbers"
+        # literal_eval's "malformed node" message shows the node's memory address.
+        reason = not_numbers if str(exc).startswith("malformed node") else exc
         raise ScenarioParseError(f"bad matrix literal: {reason}", line) from None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ScenarioParseError(f"matrix literal must be square, got shape {matrix.shape}",

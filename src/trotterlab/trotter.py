@@ -22,18 +22,18 @@ next: every pair of terms ends on its close multipliers, and the sum over
 term pairs on one interval is one block map.  Within an interval a term's
 right multiplier (and a right-side twist, whose exponent scales with the
 interval width) enters at the earliest position, the left multiplier (and
-left-side twist) at the latest.  Equal widths give equal blocks, so
-:func:`eval_pairing` raises the block of one interval to the n-th power
-when more than 8 widths are all equal.
+left-side twist) at the latest, as :func:`trotterlab.units._term_pairs`
+states.  Equal widths give equal blocks, so :func:`eval_pairing` raises
+the block of one interval to the n-th power when more than 8 widths are
+all equal.
 
 Every matrix exponential here is a semigroup ``exp(w L)`` at many times
 ``w``, which :func:`trotterlab.algebra.expm_times` evaluates as one batch:
 one (times x degree) by (degree x table) matmul plus s stacked squarings,
 with s the scaling exponent of the largest time.  A pairing makes one
-such call per chunk of its intervals, on the stack of every (segment
-fraction, label pair) entry it needs, plus one per twisted term and
-chunk; it holds one chunk at a time, so its memory does not grow with the
-partition.
+such call per chunk of its intervals, on the stack of every map it needs:
+the (segment fraction, label pair) entries and the twists.  It holds one
+chunk at a time, so its memory does not grow with the partition.
 """
 
 from __future__ import annotations
@@ -45,16 +45,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (
-    Superoperator,
-    dagger,
-    expm_times,
-    left_right_rep,
-    superop_norm,
-    unit_element,
-)
+from .algebra import Superoperator, dagger, expm_times, superop_norm, unit_element
 from .kernels import CpdSemigroup, OperatorKernel, _allowance
-from .units import UnitExpression, _merged_segments, _pair_table, pair_derivative, unit_expression
+from .units import UnitExpression, _pair_table, _term_pairs, pair_derivative, unit_expression
 
 __all__ = [
     "Partition",
@@ -179,21 +172,15 @@ def eval_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
       at a time, each chunk's ordered product folded into the running one
       (:func:`_batched_pairing`); O(n) work in O(n / chunk * log chunk)
       stacked numpy calls, and O(chunk * keys * d^4) memory whatever n,
-      with keys the distinct (segment fraction, label pair) entries.
+      with keys the distinct maps, generator entries and twists.
 
     The exponentials come from :func:`trotterlab.algebra.expm_times`: one
-    matmul per chunk of stacked (label pair, segment fraction) entries and
-    per twisted term, plus s stacked squarings (2^s bounds the largest time
-    times the generator's 1-norm).
+    matmul per chunk of the stacked maps plus s stacked squarings (2^s
+    bounds the largest time times the largest 1-norm of a stacked map).
     """
     if p1.parts != p2.parts:
         raise ValueError(f"a pairing needs the same partition on both sides, got partitions "
                          f"of {p1.size} and {p2.size} parts")
-    if e1.dim != generator.dim or e2.dim != generator.dim:
-        raise ValueError("expression and generator dimensions disagree")
-    e1.require_labels(generator.labels)
-    e2.require_labels(generator.labels)
-
     n = p1.size
     if n > 8 and p1.parts.count(p1.parts[0]) == n:
         interval = Partition(p1.parts[:1])
@@ -207,16 +194,16 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     """Pairing over the same partition on both sides, as a product of interval blocks.
 
     On an interval of width w the pairing is the block
-    ``B(w) = sum over term pairs of open @ (product of segment exponentials) @ close``,
-    with the segments of a term pair taken over the union of its two
-    terms' cut fractions.  The distinct (segment fraction, label1, label2)
-    keys of all term pairs are stacked once, as ``fraction * generator[(s, t)]``.
-    The intervals are then taken in time-ordered chunks of
+    ``B(w) = sum over term pairs of open @ exp(w stack[keys]) in order @ close``,
+    from :func:`trotterlab.units._term_pairs`: its stack holds every
+    distinct map once, the (segment fraction, label1, label2) entries of
+    the term pairs' merged segments and the twists, so ``B``'s derivative
+    at w = 0 is :func:`trotterlab.units.pair_derivative`.  The intervals
+    are taken in time-ordered chunks of
     ``max(_CHUNK_MIN_INTERVALS, _CHUNK_BYTES // stack bytes)``.  Per chunk:
 
     * one :func:`trotterlab.algebra.expm_times` call exponentiates the whole
       stack at every width of the chunk, laid out key-major;
-    * each twisted term makes one more call, for its multipliers;
     * a constant multiplier that is a multiple of the identity scales the
       stack instead of multiplying it (:func:`_stack_matmul`);
     * the chunk's blocks are multiplied in time order, earliest leftmost,
@@ -226,24 +213,18 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     Work is O(n * keys * d^6) in O(n / chunk) rounds of stacked numpy
     calls; memory is O(chunk * keys * d^4), however long the partition.
     """
-    keys: dict[tuple[float, str, str], int] = {}
-    pairs = [(i, j, [keys.setdefault(key, len(keys)) for key in _merged_segments(t1, t2)])
-             for i, t1 in enumerate(e1.terms) for j, t2 in enumerate(e2.terms)]
-    stack = np.stack([fraction * generator[(s, t)].rep for fraction, s, t in keys])
+    stack, pairs = _term_pairs(e1, e2, generator)
     step = max(_CHUNK_MIN_INTERVALS, _CHUNK_BYTES // stack.nbytes)
     parts = np.asarray(partition.parts)
     total = None
     for start in range(0, parts.size, step):
-        widths = parts[start:start + step]
-        exps = np.ascontiguousarray(expm_times(stack, widths).swapaxes(0, 1))
-        mults1, mults2 = ([t.end_multipliers(widths) for t in e.terms] for e in (e1, e2))
+        exps = np.ascontiguousarray(expm_times(stack, parts[start:start + step]).swapaxes(0, 1))
         blocks = 0.0
-        for i, j, chain in pairs:
-            (open1, close1), (open2, close2) = mults1[i], mults2[j]
-            acc = left_right_rep(dagger(open1), open2)
-            for k in chain:
+        for open_, keys, close in pairs:
+            acc = open_
+            for k in keys:
                 acc = _stack_matmul(acc, exps[k])
-            blocks = blocks + _stack_matmul(acc, left_right_rep(dagger(close1), close2))
+            blocks = blocks + _stack_matmul(acc, close)
         product = _tree_product(blocks)
         total = product if total is None else total @ product
     return Superoperator(generator.dim, total)

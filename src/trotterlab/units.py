@@ -18,6 +18,8 @@ by bilinear expansion over term pairs:
   declared side does not matter,
 * the constant multipliers conjugate the whole expression.
 
+The pairings of :mod:`trotterlab.trotter` read the same term pairs.
+
 Adjoining a new label for the prospective limit unit of a section ``y``
 extends the generator kernel to the :func:`pair_derivative` kernel of the
 ambient units followed by ``y``, with the new label last.  The extension
@@ -35,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Superoperator, dagger, expm_times, left_right_rep, unit_element
+from .algebra import Superoperator, dagger, left_right_rep, unit_element
 from .kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, OperatorKernel, _allowance,
                       is_conditionally_cpd)
 
@@ -109,19 +111,6 @@ class Term:
         """Index of the segment containing ``fraction``, elementwise for an array."""
         return np.searchsorted(self.cuts, fraction, side="right")
 
-    def end_multipliers(self, width):
-        """The right and left multipliers, entering at an interval's earliest and latest ends.
-
-        A twist ``exp(width * twist)`` joins its declared side; an array of
-        widths stacks a twisted multiplier along a leading axis.
-        """
-        if self.twist_side == "none":
-            return self.right, self.left
-        twist = expm_times(self.twist, width)
-        if self.twist_side == "right":
-            return twist @ self.right, self.left
-        return self.right, self.left @ twist
-
 
 @dataclass(frozen=True)
 class UnitExpression:
@@ -138,14 +127,6 @@ class UnitExpression:
             if term.dim != self.dim:
                 raise ValueError("all terms must share the expression dimension")
         object.__setattr__(self, "terms", terms)
-
-    def labels_used(self) -> set[str]:
-        return {seg.label for term in self.terms for seg in term.segments}
-
-    def require_labels(self, labels: Sequence[str]) -> None:
-        missing = self.labels_used() - set(labels)
-        if missing:
-            raise KeyError(f"expression uses unknown unit labels {sorted(missing)}")
 
     @property
     def size(self) -> float:
@@ -183,29 +164,53 @@ def _merged_segments(t1: Term, t2: Term) -> list[tuple[float, str, str]]:
     return list(zip(np.diff(grid).tolist(), labels1, labels2))
 
 
+def _term_pairs(e1: UnitExpression, e2: UnitExpression, generator: OperatorKernel):
+    """``(stack, pairs)``, the one statement of where maps enter a pairing of ``e1`` with ``e2``.
+
+    ``stack`` holds each distinct map once: ``fraction * generator[(s, t)]``
+    per merged segment, ``left_right_rep(beta*, I)`` per twist ``beta`` of
+    an ``e1`` term and ``left_right_rep(I, beta)`` per one of an ``e2`` term.
+    Per term pair, ``pairs`` holds ``(open, keys, close)``: ``open`` is
+    ``left_right_rep(t1.right*, t2.right)``, ``close`` the same of the lefts,
+    and ``keys`` index ``stack`` in the order the maps act within an
+    interval: right-side twists, merged segments, left-side twists.
+    """
+    if e1.dim != generator.dim or e2.dim != generator.dim:
+        raise ValueError("expression and generator dimensions disagree")
+    used = {seg.label for e in (e1, e2) for term in e.terms for seg in term.segments}
+    missing = used - set(generator.labels)
+    if missing:
+        raise KeyError(f"expression uses unknown unit labels {sorted(missing)}")
+    eye = np.eye(generator.dim)
+    maps: dict[tuple, np.ndarray] = {}
+    for side, expr in ((1, e1), (2, e2)):
+        for i, term in enumerate(expr.terms):
+            if term.twist is not None:
+                ends = (dagger(term.twist), eye) if side == 1 else (eye, term.twist)
+                maps[side, i] = left_right_rep(*ends)
+    pairs = []
+    for i, t1 in enumerate(e1.terms):
+        for j, t2 in enumerate(e2.terms):
+            chain = _merged_segments(t1, t2)
+            for fraction, s, t in chain:
+                if (fraction, s, t) not in maps:
+                    maps[fraction, s, t] = fraction * generator[(s, t)].rep
+            twists = (((1, i), t1.twist_side), ((2, j), t2.twist_side))
+            keys = ([key for key, side in twists if side == "right"] + chain
+                    + [key for key, side in twists if side == "left"])
+            pairs.append((left_right_rep(dagger(t1.right), t2.right), keys,
+                          left_right_rep(dagger(t1.left), t2.left)))
+    index = {key: k for k, key in enumerate(maps)}
+    return np.stack(list(maps.values())), [(open_, [index[key] for key in keys], close)
+                                           for open_, keys, close in pairs]
+
+
 def pair_derivative(e1: UnitExpression, e2: UnitExpression,
                     generator: OperatorKernel) -> Superoperator:
     """Derivative at ``t = 0`` of the pairing map ``t -> <e1_t, . e2_t>``."""
-    if e1.dim != e2.dim or e1.dim != generator.dim:
-        raise ValueError("expression and generator dimensions disagree")
-    e1.require_labels(generator.labels)
-    e2.require_labels(generator.labels)
-    d = generator.dim
-    eye = np.eye(d)
-    total = np.zeros((d * d, d * d), dtype=complex)
-    for t1 in e1.terms:
-        for t2 in e2.terms:
-            inner = np.zeros_like(total)
-            for width, s, t in _merged_segments(t1, t2):
-                inner += width * generator[(s, t)].rep
-            if t1.twist is not None:
-                inner += left_right_rep(dagger(t1.twist), eye)
-            if t2.twist is not None:
-                inner += left_right_rep(eye, t2.twist)
-            outer_rep = left_right_rep(dagger(t1.right), t2.right)
-            deep_rep = left_right_rep(dagger(t1.left), t2.left)
-            total += outer_rep @ inner @ deep_rep
-    return Superoperator(d, total)
+    stack, pairs = _term_pairs(e1, e2, generator)
+    return Superoperator(generator.dim, sum(open_ @ stack[keys].sum(axis=0) @ close
+                                            for open_, keys, close in pairs))
 
 
 def _fresh_label(taken: Sequence[str]) -> str:

@@ -23,7 +23,21 @@ import scipy.linalg
 from trotterlab.algebra import Superoperator, dagger, expm_times, left_right_rep
 from trotterlab.kernels import OperatorKernel
 from trotterlab.trotter import Partition
-from trotterlab.units import UnitExpression
+from trotterlab.units import Term, UnitExpression
+
+
+def end_multipliers(term: Term, width):
+    """A term's right and left multipliers on an interval of ``width``, twist included.
+
+    A twist ``expm(width * twist)`` joins the multiplier of its declared
+    side; an array of widths stacks that multiplier along a leading axis.
+    """
+    if term.twist is None:
+        return term.right, term.left
+    twist = scipy.linalg.expm(np.multiply.outer(width, term.twist))
+    if term.twist_side == "right":
+        return twist @ term.right, term.left
+    return term.right, term.left @ twist
 
 
 def walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Partition,
@@ -40,7 +54,9 @@ def walk_pairing(e1: UnitExpression, p1: Partition, e2: UnitExpression, p2: Part
     multiplied by the entry exponentials of the two sides' labels,
     gathered by label code from the generator table exponentiated at
     every event width; where the interval ends, by the stacked close
-    multipliers (:meth:`trotterlab.units.Term.end_multipliers`).  Side-1
+    multipliers.  A term's twist joins its multiplier on the declared side,
+    exponentiated by ``scipy.linalg.expm`` at the interval's width
+    (:func:`end_multipliers`), not through the package's exponentials.  Side-1
     factors ``b -> m* b`` and side-2 factors ``b -> b m`` act on opposite
     slots and commute, so bounds the two sides share need no step of their
     own, and nearly shared bounds may come in either order.
@@ -95,7 +111,7 @@ def _walk_side(expr: UnitExpression, bounds: np.ndarray, mids: np.ndarray,
     widths = np.diff(bounds)
     eye = np.eye(expr.dim)
     factors = []
-    for mults in zip(*(term.end_multipliers(widths) for term in expr.terms)):
+    for mults in zip(*(end_multipliers(term, widths) for term in expr.terms)):
         stack = np.stack([np.broadcast_to(m, (widths.size, *eye.shape)) for m in mults], axis=1)
         rep = left_right_rep(dagger(stack), eye) if axis == 0 else left_right_rep(eye, stack)
         factors.append(np.expand_dims(rep, 2 - axis))
@@ -124,12 +140,6 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
             points.update(lo + f * (hi - lo) for term in expr.terms for f in term.cuts)
     grid = sorted({min(x, end) for x in points})
 
-    def multipliers(term, width):
-        twist = np.eye(d) if term.twist is None else scipy.linalg.expm(width * term.twist)
-        right = twist @ term.right if term.twist_side == "right" else term.right
-        left = term.left @ twist if term.twist_side == "left" else term.left
-        return right, left
-
     total = np.zeros((d * d, d * d), dtype=complex)
     choices = [itertools.product(range(len(expr.terms)), repeat=len(b) - 1) for expr, b in sides]
     for assignment in itertools.product(*choices):
@@ -141,7 +151,7 @@ def brute_force_pairing(e1, p1, e2, p2, semigroup):
                 i = int(np.searchsorted(bounds, mid, side="right")) - 1
                 term = expr.terms[chosen[i]]
                 width = bounds[i + 1] - bounds[i]
-                right, left = multipliers(term, width)
+                right, left = end_multipliers(term, width)
                 label = term.segments[term.segment_index((mid - bounds[i]) / width)].label
                 pieces.append((right, left, label, lo == bounds[i], hi == bounds[i + 1]))
             (r1, l1, s, open1, close1), (r2, l2, t, open2, close2) = pieces

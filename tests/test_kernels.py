@@ -104,6 +104,13 @@ def test_is_cpd_rejects_non_hermitian():
         is_cpd(_lopsided_kernel())
 
 
+@pytest.mark.parametrize("k, passes", [(32, True), (128, False)])
+def test_is_cpd_allows_a_negative_eigenvalue_within_the_eigh_backward_error(k, passes):
+    # One label at d = 2: N = 4 and |H|_2 = 1, so the allowance is 64 N 2^-53.
+    choi = np.diag([1.0, 1.0, 1.0, -k * 4 * 2.0 ** -53])
+    assert is_cpd(OperatorKernel(("a",), choi_matrix(choi)[None, None])).ok is passes
+
+
 def test_is_cpd_invariant_under_relabeling():
     rng = np.random.default_rng(1)
     gen = random_christensen_evans(("a", "b", "c"), 2, rng, scale=0.7)

@@ -480,9 +480,11 @@ def test_cli_generator_errors_carry_their_line(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"{scenario_path}: {message}\n"
 
 
-@pytest.mark.parametrize("matrix", ["[[1]+1]", "[[x]]", "[[1, -y]]"])
+@pytest.mark.parametrize("matrix", ["[[1]+1]", "[[x]]", "[[1, -y]]",
+                                    "[[True]]", '[["1"]]', '[[b"1"]]', '[["1j"]]'])
 def test_malformed_matrix_names_its_text(matrix):
-    # literal_eval's own message names the syntax node by its memory address.
+    # literal_eval's own message names the syntax node by its memory address;
+    # numpy would read bool, str and bytes leaves as numbers.
     messages = set()
     for _ in range(2):
         with pytest.raises(ScenarioParseError) as info:
@@ -697,6 +699,19 @@ def test_cli_unit_check_allows_the_rounding_of_the_sum_only(tmp_path, capsys, ex
     assert err == ("" if defect is None else
                    f"y: extension failed: section value at t=0 differs from the unit by {defect}; "
                    "the term multipliers must sum to the identity\n")
+
+
+@pytest.mark.parametrize("fraction, code", [("0.50000001", 3), ("0.5000000001", 0)])
+def test_cli_segment_fractions_are_lenient_to_typed_digits_only(tmp_path, capsys, fraction,
+                                                                 code):
+    # A chain 1e-10 over 1 is a typed 1/2 + 1/2; one 1e-8 over is refused.
+    scenario_path = tmp_path / "fractions.scenario"
+    scenario_path.write_text("dim 1\nlabels u v\ngenerator gamma [[0.0, 0.0], [0.0, 1.0]]\n"
+                             f"expression y = concat(u@0.5, v@{fraction})\nschedule dyadic 3 4\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   f"{scenario_path}: line 4: segment fractions must sum to 1, got 1.00000001\n")
 
 
 def test_cli_overflowing_section_sum_fails_the_extension(tmp_path, capsys):

@@ -288,11 +288,19 @@ def test_random_sections_extend_through_the_gate(seed, dim, n_terms, log_scale):
     assert extension.labels == ("a", "b", "zeta")
 
 
-def test_affine_gram_takes_one_exponential_per_chunk(monkeypatch):
+@pytest.mark.parametrize("text, keys", [
+    ("2*a - 1*b", 4),  # (a, a) (a, b) (b, a) (b, b) at fraction 1
+    ("A*a*expm(t*B)*C", 3),  # (a, a) at fraction 1 and the twist on each side
+], ids=["affine", "twisted"])
+def test_gram_takes_one_exponential_per_chunk(monkeypatch, text, keys):
+    # A twist joins the stack: it adds no call, in the pairing or in the units module.
     import trotterlab.trotter as trotter
+    import trotterlab.units as units
 
-    gen = random_christensen_evans(("a", "b"), 2, np.random.default_rng(3), scale=0.05)
-    y = affine_expression([2, -1], ["a", "b"], 2)
+    rng = np.random.default_rng(3)
+    gen = random_christensen_evans(("a", "b"), 2, rng, scale=0.05)
+    y = parse_section(text, gen, A=np.array([[1.0, 0.5], [0.0, 1.0]]),
+                      B=0.3 * rng.standard_normal((2, 2)), C=np.array([[1.0, -0.5], [0.0, 1.0]]))
     partition = random_schedule(1.0, 8, seed=42)[-1]
     calls = []
 
@@ -301,11 +309,12 @@ def test_affine_gram_takes_one_exponential_per_chunk(monkeypatch):
         return expm_times(rep, times)
 
     monkeypatch.setattr(trotter, "expm_times", counting)
+    monkeypatch.setattr(units, "expm_times", counting, raising=False)
     eval_pairing(y, partition, y, partition, gen)
-    # Four keys, (a, a) (a, b) (b, a) (b, b) at fraction 1, of 4 x 4 complex entries.
-    step = max(trotter._CHUNK_MIN_INTERVALS, trotter._CHUNK_BYTES // (4 * 4 * 4 * 16))
+    # The stacked keys are 4 x 4 complex entries.
+    step = max(trotter._CHUNK_MIN_INTERVALS, trotter._CHUNK_BYTES // (keys * 4 * 4 * 16))
     assert len(calls) == -(-partition.size // step) > 1
-    assert all(shape == (4, 4, 4) and size <= step for shape, size in calls)
+    assert all(shape == (keys, 4, 4) and size <= step for shape, size in calls)
 
 
 def test_uniform_chunks_are_the_power_of_one_interval_block(monkeypatch):

@@ -124,6 +124,12 @@ def test_finite_difference_consistency(ce_generator):
         concat_expression([("x1", 0.25), ("x3", 0.75)], 2),
         parse_section("x1 + A*x2*B - A*x3*B", ce_generator, A=a, B=b),
     ]
+    # Twists on either side of matrix multipliers (A C = I) and of a concat chain.
+    shear = {"A": np.array([[1.0, 0.5], [0.0, 1.0]]), "C": np.array([[1.0, -0.5], [0.0, 1.0]]),
+             "B": random_matrix(rng, 2, 0.3)}
+    expressions += [parse_section(text, ce_generator, **shear) for text in
+                    ("A*x1*expm(t*B)*C", "A*expm(t*B)*x2*C",
+                     "expm(t*B)*concat(x1@0.25, x3@0.75)")]
     ident = np.eye(4)
     for e1 in expressions:
         for e2 in expressions:
