@@ -24,14 +24,14 @@ Both tests use one rule: with H the block Choi matrix, of order
 N = n d^2, the kernel passes exactly when the smallest eigenvalue (of H,
 or of its compression) is at least ``-_allowance(_EIGH_BACKWARD * N,
 |H|_2)``, ``eigh``'s backward error on H; the unit check, extension gate
-and verdict use the same allowance, each counting its own roundings and
-sizing them by what it summed.  No verdict changes when the kernel is
-multiplied by a positive constant.  A negative eigenvector yields a
-concrete witness tuple violating the quadratic form (for the conditional
-test, one satisfying the constraint), which is re-evaluated directly so
-that every negative verdict carries a certificate.  Sampling the constrained
-quadratic form and testing the exponentials on a small-time grid remain
-in the test suite as independent oracles.
+and verdict use the same allowance, sized by the magnitudes of the terms
+they sum (:func:`trotterlab.units._magnitudes`).  No verdict changes when the
+kernel is multiplied by a positive constant.  A negative eigenvector
+yields a concrete witness tuple violating the quadratic form (for the
+conditional test, one satisfying the constraint), which is re-evaluated
+directly so that every negative verdict carries a certificate.  Sampling
+the constrained quadratic form and testing the exponentials on a
+small-time grid remain in the test suite as independent oracles.
 """
 
 from __future__ import annotations

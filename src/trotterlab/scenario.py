@@ -5,7 +5,7 @@ comment; blank lines are ignored; fields are separated by whitespace
 (spaces or tabs).  ``dim``, ``labels``, ``generator``, ``horizon``,
 ``schedule`` and ``seed`` appear at most once, the others once per name:
 
-    dim N
+    dim N                           # 1 <= N <= 32
     labels NAME...
     generator gamma MATRIX          # scalar covariance matrix (dim 1 only)
     generator ce                    # Christensen-Evans parameters follow
@@ -99,6 +99,10 @@ _DIRECTIVES = {"dim": 0, "labels": 1, "generator": 2, "eta": 3, "beta": 3, "matr
 _DYADIC_KMAX = 20
 # Every random partition (up to 4,096 widths) is built before any output.
 _RANDOM_COUNT = 64
+# A kernel is one (n, n, d^2, d^2) complex table of 16 n^2 d^4 bytes: the
+# extension of a one-label kernel (n = 2) takes 64 MiB at d = 32 and 1 GiB at
+# d = 64, before a pairing stacks copies of its entries.
+_DIM_MAX = 32
 
 
 class ScenarioParseError(ValueError):
@@ -361,6 +365,8 @@ def parse_scenario(text: str) -> Scenario:
             sc.dim = _parse_number(int, rest, line_no)
             if sc.dim < 1:
                 raise ScenarioParseError("dim must be positive", line_no)
+            if sc.dim > _DIM_MAX:
+                raise ScenarioParseError(f"dim {sc.dim} exceeds {_DIM_MAX}", line_no)
         elif head == "labels":
             sc.labels = tuple(rest.split())
             if not sc.labels:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .algebra import Superoperator, dagger, expm_times, superop_norm, unit_element
 from .kernels import CpdSemigroup, OperatorKernel, _allowance
-from .units import UnitExpression, _pair_table, _term_pairs, pair_derivative, unit_expression
+from .units import UnitExpression, _magnitudes, _term_pairs, pair_derivative, unit_expression
 
 __all__ = [
     "Partition",
@@ -312,16 +312,10 @@ def _entry_equality(section: UnitExpression, extension: OperatorKernel):
 
     ``ValueError`` when the allowance reaches the largest entry: no digit of it is certain.
     """
-    # Every multiplier, twist and generator entry by its absolute value: each entry of
-    # ``magnitudes`` is the sum of the magnitudes of the products its entry adds up.
-    ambient = OperatorKernel(extension.labels[:-1], np.abs(extension.table[:-1, :-1]))
-    magnitude = section.magnitude()
-    magnitudes = OperatorKernel(extension.labels, _pair_table(magnitude, ambient))
+    magnitudes, roundings = _magnitudes(section, extension)
     zeta = unit_expression(extension.labels[-1], extension.dim)
-    criterion = pair_derivative(zeta, magnitude, magnitudes)
-    k, d = len(section.terms), extension.dim
-    chain = max(len(term.segments) for term in section.terms)
-    allowance = _allowance(2 * (k * k + 2 * d * d + 2 * chain + 3),
+    criterion = pair_derivative(zeta, section.magnitude(), magnitudes)
+    allowance = _allowance(2 * roundings,
                            max(magnitudes.table.real.max(), criterion.rep.real.max()))
     largest = np.abs(extension.table).max()
     if allowance >= largest > 0:
@@ -343,11 +337,11 @@ def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
     for every ambient s, and otherwise not even weakly (``divergent``).
     Under ``equal`` (:func:`_entry_equality`) entries are equal when they
     differ nowhere by more than ``_allowance(2 L, M)``: M is the largest
-    magnitude summed into an entry or into the criterion, and
-    L = k^2 + 2 d^2 + 2 m + 3 bounds the roundings along one
-    ``pair_derivative`` of a section of k terms of at most m segments (the
-    criterion nests two).  Terms that meet only zero generator entries add
-    nothing to M, so a cancelling section reads as what it cancels to.
+    magnitude summed into an entry or into the criterion, and L bounds the
+    roundings along one ``pair_derivative`` (the criterion nests two), both
+    from :func:`trotterlab.units._magnitudes`.  Terms that meet only zero
+    generator entries add nothing to M, so a cancelling section reads as
+    what it cancels to.
     """
     zeta, w = extension.labels[-1], candidate
     if w is None:
@@ -389,11 +383,6 @@ def assemble_report(*, horizon: float, target: str, target_kind: str,
         ambient_defects={k: tuple(float(x) for x in v) for k, v in ambient_defects.items()},
         criterion_rate=crit_rate, gram_rate=gram_rate, verdict=verdict,
         obs35_sequences_suffice=obs35, notes=tuple(all_notes), seed=seed)
-
-
-def _hermitian_top_eigenvalue(matrix: np.ndarray) -> float:
-    herm = (matrix + dagger(matrix)) / 2.0
-    return float(np.linalg.eigvalsh(herm)[-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises the ValueError below
@@ -454,7 +443,7 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
         criterion_defect = float(np.linalg.norm(criterion_one - limit_gram_one, 2))
         difference = (gram_map.apply(eye) - criterion_one - dagger(criterion_one)
                       + target_gram_one)
-        norm_defect = _hermitian_top_eigenvalue(difference)
+        norm_defect = float(np.linalg.eigvalsh((difference + dagger(difference)) / 2.0)[-1])
         ambient = {s: float(np.linalg.norm(ambient_maps[s].apply(eye) - ambient_limits[s], 2))
                    for s in ambient_labels}
         return gram_defect, criterion_defect, norm_defect, ambient

@@ -25,9 +25,8 @@ extends the generator kernel to the :func:`pair_derivative` kernel of the
 ambient units followed by ``y``, with the new label last.  The extension
 is accepted only when it passes the conditional positivity test, which is
 precisely the condition for the limit unit to exist in some enlargement
-of the system; it allows the rounding of entries that sum up to s(y)^2
-generator entries, s(y) = ``y.size``.  It also checks the new row and
-column for hermitian symmetry, which nothing else guarantees.
+of the system, up to rounding.  It also checks the new row and column
+for hermitian symmetry, which nothing else guarantees.
 """
 
 from __future__ import annotations
@@ -128,27 +127,11 @@ class UnitExpression:
                 raise ValueError("all terms must share the expression dimension")
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def size(self) -> float:
-        """s(y), the sum over terms of ``|left|_2 |right|_2``; at least 1 for a unit section."""
-        return sum(float(np.linalg.norm(t.left, 2)) * float(np.linalg.norm(t.right, 2))
-                   for t in self.terms)
-
     def magnitude(self) -> UnitExpression:
         """The section with every multiplier and twist replaced by its entrywise absolute value."""
         return UnitExpression(self.dim, tuple(
             replace(t, left=np.abs(t.left), right=np.abs(t.right),
                     twist=None if t.twist is None else np.abs(t.twist)) for t in self.terms))
-
-    def value_at_zero(self) -> np.ndarray:
-        """The element the section degenerates to at ``t = 0``."""
-        return sum(term.left @ term.right for term in self.terms)
-
-    def unit_section_defect(self) -> float:
-        """Deviation of the time-zero value from the algebra unit; inf where it overflows."""
-        with np.errstate(all="ignore"):
-            deviation = self.value_at_zero() - unit_element(self.dim)
-        return float(np.linalg.norm(deviation, 2)) if np.isfinite(deviation).all() else np.inf
 
 
 def unit_expression(label: str, dim: int) -> UnitExpression:
@@ -213,6 +196,31 @@ def pair_derivative(e1: UnitExpression, e2: UnitExpression,
                                             for open_, keys, close in pairs))
 
 
+def _pair_table(section: UnitExpression, generator: OperatorKernel) -> list[list[np.ndarray]]:
+    """``pair_derivative(a, b)`` over the ambient units and, last, ``section``."""
+    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
+    return [[pair_derivative(a, b, generator).rep for b in family] for a in family]
+
+
+def _magnitudes(section: UnitExpression, extension: OperatorKernel) -> tuple[OperatorKernel, int]:
+    """``(|K|, L)``: the magnitudes of ``section``'s extended kernel, and how often it rounds.
+
+    |K| takes every multiplier, twist and ambient entry by its absolute
+    value.  An entry of one ``pair_derivative`` of k terms of at most m
+    segments rounds twice for ``open`` and ``close``, once per stacked map,
+    2 m times over at most 2 m + 1 keys, d^2 times per matmul and k^2 - 1
+    times over term pairs, fewer than L = k^2 + 2 d^2 + 2 m + 3 in all, so
+    it lies within ``_allowance(L, |K|)`` of its exact value.  ``ValueError`` when |K| overflows.
+    """
+    ambient = OperatorKernel(extension.labels[:-1], np.abs(extension.table[:-1, :-1]))
+    magnitudes = OperatorKernel(extension.labels, _pair_table(section.magnitude(), ambient))
+    if not np.isfinite(magnitudes.table).all():
+        raise ValueError("the magnitudes of the extended kernel are not finite: the products "
+                         "of the section's term multipliers overflow")
+    chain = max(len(term.segments) for term in section.terms)
+    return magnitudes, len(section.terms) ** 2 + 2 * extension.dim ** 2 + 2 * chain + 3
+
+
 def _fresh_label(taken: Sequence[str]) -> str:
     label, k = "zeta", 0
     while label in taken:
@@ -221,39 +229,35 @@ def _fresh_label(taken: Sequence[str]) -> str:
     return label
 
 
-def _pair_table(section: UnitExpression, generator: OperatorKernel) -> list[list[np.ndarray]]:
-    """``pair_derivative(a, b)`` over the ambient units and, last, ``section``."""
-    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
-    return [[pair_derivative(a, b, generator).rep for b in family] for a in family]
-
-
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are refused below
 def extend_generator(section: UnitExpression, generator: OperatorKernel) -> OperatorKernel:
     """The kernel ``generator`` extended by a fresh last label for ``section``'s limit unit.
 
-    Its value at t = 0 must be the unit within the rounding of its sum of k
-    products: ``_allowance(d + k, (d + 1) s)``, s = ``section.size``, since
-    each entry rounds d + k times and the entrywise magnitudes have 2-norm
-    at most (d + 1) s.  A non-finite value or size is refused.  Entry (a, b)
-    of the table is ``pair_derivative(a, b)`` over the ambient units and
-    the section, a sum of up to s^2 generator entries.  The conditional
-    positivity test must find it hermitian (1e-9 relative, else
-    ``KernelSymmetryError``) and its smallest eigenvalue at least
-    ``-_allowance(_EIGH_BACKWARD * N, s^2 |H|_2)``, else
-    ``NotCompletelyPositiveError`` with the report.
+    It refuses a non-finite value at t = 0, then one off the unit by more than
+    its k products' rounding, ``_allowance(d + k + 1, sum |left| |right|)``
+    entrywise, then non-finite magnitudes (:func:`_magnitudes`).  Entry (a, b)
+    of the table is ``pair_derivative(a, b)`` over the ambient units and the
+    section.  The conditional positivity test must find it hermitian (1e-9
+    relative, else ``KernelSymmetryError``), and its smallest eigenvalue may
+    fall below 0 by ``eigh``'s backward error on H and, by Weyl's inequality,
+    the table's: ``_allowance(_EIGH_BACKWARD * N, |H|_2) + _allowance(L, |C|_2)``,
+    C the block Choi matrix of |K|; else ``NotCompletelyPositiveError``.
     """
-    d, size, defect = generator.dim, section.size, section.unit_section_defect()
-    if defect == np.inf or not defect <= _allowance(d + len(section.terms), (d + 1) * size):
+    d, terms = generator.dim, section.terms
+    deviation = sum(t.left @ t.right for t in terms) - unit_element(d)
+    defect = float(np.linalg.norm(deviation, 2)) if np.isfinite(deviation).all() else np.inf
+    bound = _allowance(d + len(terms) + 1, sum(np.abs(t.left) @ np.abs(t.right) for t in terms))
+    if defect == np.inf or not (np.abs(deviation) <= bound).all():
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
-    if not np.isfinite(size):
-        raise ValueError(f"section size {size} is not finite: the norms of its term "
-                         "multipliers overflow")
     table = _pair_table(section, generator)
     kernel = OperatorKernel(generator.labels + (_fresh_label(generator.labels),), table)
+    magnitudes, roundings = _magnitudes(section, kernel)
 
     report = is_conditionally_cpd(kernel)
-    allowance = _allowance(_EIGH_BACKWARD * len(table) * d * d, size ** 2 * report.scale)
+    allowance = (_allowance(_EIGH_BACKWARD * len(table) * d * d, report.scale)
+                 + _allowance(roundings, float(np.linalg.norm(magnitudes.block_choi(), 2))))
     if not report.min_eigenvalue >= -allowance:
         raise NotCompletelyPositiveError(
             f"extended kernel is not conditionally positive definite (worst eigenvalue "

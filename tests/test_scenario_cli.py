@@ -467,11 +467,15 @@ def test_cli_checks_the_names_lines_refer_to(tmp_path, capsys, lines, message):
     ("dim 1\nlabels u True\ngenerator gamma [[0.0, 0.0], [0.0, 0.0]]",
      "line 2: bad label name 'True': a Python keyword"),
     ("dim 0\nlabels u\ngenerator gamma [[0.0]]", "line 1: dim must be positive"),
+    # Only a kernel document reaches a large dim, and a unit factor builds a
+    # d x d identity for it before the document is opened.
+    ("dim 33\nlabels u\ngenerator kernel k.json", "line 1: dim 33 exceeds 32"),
     ("dim 1\nlabels\ngenerator gamma [[0.0]]", "line 2: labels line needs at least one label"),
     ("dim 1\nlabels u\ngenerator kernel", "line 3: generator kernel needs a path"),
     ("dim 1\nlabels u\ngenerator lindblad", "line 3: unknown generator kind 'lindblad'")],
     ids=["duplicate-labels", "gamma-dim", "gamma-shape", "eta-shape", "missing-beta",
-         "label-not-identifier", "label-keyword", "label-true", "dim-zero", "bare-labels",
+         "label-not-identifier", "label-keyword", "label-true", "dim-zero", "dim-above-bound",
+         "bare-labels",
          "kernel-without-path", "unknown-generator-kind"])
 def test_cli_generator_errors_carry_their_line(tmp_path, capsys, text, message):
     scenario_path = tmp_path / "generator.scenario"
@@ -724,16 +728,30 @@ def test_cli_overflowing_section_sum_fails_the_extension(tmp_path, capsys):
         "the term multipliers must sum to the identity\n")
 
 
+_MAGNITUDES_OVERFLOW = ("y: extension failed: the magnitudes of the extended kernel are not "
+                        "finite: the products of the section's term multipliers overflow\n")
+
+
 def test_cli_overflowing_section_size_fails_the_extension(tmp_path, capsys):
-    # The value at t=0 is exactly 1, but the size s(y), and with it every
-    # rounding allowance, is infinite.
+    # The value at t=0 is exactly 1, but the magnitudes, and with them every
+    # rounding allowance, are infinite.
     scenario_path = tmp_path / "size.scenario"
     scenario_path.write_text(
         "dim 1\nlabels u\ngenerator gamma [[0.5]]\nexpression y = 1e308*u - 1e308*u + u\n")
     assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        "y: extension failed: section size inf is not finite: "
-        "the norms of its term multipliers overflow\n")
+    assert capsys.readouterr().err == _MAGNITUDES_OVERFLOW
+
+
+def test_cli_overflowing_magnitudes_beside_a_finite_product_fail_the_extension(tmp_path,
+                                                                                capsys):
+    # A @ B = 0 exactly, so the value at t=0 is I and sum |left| |right| is
+    # finite; the magnitudes hold (1e200)^2 = inf and, beside a zero, nan.
+    scenario_path = tmp_path / "shear.scenario"
+    scenario_path.write_text(
+        "dim 2\nlabels u\ngenerator ce\neta u [[0.1, 0], [0, 0.2]]\nbeta u [[0, 0], [0, 0]]\n"
+        "matrix A [[1e200, 0], [0, 0]]\nmatrix B [[0, 0], [0, 1e200]]\nexpression y = A*u*B + u\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == _MAGNITUDES_OVERFLOW
 
 
 def test_cli_cancellation_beyond_double_precision_is_refused(tmp_path, capsys):
@@ -749,6 +767,19 @@ def test_cli_cancellation_beyond_double_precision_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("y: numerical breakdown: rounding allowance ")
     assert err.endswith("the section's terms cancel beyond double precision\n")
+
+
+@pytest.mark.parametrize("epsilon", [1e-13, 1e-14])
+def test_cli_near_equal_entries_stay_outside_the_allowance(tmp_path, capsys, epsilon):
+    # K^{zeta zeta} = 1 + eps/2 and K_crit = 1 + eps/4 differ by eps/4.  At
+    # eps = 1e-14 that gap is 1.10x the verdict's allowance, so an allowance 10%
+    # looser reads norm-convergent.
+    scenario_path = tmp_path / "near.scenario"
+    scenario_path.write_text(
+        f"dim 1\nlabels u v\ngenerator gamma [[1.0, 1.0], [1.0, {1 + epsilon!r}]]\n"
+        "expression y = concat(u@0.5, v@0.5)\nschedule dyadic 3 6\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 0
+    assert "\ny: weak-only against adjoined 'zeta' " in capsys.readouterr().out
 
 
 def test_cli_limit_label_avoids_a_declared_zeta(tmp_path, capsys):

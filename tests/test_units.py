@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from trotterlab.algebra import (
     superop_norm,
     unit_element,
 )
-from trotterlab.kernels import NotCompletelyPositiveError, is_conditionally_cpd, scalar_kernel
+from trotterlab.kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, _allowance,
+                                is_conditionally_cpd, scalar_kernel)
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import (
     Segment,
     Term,
     UnitExpression,
+    _magnitudes,
     extend_generator,
     pair_derivative,
     unit_expression,
@@ -58,8 +62,9 @@ def test_expression_label_and_unit_checks(ce_generator):
     expr = affine_expression([0.5, 0.5], ["x1", "nope"], 2)
     with pytest.raises(KeyError):
         pair_derivative(expr, expr, ce_generator)
-    assert affine_expression([2, -1], ["x1", "x2"], 2).unit_section_defect() == 0.0
-    assert affine_expression([2, -2], ["x1", "x2"], 2).unit_section_defect() == pytest.approx(1.0)
+    extend_generator(affine_expression([2, -1], ["x1", "x2"], 2), ce_generator)
+    with pytest.raises(ValueError, match=r"differs from the unit by 1\.000e\+00;"):
+        extend_generator(affine_expression([2, -2], ["x1", "x2"], 2), ce_generator)
 
 
 # -- pair derivatives -----------------------------------------------------------
@@ -199,6 +204,78 @@ def test_extension_refuses_a_non_finite_value_at_zero(ce_generator, signs):
                                       for sign in signs))
     with pytest.raises(ValueError, match="differs from the unit by inf"):
         extend_generator(section, ce_generator)
+
+
+# A complex shear and the correctly rounded inverse of A.  With OpenBLAS, entry (0, 0)
+# of A @ C - I rounds to 0.74 of the unit check's allowance 4 u (|A| |C|)_00.  One
+# more unit in the last digit of C's first entry takes it to 1.27.
+_SHEAR = "[[(-2.6+61.8j), (-41.7+14.6j)], [(-14.2+12.1j), (-37.3-69j)]]"
+_SHEAR_INVERSE = ("[[(-0.00282447147447976-0.01849947512334775j), "
+                  "(0.010540924200226396+7.686486060523783e-05j)], "
+                  "[(0.004163167236981101-0.0015748551592858736j), "
+                  "(-0.00555768533425454+0.013671152543316578j)]]")
+
+
+@pytest.mark.parametrize("inverse, accepted", [
+    (_SHEAR_INVERSE, True), (_SHEAR_INVERSE.replace("447976-", "447977-"), False)],
+    ids=["rounded-inverse", "one-digit-off"])
+def test_unit_check_allows_the_rounding_of_the_products_and_no_more(inverse, accepted):
+    gen = random_christensen_evans(("u",), 2, np.random.default_rng(1), scale=0.3)
+    a, c = (np.array(ast.literal_eval(text), dtype=complex) for text in (_SHEAR, inverse))
+    section = parse_section("A*u*C", gen, A=a, C=c)
+    if accepted:
+        assert extend_generator(section, gen).labels == ("u", "zeta")
+    else:
+        with pytest.raises(ValueError, match="differs from the unit by 7.916e-16"):
+            extend_generator(section, gen)
+
+
+def _gate_sweep_section(rng, kind, dim, labels, mp):
+    """A unit section of ``kind``: cancelling affine, twisted beside a cancelling term, or sheared."""
+    eye = np.eye(dim, dtype=complex)
+
+    def chain():
+        fractions = rng.uniform(0.2, 1.0, int(rng.integers(1, 7)))
+        fractions /= fractions.sum()
+        fractions[-1] = 1.0 - fractions[:-1].sum()
+        return tuple(Segment(str(rng.choice(labels)), float(f)) for f in fractions)
+
+    c = float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 3))
+    if kind == "cancelling":
+        return affine_expression([c, 1.0 - c], [labels[0], str(rng.choice(labels))], dim)
+    twist = random_matrix(rng, dim, 0.3)
+    if kind == "twisted":
+        side = str(rng.choice(["left", "right"]))
+        return UnitExpression(dim, (Term(c * eye, eye, chain(), twist=twist, twist_side=side),
+                                    Term((1.0 - c) * eye, eye, chain())))
+    shear = random_matrix(rng, dim, 10.0 ** rng.uniform(0, 2))
+    inverse = np.array((mp.matrix(shear.tolist()) ** -1).tolist(), dtype=complex)
+    return UnitExpression(dim, (Term(shear, inverse, chain(), twist=twist, twist_side="right"),))
+
+
+def test_extension_gate_leaves_nine_tenths_of_its_allowance_unused():
+    # 300 unit sections of random generators, d <= 3: cancelling (|c| <= 1000),
+    # twisted and sheared, with chains of 1-6 segments.  Each extension is
+    # conditionally positive definite, so its smallest eigenvalue is rounding.
+    # Without the table's own rounding, eigh's backward error alone is too small.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(32)
+    worst = beyond_eigh = 0.0
+    for i in range(300):
+        dim, labels = int(rng.integers(1, 4)), ("a", "b", "c")[:int(rng.integers(2, 4))]
+        gen = random_christensen_evans(labels, dim, rng, scale=10.0 ** rng.uniform(-3, 1))
+        kind = ("cancelling", "twisted", "sheared")[i % 3]
+        section = _gate_sweep_section(rng, kind, dim, labels, mp)
+        extension = extend_generator(section, gen)
+        report = is_conditionally_cpd(extension)
+        magnitudes, roundings = _magnitudes(section, extension)
+        eigh = _allowance(_EIGH_BACKWARD * len(extension.labels) * dim * dim, report.scale)
+        table = _allowance(roundings, np.linalg.norm(magnitudes.block_choi(), 2))
+        worst = max(worst, -report.min_eigenvalue / (eigh + table))
+        beyond_eigh = max(beyond_eigh, -report.min_eigenvalue / eigh)
+    assert worst <= 0.1
+    assert beyond_eigh > 1.0
 
 
 def test_extension_fails_on_bad_base_generator():
