@@ -25,7 +25,7 @@ N = n d^2, the kernel passes exactly when the smallest eigenvalue (of H,
 or of its compression) is at least ``-_allowance(_EIGH_BACKWARD * N,
 |H|_2)``, ``eigh``'s backward error on H; the unit check, extension gate
 and verdict use the same allowance, sized by the magnitudes of the terms
-they sum (:func:`trotterlab.units._magnitudes`).  No verdict changes when the
+they sum (:mod:`trotterlab.units`).  No verdict changes when the
 kernel is multiplied by a positive constant.  A negative eigenvector
 yields a concrete witness tuple violating the quadratic form (for the
 conditional test, one satisfying the constraint), which is re-evaluated
@@ -43,6 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
+    _UNIT_ROUNDOFF,
     Superoperator,
     choi_matrix,
     dagger,
@@ -78,7 +79,7 @@ _EIGH_BACKWARD = 64
 def _allowance(roundings: int, scale: float) -> float:
     """The one rounding allowance: n = ``roundings`` roundings of terms whose magnitudes sum
     to ``scale`` err by at most n 2^-53 ``scale`` (Higham, Accuracy and Stability, Ch. 3)."""
-    return roundings * 2.0 ** -53 * scale
+    return roundings * _UNIT_ROUNDOFF * scale
 
 
 class KernelSymmetryError(ValueError):

@@ -3,10 +3,11 @@
 A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 time order (earliest interval first); ``parts[0]`` covers ``[0, parts[0])``.
 A pairing cuts both sides by the same partition and takes a generator
-kernel.  :func:`convergence_verdict` pairs every partition of its schedule
-with itself under the section's extended kernel, reads its limit maps off
-that kernel's semigroup at the horizon, and decides its verdict by
-comparing entries of that kernel.
+kernel.  :func:`convergence_verdict` takes the section's verdict from
+:func:`trotterlab.units._decide_verdict`, which compares entries of the
+section's extended kernel, then pairs every partition of its schedule
+with itself under that kernel and reads its limit maps off the kernel's
+semigroup at the horizon.
 
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
@@ -46,8 +47,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import Superoperator, dagger, expm_times, superop_norm, unit_element
-from .kernels import CpdSemigroup, OperatorKernel, _allowance
-from .units import UnitExpression, _magnitudes, _term_pairs, pair_derivative, unit_expression
+from .kernels import CpdSemigroup, OperatorKernel
+from .units import UnitExpression, _decide_verdict, _term_pairs, unit_expression
 
 __all__ = [
     "Partition",
@@ -307,53 +308,6 @@ class ConvergenceReport:
             handle.write("\n")
 
 
-def _entry_equality(section: UnitExpression, extension: OperatorKernel):
-    """``equal(rep, *pairs)``: ``rep`` equals each listed entry (see :func:`_decide_verdict`).
-
-    ``ValueError`` when the allowance reaches the largest entry: no digit of it is certain.
-    """
-    magnitudes, roundings = _magnitudes(section, extension)
-    zeta = unit_expression(extension.labels[-1], extension.dim)
-    criterion = pair_derivative(zeta, section.magnitude(), magnitudes)
-    allowance = _allowance(2 * roundings,
-                           max(magnitudes.table.real.max(), criterion.rep.real.max()))
-    largest = np.abs(extension.table).max()
-    if allowance >= largest > 0:
-        raise ValueError(f"rounding allowance {allowance:.3e} of the extended kernel reaches "
-                         f"its largest entry {largest:.3e}; the section's terms cancel "
-                         "beyond double precision")
-    return lambda rep, *pairs: all(np.abs(rep - extension[p].rep).max() <= allowance for p in pairs)
-
-
-def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
-                    candidate: str | None, equal) -> str:
-    """The verdict from entries K of the extended kernel, zeta its last label.
-
-    By Chernoff's product formula every pairing of sectioned products tends
-    to ``exp(t K)``.  Without a candidate the section converges in norm when
-    ``pair_derivative(zeta, section)`` equals ``K^{zeta zeta}``, and else
-    weakly.  Against an ambient candidate w it converges in norm when
-    ``K^{zeta zeta} = K^{w zeta} = K^{w w}``, weakly when ``K^{s zeta} = K^{s w}``
-    for every ambient s, and otherwise not even weakly (``divergent``).
-    Under ``equal`` (:func:`_entry_equality`) entries are equal when they
-    differ nowhere by more than ``_allowance(2 L, M)``: M is the largest
-    magnitude summed into an entry or into the criterion, and L bounds the
-    roundings along one ``pair_derivative`` (the criterion nests two), both
-    from :func:`trotterlab.units._magnitudes`.  Terms that meet only zero
-    generator entries add nothing to M, so a cancelling section reads as
-    what it cancels to.
-    """
-    zeta, w = extension.labels[-1], candidate
-    if w is None:
-        criterion = pair_derivative(unit_expression(zeta, extension.dim), section, extension)
-        return "norm-convergent" if equal(criterion.rep, (zeta, zeta)) else "weak-only"
-    if equal(extension[(zeta, zeta)].rep, (w, zeta), (w, w)):
-        return "norm-convergent"
-    if all(equal(extension[(s, zeta)].rep, (s, w)) for s in extension.labels[:-1]):
-        return "weak-only"
-    return "divergent"
-
-
 def assemble_report(*, horizon: float, target: str, target_kind: str,
                     partitions: Sequence[Partition],
                     gram_defects: Sequence[float],
@@ -402,14 +356,14 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     section against ``s``'s pairing with the target (the adjoined label,
     or the candidate), so a candidate that the products do not approach
     even weakly leaves a finite ambient defect.  The verdict compares
-    entries of ``extension`` (:func:`_decide_verdict`); the defect series
-    show how the schedule approaches the limits.  A note gives the limit
-    grams' gap when ``K^{zeta zeta}`` and ``K^{w w}`` differ under the same
-    rule.  A pairing or limit map that overflows raises ``ValueError`` naming
-    the partition size; an allowance that reaches the entries raises it too.
+    entries of ``extension`` (:func:`trotterlab.units._decide_verdict`)
+    before any limit map or pairing is made; the defect series show how
+    the schedule approaches the limits.  A note gives the limit grams' gap
+    when ``K^{zeta zeta}`` and ``K^{w w}`` differ under the same rule.  A
+    pairing or limit map that overflows raises ``ValueError`` naming the
+    partition size; an allowance that reaches the entries raises it first.
     """
     kernel, zeta = extension, extension.labels[-1]
-    semigroup = CpdSemigroup(kernel)
     ambient_labels = tuple(s for s in kernel.labels if s != zeta)
     d = kernel.dim
     eye = unit_element(d)
@@ -417,6 +371,8 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     target = candidate if candidate is not None else zeta
     if candidate is not None and candidate not in ambient_labels:
         raise KeyError(f"candidate {candidate!r} is not an ambient unit label")
+    verdict, grams_agree = _decide_verdict(section, kernel, candidate)
+    semigroup = CpdSemigroup(kernel)
     target_kind = "ambient" if candidate is not None else "adjoined"
     target_expr = unit_expression(target, d)
 
@@ -456,8 +412,7 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     ambient = {s: [r[3][s] for r in results] for s in ambient_labels}
 
     notes = []
-    equal = _entry_equality(section, kernel)
-    if candidate is not None and not equal(kernel[(zeta, zeta)].rep, (candidate, candidate)):
+    if not grams_agree:
         gap = float(np.linalg.norm(target_gram_one - limit_gram_one, 2))
         notes.append(f"candidate gram differs from the predicted limit gram by {gap:.6e}; "
                      "the limit unit lies outside the span of the candidate")
@@ -465,5 +420,5 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
         horizon=horizon, target=target, target_kind=target_kind,
         partitions=schedule, gram_defects=gram, criterion_defects=crit,
         norm_defects=norm_d, ambient_defects=ambient,
-        verdict=_decide_verdict(section, kernel, candidate, equal), notes=notes, seed=seed)
+        verdict=verdict, notes=notes, seed=seed)
 

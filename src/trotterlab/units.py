@@ -26,13 +26,14 @@ ambient units followed by ``y``, with the new label last.  The extension
 is accepted only when it passes the conditional positivity test, which is
 precisely the condition for the limit unit to exist in some enlargement
 of the system, up to rounding.  It also checks the new row and column
-for hermitian symmetry, which nothing else guarantees.
+for hermitian symmetry, which nothing else guarantees.  The same pass sums
+each entry's maps by absolute value into |K|, which sizes the rounding
+allowed to the gate and to the verdict (:func:`_decide_verdict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,12 +128,6 @@ class UnitExpression:
                 raise ValueError("all terms must share the expression dimension")
         object.__setattr__(self, "terms", terms)
 
-    def magnitude(self) -> UnitExpression:
-        """The section with every multiplier and twist replaced by its entrywise absolute value."""
-        return UnitExpression(self.dim, tuple(
-            replace(t, left=np.abs(t.left), right=np.abs(t.right),
-                    twist=None if t.twist is None else np.abs(t.twist)) for t in self.terms))
-
 
 def unit_expression(label: str, dim: int) -> UnitExpression:
     eye = unit_element(dim)
@@ -188,45 +183,91 @@ def _term_pairs(e1: UnitExpression, e2: UnitExpression, generator: OperatorKerne
                                            for open_, keys, close in pairs]
 
 
+def _pair_sum(stack: np.ndarray, pairs, size=np.asarray) -> np.ndarray:
+    """Sum of ``size(open) @ (sum of size(stack)[keys]) @ size(close)`` over :func:`_term_pairs`."""
+    stack = size(stack)
+    return sum(size(open_) @ stack[keys].sum(axis=0) @ size(close) for open_, keys, close in pairs)
+
+
 def pair_derivative(e1: UnitExpression, e2: UnitExpression,
                     generator: OperatorKernel) -> Superoperator:
     """Derivative at ``t = 0`` of the pairing map ``t -> <e1_t, . e2_t>``."""
-    stack, pairs = _term_pairs(e1, e2, generator)
-    return Superoperator(generator.dim, sum(open_ @ stack[keys].sum(axis=0) @ close
-                                            for open_, keys, close in pairs))
+    return Superoperator(generator.dim, _pair_sum(*_term_pairs(e1, e2, generator)))
 
 
-def _pair_table(section: UnitExpression, generator: OperatorKernel) -> list[list[np.ndarray]]:
-    """``pair_derivative(a, b)`` over the ambient units and, last, ``section``."""
-    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
-    return [[pair_derivative(a, b, generator).rep for b in family] for a in family]
+def _extended_tables(section: UnitExpression,
+                     generator: OperatorKernel) -> tuple[OperatorKernel, OperatorKernel, int]:
+    """``(K, |K|, L)``: ``section``'s extended kernel, its magnitudes, and how often it rounds.
 
-
-def _magnitudes(section: UnitExpression, extension: OperatorKernel) -> tuple[OperatorKernel, int]:
-    """``(|K|, L)``: the magnitudes of ``section``'s extended kernel, and how often it rounds.
-
-    |K| takes every multiplier, twist and ambient entry by its absolute
-    value.  An entry of one ``pair_derivative`` of k terms of at most m
-    segments rounds twice for ``open`` and ``close``, once per stacked map,
-    2 m times over at most 2 m + 1 keys, d^2 times per matmul and k^2 - 1
-    times over term pairs, fewer than L = k^2 + 2 d^2 + 2 m + 3 in all, so
-    it lies within ``_allowance(L, |K|)`` of its exact value.  ``ValueError`` when |K| overflows.
+    Entry (a, b) of K is ``pair_derivative(a, b)`` over the ambient units and,
+    last, ``section`` under a fresh label; |K| sums the same maps by absolute
+    value.  An entry of k terms of at most m segments rounds twice for ``open``
+    and ``close``, once per stacked map, 2 m times over at most 2 m + 1 keys,
+    d^2 times per matmul and k^2 - 1 times over term pairs, fewer than L =
+    k^2 + 2 d^2 + 2 m + 3 in all, so it lies within ``_allowance(L, |K|)`` of
+    its exact value.  ``ValueError`` when |K| overflows.
     """
-    ambient = OperatorKernel(extension.labels[:-1], np.abs(extension.table[:-1, :-1]))
-    magnitudes = OperatorKernel(extension.labels, _pair_table(section.magnitude(), ambient))
-    if not np.isfinite(magnitudes.table).all():
+    family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
+    table, magnitudes = [], []
+    for a in family:
+        row = [_term_pairs(a, b, generator) for b in family]
+        table.append([_pair_sum(*pairs) for pairs in row])
+        magnitudes.append([_pair_sum(*pairs, np.abs) for pairs in row])
+    if not np.isfinite(magnitudes).all():
         raise ValueError("the magnitudes of the extended kernel are not finite: the products "
                          "of the section's term multipliers overflow")
+    names = ["zeta"] + [f"zeta_{k}" for k in range(1, len(generator.labels) + 1)]  # one is free
+    labels = generator.labels + (next(s for s in names if s not in generator.labels),)
     chain = max(len(term.segments) for term in section.terms)
-    return magnitudes, len(section.terms) ** 2 + 2 * extension.dim ** 2 + 2 * chain + 3
+    return (OperatorKernel(labels, table), OperatorKernel(labels, magnitudes),
+            len(section.terms) ** 2 + 2 * generator.dim ** 2 + 2 * chain + 3)
 
 
-def _fresh_label(taken: Sequence[str]) -> str:
-    label, k = "zeta", 0
-    while label in taken:
-        k += 1
-        label = f"zeta_{k}"
-    return label
+def _entry_allowance(section: UnitExpression, extension: OperatorKernel) -> float:
+    """How far two entries of ``section``'s extension may differ and still be equal.
+
+    It is ``_allowance(2 L, M)``, M the largest entry of |K| or of the
+    criterion ``pair_derivative(zeta, section)`` summed by absolute value
+    over |K| (which nests two L), from :func:`_extended_tables`.
+    ``ValueError`` when it reaches the largest entry: no digit is certain.
+    """
+    ambient = OperatorKernel(extension.labels[:-1], extension.table[:-1, :-1])
+    _, magnitudes, roundings = _extended_tables(section, ambient)
+    zeta = unit_expression(magnitudes.labels[-1], extension.dim)
+    criterion = _pair_sum(*_term_pairs(zeta, section, magnitudes), np.abs)
+    allowance = _allowance(2 * roundings, max(magnitudes.table.real.max(), criterion.max()))
+    largest = np.abs(extension.table).max()
+    if allowance >= largest > 0:
+        raise ValueError(f"rounding allowance {allowance:.3e} of the extended kernel reaches "
+                         f"its largest entry {largest:.3e}; the section's terms cancel "
+                         "beyond double precision")
+    return allowance
+
+
+def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
+                    candidate: str | None) -> tuple[str, bool]:
+    """The verdict from entries K of the extension, zeta its last label, and whether grams agree.
+
+    By Chernoff's product formula every pairing of sectioned products tends
+    to ``exp(t K)``.  Without a candidate the section converges in norm when
+    ``pair_derivative(zeta, section)`` equals ``K^{zeta zeta}``, and else
+    weakly.  Against an ambient candidate w it converges in norm when
+    ``K^{zeta zeta} = K^{w w}`` (the grams agree) ``= K^{w zeta}``, weakly
+    when ``K^{s zeta} = K^{s w}`` for every ambient s, and otherwise not even
+    weakly (``divergent``).  Entries are equal when they differ nowhere by
+    more than :func:`_entry_allowance`, whose ``ValueError`` this raises.
+    """
+    allowance = _entry_allowance(section, extension)
+    table, z = extension.table, len(extension.labels) - 1
+    if candidate is None:
+        zeta = unit_expression(extension.labels[z], extension.dim)
+        gap = np.abs(pair_derivative(zeta, section, extension).rep - table[z, z]).max()
+        return ("norm-convergent" if gap <= allowance else "weak-only"), True
+    w = extension.labels.index(candidate)
+    grams, limit, weak = (np.abs(a - b).max() <= allowance for a, b in (
+        (table[z, z], table[w, w]), (table[z, z], table[w, z]), (table[:z, z], table[:z, w])))
+    return ("norm-convergent" if grams and limit else "weak-only" if weak
+            else "divergent"), bool(grams)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values are refused below
@@ -235,13 +276,13 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Oper
 
     It refuses a non-finite value at t = 0, then one off the unit by more than
     its k products' rounding, ``_allowance(d + k + 1, sum |left| |right|)``
-    entrywise, then non-finite magnitudes (:func:`_magnitudes`).  Entry (a, b)
-    of the table is ``pair_derivative(a, b)`` over the ambient units and the
-    section.  The conditional positivity test must find it hermitian (1e-9
-    relative, else ``KernelSymmetryError``), and its smallest eigenvalue may
-    fall below 0 by ``eigh``'s backward error on H and, by Weyl's inequality,
-    the table's: ``_allowance(_EIGH_BACKWARD * N, |H|_2) + _allowance(L, |C|_2)``,
-    C the block Choi matrix of |K|; else ``NotCompletelyPositiveError``.
+    entrywise, then non-finite magnitudes; the table and |K| come from
+    :func:`_extended_tables`.  The conditional positivity test must find the
+    table hermitian (1e-9 relative, else ``KernelSymmetryError``), and its
+    smallest eigenvalue may fall below 0 by ``eigh``'s backward error on H
+    and, by Weyl's inequality, the table's: ``_allowance(_EIGH_BACKWARD * N,
+    |H|_2) + _allowance(L, |C|_2)``, C the block Choi matrix of |K|; else
+    ``NotCompletelyPositiveError``.
     """
     d, terms = generator.dim, section.terms
     deviation = sum(t.left @ t.right for t in terms) - unit_element(d)
@@ -251,12 +292,10 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Oper
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
-    table = _pair_table(section, generator)
-    kernel = OperatorKernel(generator.labels + (_fresh_label(generator.labels),), table)
-    magnitudes, roundings = _magnitudes(section, kernel)
+    kernel, magnitudes, roundings = _extended_tables(section, generator)
 
     report = is_conditionally_cpd(kernel)
-    allowance = (_allowance(_EIGH_BACKWARD * len(table) * d * d, report.scale)
+    allowance = (_allowance(_EIGH_BACKWARD * len(kernel.labels) * d * d, report.scale)
                  + _allowance(roundings, float(np.linalg.norm(magnitudes.block_choi(), 2))))
     if not report.min_eigenvalue >= -allowance:
         raise NotCompletelyPositiveError(

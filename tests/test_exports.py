@@ -72,15 +72,20 @@ def test_scipy_loads_only_at_the_first_limit_map(tmp_path):
     gate = tmp_path / "gate.scenario"
     gate.write_text("dim 1\nlabels u v\ngenerator gamma [[0.0, 2.0], [2.0, -6.0]]\n"
                     "expression y = u\nschedule dyadic 3 4\n")
+    padding = tmp_path / "padding.scenario"  # refused before any limit map
+    padding.write_text("dim 1\nlabels u v w\n"
+                       "generator gamma [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 0.25]]\n"
+                       "expression y = concat(u@0.5, v@0.5) + 100000000*v - 100000000*v\n"
+                       "schedule dyadic 3 4\ncandidate y w\n")
     cex = src / "trotterlab" / "scenarios" / "counterexample_41.scenario"
     out = str(tmp_path / "out")
     calls = [["version"], ["validate", str(identity)], ["run", str(malformed), "--out", out],
-             ["run", str(gate), "--out", out],
+             ["run", str(gate), "--out", out], ["run", str(padding), "--out", out],
              ["run", str(cex), "--schedule", "dyadic:3:4", "--out", out]]
     result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)], cwd=src,
                             capture_output=True, text=True, check=True).stdout
     *early, (run_code, run_loaded) = json.loads(result)
-    assert early == [[0, False], [0, False], [3, False], [2, False]]
+    assert early == [[0, False], [0, False], [3, False], [2, False], [2, False]]
     assert run_code == 0 and run_loaded
 
 

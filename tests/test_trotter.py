@@ -16,7 +16,6 @@ from trotterlab.algebra import (
     unit_element,
 )
 from trotterlab.kernels import (
-    _EIGH_BACKWARD,
     CpdSemigroup,
     OperatorKernel,
     scalar_kernel,
@@ -26,8 +25,6 @@ from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import (
     Partition,
     _batched_pairing,
-    _decide_verdict,
-    _entry_equality,
     assemble_report,
     convergence_verdict,
     dyadic_schedule,
@@ -39,6 +36,8 @@ from trotterlab.units import (
     Segment,
     Term,
     UnitExpression,
+    _decide_verdict,
+    _entry_allowance,
     extend_generator,
     pair_derivative,
     unit_expression,
@@ -532,9 +531,7 @@ def entry_gap_share(section, gen):
     """max |pair_derivative(zeta, section) - K^{zeta zeta}| over the verdict's allowance."""
     ext = extend_generator(section, gen)
     criterion = pair_derivative(unit_expression("zeta", gen.dim), section, ext).rep
-    n, d2 = ext.table.shape[0], ext.table.shape[2]
-    allowance = _EIGH_BACKWARD * n * d2 * 2.0 ** -53 * np.abs(ext.table).max()
-    return np.abs(criterion - ext[("zeta", "zeta")].rep).max() / allowance
+    return np.abs(criterion - ext[("zeta", "zeta")].rep).max() / _entry_allowance(section, ext)
 
 
 def test_affine_sections_use_a_tenth_of_the_entry_allowance():
@@ -568,8 +565,7 @@ def test_cancelling_affine_sections_read_norm_convergent():
         c = float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 3))
         section = affine_expression([c, 1.0 - c], ["a", ("a", "b")[int(rng.integers(2))]], dim)
         extension = extend_generator(section, gen)
-        equal = _entry_equality(section, extension)
-        verdicts.append(_decide_verdict(section, extension, None, equal))
+        verdicts.append(_decide_verdict(section, extension, None)[0])
     assert verdicts == ["norm-convergent"] * 300
 
 

@@ -1,9 +1,13 @@
 import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trotterlab
+import trotterlab.units
 from trotterlab.algebra import (
+    _UNIT_ROUNDOFF,
     Superoperator,
     dagger,
     left_right_rep,
@@ -13,12 +17,13 @@ from trotterlab.algebra import (
 )
 from trotterlab.kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, _allowance,
                                 is_conditionally_cpd, scalar_kernel)
+from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import (
     Segment,
     Term,
     UnitExpression,
-    _magnitudes,
+    _extended_tables,
     extend_generator,
     pair_derivative,
     unit_expression,
@@ -269,13 +274,44 @@ def test_extension_gate_leaves_nine_tenths_of_its_allowance_unused():
         section = _gate_sweep_section(rng, kind, dim, labels, mp)
         extension = extend_generator(section, gen)
         report = is_conditionally_cpd(extension)
-        magnitudes, roundings = _magnitudes(section, extension)
+        _, magnitudes, roundings = _extended_tables(section, gen)
         eigh = _allowance(_EIGH_BACKWARD * len(extension.labels) * dim * dim, report.scale)
         table = _allowance(roundings, np.linalg.norm(magnitudes.block_choi(), 2))
         worst = max(worst, -report.min_eigenvalue / (eigh + table))
         beyond_eigh = max(beyond_eigh, -report.min_eigenvalue / eigh)
     assert worst <= 0.1
     assert beyond_eigh > 1.0
+
+
+def test_magnitudes_bound_every_entry_of_the_extended_kernel():
+    # 300 cancelling, twisted and sheared sections of random generators, d <= 3:
+    # |K| sums every map by its absolute value, so it bounds each entry's size,
+    # the twists' maps included, up to its own rounding.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(34)
+    for i in range(300):
+        dim, labels = int(rng.integers(1, 4)), ("a", "b", "c")[:int(rng.integers(2, 4))]
+        gen = random_christensen_evans(labels, dim, rng, scale=10.0 ** rng.uniform(-3, 1))
+        section = _gate_sweep_section(rng, ("cancelling", "twisted", "sheared")[i % 3], dim,
+                                      labels, mp)
+        kernel, magnitudes, roundings = _extended_tables(section, gen)
+        nonzero = kernel.table != 0
+        assert (magnitudes.table.real[nonzero] >= np.abs(kernel.table[nonzero])
+                * (1 - 2 * roundings * _UNIT_ROUNDOFF)).all()
+
+
+def test_extension_sums_each_term_pair_once(monkeypatch):
+    # affine_42's y over its two labels: one _term_pairs call per entry of the
+    # 3 x 3 extended table serves both the entry and its magnitude.
+    path = Path(trotterlab.__file__).parent / "scenarios" / "affine_42.scenario"
+    scenario = parse_scenario(path.read_text())
+    calls = []
+    term_pairs = trotterlab.units._term_pairs
+    monkeypatch.setattr(trotterlab.units, "_term_pairs",
+                        lambda *args: calls.append(args) or term_pairs(*args))
+    extend_generator(scenario.expressions["y"], build_generator(scenario))
+    assert len(calls) == 9
 
 
 def test_extension_fails_on_bad_base_generator():
