@@ -4,10 +4,10 @@ A partition of ``[0, t]`` is stored as the tuple of its interval widths in
 time order (earliest interval first); ``parts[0]`` covers ``[0, parts[0])``.
 A pairing cuts both sides by the same partition and takes a generator
 kernel.  :func:`convergence_verdict` takes the section's verdict from
-:func:`trotterlab.units._decide_verdict`, which compares entries of the
-section's extended kernel, then pairs every partition of its schedule
-with itself under that kernel and reads its limit maps off the kernel's
-semigroup at the horizon.
+:func:`trotterlab.units._decide_verdict`, which compares the entries that
+the section's :class:`trotterlab.units.Extension` carries, then pairs every
+partition of its schedule with itself under that kernel and reads its
+limit maps off the kernel's semigroup at the horizon.
 
 Pairing convention.  For elements composed over consecutive intervals,
 the inner-product map of a composition factorizes into the entry maps of
@@ -48,7 +48,7 @@ import numpy as np
 
 from .algebra import Superoperator, dagger, expm_times, superop_norm, unit_element
 from .kernels import CpdSemigroup, OperatorKernel
-from .units import UnitExpression, _decide_verdict, _term_pairs, unit_expression
+from .units import Extension, UnitExpression, _decide_verdict, _term_pairs, unit_expression
 
 __all__ = [
     "Partition",
@@ -340,14 +340,14 @@ def assemble_report(*, horizon: float, target: str, target_kind: str,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises the ValueError below
-def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
+def convergence_verdict(section: UnitExpression, extension: Extension,
                         horizon: float, schedule: Sequence[Partition], *,
                         candidate: str | None = None,
                         seed: int | None = None) -> ConvergenceReport:
     """Run the full convergence analysis of a section over a schedule.
 
     ``extension`` is the section's :func:`trotterlab.units.extend_generator`
-    kernel.  Every limit map is an entry of its semigroup at the horizon;
+    result.  Every limit map is an entry of its semigroup at the horizon;
     its last label is the adjoined one, and the others are the ambient
     units.  With ``candidate`` set, the criterion pairing is taken
     against that ambient unit instead, which tests whether the section
@@ -355,10 +355,10 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     Each ambient defect compares the pairing of unit ``s`` with the
     section against ``s``'s pairing with the target (the adjoined label,
     or the candidate), so a candidate that the products do not approach
-    even weakly leaves a finite ambient defect.  The verdict compares
-    entries of ``extension`` (:func:`trotterlab.units._decide_verdict`)
-    before any limit map or pairing is made; the defect series show how
-    the schedule approaches the limits.  A note gives the limit grams' gap
+    even weakly leaves a finite ambient defect.  The verdict compares what
+    ``extension`` carries (:func:`trotterlab.units._decide_verdict`) before
+    any limit map or pairing is made; the defect series show how the
+    schedule approaches the limits.  A note gives the limit grams' gap
     when ``K^{zeta zeta}`` and ``K^{w w}`` differ under the same rule.  A
     pairing or limit map that overflows raises ``ValueError`` naming the
     partition size; an allowance that reaches the entries raises it first.
@@ -371,7 +371,7 @@ def convergence_verdict(section: UnitExpression, extension: OperatorKernel,
     target = candidate if candidate is not None else zeta
     if candidate is not None and candidate not in ambient_labels:
         raise KeyError(f"candidate {candidate!r} is not an ambient unit label")
-    verdict, grams_agree = _decide_verdict(section, kernel, candidate)
+    verdict, grams_agree = _decide_verdict(kernel, candidate)
     semigroup = CpdSemigroup(kernel)
     target_kind = "ambient" if candidate is not None else "adjoined"
     target_expr = unit_expression(target, d)

@@ -28,7 +28,8 @@ precisely the condition for the limit unit to exist in some enlargement
 of the system, up to rounding.  It also checks the new row and column
 for hermitian symmetry, which nothing else guarantees.  The same pass sums
 each entry's maps by absolute value into |K|, which sizes the rounding
-allowed to the gate and to the verdict (:func:`_decide_verdict`).
+allowed to the gate, and makes the :class:`Extension`'s criterion and
+verdict allowance, so :func:`_decide_verdict` only compares stored entries.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "UnitExpression",
     "unit_expression",
     "pair_derivative",
+    "Extension",
     "extend_generator",
 ]
 
@@ -195,9 +197,18 @@ def pair_derivative(e1: UnitExpression, e2: UnitExpression,
     return Superoperator(generator.dim, _pair_sum(*_term_pairs(e1, e2, generator)))
 
 
+@dataclass(frozen=True)
+class Extension(OperatorKernel):
+    """An extended kernel K, zeta its last label, with the representation of its criterion
+    ``pair_derivative(zeta, section)`` and the ``allowance`` within which entries are equal."""
+
+    criterion: np.ndarray
+    allowance: float
+
+
 def _extended_tables(section: UnitExpression,
-                     generator: OperatorKernel) -> tuple[OperatorKernel, OperatorKernel, int]:
-    """``(K, |K|, L)``: ``section``'s extended kernel, its magnitudes, and how often it rounds.
+                     generator: OperatorKernel) -> tuple[Extension, OperatorKernel, int]:
+    """``(K, |K|, L)``: ``section``'s extension, its magnitudes, and how often it rounds.
 
     Entry (a, b) of K is ``pair_derivative(a, b)`` over the ambient units and,
     last, ``section`` under a fresh label; |K| sums the same maps by absolute
@@ -205,7 +216,9 @@ def _extended_tables(section: UnitExpression,
     and ``close``, once per stacked map, 2 m times over at most 2 m + 1 keys,
     d^2 times per matmul and k^2 - 1 times over term pairs, fewer than L =
     k^2 + 2 d^2 + 2 m + 3 in all, so it lies within ``_allowance(L, |K|)`` of
-    its exact value.  ``ValueError`` when |K| overflows.
+    its exact value.  The criterion nests two L, so K's allowance is
+    ``_allowance(2 L, M)``, M the largest entry of |K| or of the criterion
+    summed over |K|.  ``ValueError`` when |K| overflows.
     """
     family = [unit_expression(s, generator.dim) for s in generator.labels] + [section]
     table, magnitudes = [], []
@@ -219,49 +232,35 @@ def _extended_tables(section: UnitExpression,
     names = ["zeta"] + [f"zeta_{k}" for k in range(1, len(generator.labels) + 1)]  # one is free
     labels = generator.labels + (next(s for s in names if s not in generator.labels),)
     chain = max(len(term.segments) for term in section.terms)
-    return (OperatorKernel(labels, table), OperatorKernel(labels, magnitudes),
-            len(section.terms) ** 2 + 2 * generator.dim ** 2 + 2 * chain + 3)
+    roundings = len(section.terms) ** 2 + 2 * generator.dim ** 2 + 2 * chain + 3
+    kernel, magnitudes = OperatorKernel(labels, table), OperatorKernel(labels, magnitudes)
+    zeta = unit_expression(labels[-1], generator.dim)
+    bound = _pair_sum(*_term_pairs(zeta, section, magnitudes), np.abs).max()
+    allowance = _allowance(2 * roundings, max(magnitudes.table.real.max(), bound))
+    return (Extension(labels, kernel.table, pair_derivative(zeta, section, kernel).rep,
+                      allowance), magnitudes, roundings)
 
 
-def _entry_allowance(section: UnitExpression, extension: OperatorKernel) -> float:
-    """How far two entries of ``section``'s extension may differ and still be equal.
-
-    It is ``_allowance(2 L, M)``, M the largest entry of |K| or of the
-    criterion ``pair_derivative(zeta, section)`` summed by absolute value
-    over |K| (which nests two L), from :func:`_extended_tables`.
-    ``ValueError`` when it reaches the largest entry: no digit is certain.
-    """
-    ambient = OperatorKernel(extension.labels[:-1], extension.table[:-1, :-1])
-    _, magnitudes, roundings = _extended_tables(section, ambient)
-    zeta = unit_expression(magnitudes.labels[-1], extension.dim)
-    criterion = _pair_sum(*_term_pairs(zeta, section, magnitudes), np.abs)
-    allowance = _allowance(2 * roundings, max(magnitudes.table.real.max(), criterion.max()))
-    largest = np.abs(extension.table).max()
-    if allowance >= largest > 0:
-        raise ValueError(f"rounding allowance {allowance:.3e} of the extended kernel reaches "
-                         f"its largest entry {largest:.3e}; the section's terms cancel "
-                         "beyond double precision")
-    return allowance
-
-
-def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
-                    candidate: str | None) -> tuple[str, bool]:
+def _decide_verdict(extension: Extension, candidate: str | None) -> tuple[str, bool]:
     """The verdict from entries K of the extension, zeta its last label, and whether grams agree.
 
     By Chernoff's product formula every pairing of sectioned products tends
     to ``exp(t K)``.  Without a candidate the section converges in norm when
-    ``pair_derivative(zeta, section)`` equals ``K^{zeta zeta}``, and else
-    weakly.  Against an ambient candidate w it converges in norm when
+    its criterion ``pair_derivative(zeta, section)`` equals ``K^{zeta zeta}``,
+    and else weakly.  Against an ambient candidate w it converges in norm when
     ``K^{zeta zeta} = K^{w w}`` (the grams agree) ``= K^{w zeta}``, weakly
     when ``K^{s zeta} = K^{s w}`` for every ambient s, and otherwise not even
-    weakly (``divergent``).  Entries are equal when they differ nowhere by
-    more than :func:`_entry_allowance`, whose ``ValueError`` this raises.
+    weakly (``divergent``).  Entries are equal within the extension's
+    ``allowance``; ``ValueError`` when it reaches the largest entry.
     """
-    allowance = _entry_allowance(section, extension)
-    table, z = extension.table, len(extension.labels) - 1
+    table, z, allowance = extension.table, len(extension.labels) - 1, extension.allowance
+    largest = np.abs(table).max()
+    if allowance >= largest > 0:
+        raise ValueError(f"rounding allowance {allowance:.3e} of the extended kernel reaches "
+                         f"its largest entry {largest:.3e}; the section's terms cancel "
+                         "beyond double precision")
     if candidate is None:
-        zeta = unit_expression(extension.labels[z], extension.dim)
-        gap = np.abs(pair_derivative(zeta, section, extension).rep - table[z, z]).max()
+        gap = np.abs(extension.criterion - table[z, z]).max()
         return ("norm-convergent" if gap <= allowance else "weak-only"), True
     w = extension.labels.index(candidate)
     grams, limit, weak = (np.abs(a - b).max() <= allowance for a, b in (
@@ -271,18 +270,18 @@ def _decide_verdict(section: UnitExpression, extension: OperatorKernel,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values are refused below
-def extend_generator(section: UnitExpression, generator: OperatorKernel) -> OperatorKernel:
-    """The kernel ``generator`` extended by a fresh last label for ``section``'s limit unit.
+def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Extension:
+    """The :class:`Extension` of ``generator`` by a fresh last label for ``section``'s limit unit.
 
     It refuses a non-finite value at t = 0, then one off the unit by more than
     its k products' rounding, ``_allowance(d + k + 1, sum |left| |right|)``
-    entrywise, then non-finite magnitudes; the table and |K| come from
-    :func:`_extended_tables`.  The conditional positivity test must find the
-    table hermitian (1e-9 relative, else ``KernelSymmetryError``), and its
-    smallest eigenvalue may fall below 0 by ``eigh``'s backward error on H
-    and, by Weyl's inequality, the table's: ``_allowance(_EIGH_BACKWARD * N,
-    |H|_2) + _allowance(L, |C|_2)``, C the block Choi matrix of |K|; else
-    ``NotCompletelyPositiveError``.
+    entrywise, then non-finite magnitudes; K with its criterion and allowance,
+    and |K|, come from :func:`_extended_tables`.  The conditional positivity
+    test must find the table hermitian (1e-9 relative, else
+    ``KernelSymmetryError``), and its smallest eigenvalue may fall below 0 by
+    ``eigh``'s backward error on H and, by Weyl's inequality, the table's:
+    ``_allowance(_EIGH_BACKWARD * N, |H|_2) + _allowance(L, |C|_2)``, C the
+    block Choi matrix of |K|; else ``NotCompletelyPositiveError``.
     """
     d, terms = generator.dim, section.terms
     deviation = sum(t.left @ t.right for t in terms) - unit_element(d)

@@ -37,7 +37,6 @@ from trotterlab.units import (
     Term,
     UnitExpression,
     _decide_verdict,
-    _entry_allowance,
     extend_generator,
     pair_derivative,
     unit_expression,
@@ -531,7 +530,7 @@ def entry_gap_share(section, gen):
     """max |pair_derivative(zeta, section) - K^{zeta zeta}| over the verdict's allowance."""
     ext = extend_generator(section, gen)
     criterion = pair_derivative(unit_expression("zeta", gen.dim), section, ext).rep
-    return np.abs(criterion - ext[("zeta", "zeta")].rep).max() / _entry_allowance(section, ext)
+    return np.abs(criterion - ext[("zeta", "zeta")].rep).max() / ext.allowance
 
 
 def test_affine_sections_use_a_tenth_of_the_entry_allowance():
@@ -565,7 +564,7 @@ def test_cancelling_affine_sections_read_norm_convergent():
         c = float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(0, 3))
         section = affine_expression([c, 1.0 - c], ["a", ("a", "b")[int(rng.integers(2))]], dim)
         extension = extend_generator(section, gen)
-        verdicts.append(_decide_verdict(section, extension, None)[0])
+        verdicts.append(_decide_verdict(extension, None)[0])
     assert verdicts == ["norm-convergent"] * 300
 
 

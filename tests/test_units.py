@@ -15,15 +15,18 @@ from trotterlab.algebra import (
     superop_norm,
     unit_element,
 )
-from trotterlab.kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, _allowance,
-                                is_conditionally_cpd, scalar_kernel)
+from trotterlab.kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, OperatorKernel,
+                                _allowance, is_conditionally_cpd, scalar_kernel)
 from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import (
     Segment,
     Term,
     UnitExpression,
+    _decide_verdict,
     _extended_tables,
+    _pair_sum,
+    _term_pairs,
     extend_generator,
     pair_derivative,
     unit_expression,
@@ -301,17 +304,103 @@ def test_magnitudes_bound_every_entry_of_the_extended_kernel():
                 * (1 - 2 * roundings * _UNIT_ROUNDOFF)).all()
 
 
-def test_extension_sums_each_term_pair_once(monkeypatch):
-    # affine_42's y over its two labels: one _term_pairs call per entry of the
-    # 3 x 3 extended table serves both the entry and its magnitude.
-    path = Path(trotterlab.__file__).parent / "scenarios" / "affine_42.scenario"
-    scenario = parse_scenario(path.read_text())
+def bundled_scenario(name):
+    return parse_scenario((Path(trotterlab.__file__).parent / "scenarios"
+                           / f"{name}.scenario").read_text())
+
+
+def count_term_pairs(monkeypatch):
     calls = []
     term_pairs = trotterlab.units._term_pairs
     monkeypatch.setattr(trotterlab.units, "_term_pairs",
                         lambda *args: calls.append(args) or term_pairs(*args))
+    return calls
+
+
+def test_extension_sums_each_term_pair_once(monkeypatch):
+    # affine_42's y over its two labels: one _term_pairs call per entry of the
+    # 3 x 3 extended table serves both the entry and its magnitude, and two
+    # more make the criterion and its magnitude.
+    scenario = bundled_scenario("affine_42")
+    calls = count_term_pairs(monkeypatch)
     extend_generator(scenario.expressions["y"], build_generator(scenario))
-    assert len(calls) == 9
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("name, candidate, built", [("affine_42", None, 11),
+                                                    ("counterexample_41", "w", 18)])
+def test_the_verdict_builds_nothing(monkeypatch, name, candidate, built):
+    # (n + 1)^2 + 2 _term_pairs calls over n ambient labels make the extension,
+    # its criterion and its allowance; the verdict only compares what it carries.
+    scenario = bundled_scenario(name)
+    calls = count_term_pairs(monkeypatch)
+    extension = extend_generator(scenario.expressions["y"], build_generator(scenario))
+    assert len(calls) == built
+    _decide_verdict(extension, candidate)
+    assert len(calls) == built
+
+
+def reference_allowance(section, extension):
+    """The verdict allowance as it was made before the extension carried it: |K|,
+    L and the criterion's magnitude rebuilt over the extension's ambient slice."""
+    ambient = OperatorKernel(extension.labels[:-1], extension.table[:-1, :-1])
+    _, magnitudes, roundings = _extended_tables(section, ambient)
+    zeta = unit_expression(magnitudes.labels[-1], extension.dim)
+    criterion = _pair_sum(*_term_pairs(zeta, section, magnitudes), np.abs)
+    return _allowance(2 * roundings, max(magnitudes.table.real.max(), criterion.max()))
+
+
+def reference_verdict(section, extension, candidate):
+    """The verdict from the rebuilt allowance and a fresh criterion, or the refusal's text."""
+    allowance = reference_allowance(section, extension)
+    table, z = extension.table, len(extension.labels) - 1
+    largest = np.abs(table).max()
+    if allowance >= largest > 0:
+        return (f"rounding allowance {allowance:.3e} of the extended kernel reaches "
+                f"its largest entry {largest:.3e}; the section's terms cancel "
+                "beyond double precision")
+    if candidate is None:
+        zeta = unit_expression(extension.labels[z], extension.dim)
+        gap = np.abs(pair_derivative(zeta, section, extension).rep - table[z, z]).max()
+        return ("norm-convergent" if gap <= allowance else "weak-only"), True
+    w = extension.labels.index(candidate)
+    grams, limit, weak = (np.abs(a - b).max() <= allowance for a, b in (
+        (table[z, z], table[w, w]), (table[z, z], table[w, z]), (table[:z, z], table[:z, w])))
+    return ("norm-convergent" if grams and limit else "weak-only" if weak
+            else "divergent"), bool(grams)
+
+
+def assert_matches_the_rebuild(section, generator):
+    extension = extend_generator(section, generator)
+    assert extension.allowance == reference_allowance(section, extension)
+    for candidate in (None, *generator.labels):
+        try:
+            verdict = _decide_verdict(extension, candidate)
+        except ValueError as exc:
+            verdict = str(exc)
+        assert verdict == reference_verdict(section, extension, candidate)
+
+
+def test_extension_carries_the_allowance_the_verdict_rebuilt():
+    # 300 cancelling, twisted and sheared sections of random generators, d <= 3,
+    # and the bundled expressions beside a section padded beyond double precision.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(35)
+    for i in range(300):
+        dim, labels = int(rng.integers(1, 4)), ("a", "b", "c")[:int(rng.integers(2, 4))]
+        gen = random_christensen_evans(labels, dim, rng, scale=10.0 ** rng.uniform(-3, 1))
+        kind = ("cancelling", "twisted", "sheared")[i % 3]
+        assert_matches_the_rebuild(_gate_sweep_section(rng, kind, dim, labels, mp), gen)
+    for name in ("affine_42", "counterexample_41"):
+        scenario = bundled_scenario(name)
+        for section in scenario.expressions.values():
+            assert_matches_the_rebuild(section, build_generator(scenario))
+    gen = build_generator(bundled_scenario("counterexample_41"))
+    padded = parse_section("concat(u@0.5, v@0.5) + 100000000*v - 100000000*v", gen)
+    with pytest.raises(ValueError, match="cancel beyond double precision"):
+        _decide_verdict(extend_generator(padded, gen), None)
+    assert_matches_the_rebuild(padded, gen)
 
 
 def test_extension_fails_on_bad_base_generator():
