@@ -22,11 +22,11 @@ of ``(Omega, ..., Omega)``, one copy of ``Omega = sum_i e_i (x) e_i``
 per label (:func:`is_conditionally_cpd` proves the equivalence).
 Both tests use one rule: with H the block Choi matrix, of order
 N = n d^2, the kernel passes exactly when the smallest eigenvalue (of H,
-or of its compression) is at least ``-_allowance(_EIGH_BACKWARD * N,
-|H|_2)``, ``eigh``'s backward error on H; the unit check, extension gate
-and verdict use the same allowance, sized by the magnitudes of the terms
-they sum (:mod:`trotterlab.units`).  No verdict changes when the
-kernel is multiplied by a positive constant.  A negative eigenvector
+or of its compression) is at least ``-(_allowance(_EIGH_BACKWARD * N,
+|H|_2) + kernel.rounding)``: ``eigh``'s backward error on H plus the
+table's own rounding, 0 for an input table (an extension's is sized by
+:mod:`trotterlab.units`).  No verdict changes when the kernel and its
+rounding are multiplied by a positive constant.  A negative eigenvector
 yields a concrete witness tuple violating the quadratic form (for the
 conditional test, one satisfying the constraint), which is re-evaluated
 directly so that every negative verdict carries a certificate.  Sampling
@@ -101,14 +101,15 @@ class OperatorKernel:
     ``table[i, j]`` is the d^2 x d^2 representation of the entry
     ``(labels[i], labels[j])``; the table is one read-only complex array of
     shape (n, n, d^2, d^2), and ``dim`` is read off its last axis.
-    ``kernel[(s, t)]`` is that entry as a :class:`Superoperator`.
+    ``kernel[(s, t)]`` is that entry as a :class:`Superoperator`.  ``rounding``,
+    0 for an input table, bounds the block Choi 2-norm of the table's rounding.
     Hermitian symmetry, ``K^{t,s}(b) == (K^{s,t}(b*))*``, is not enforced
-    at construction; use :meth:`hermitian_defect` or
-    :meth:`require_hermitian`.
+    at construction; use :meth:`hermitian_defect` or :meth:`require_hermitian`.
     """
 
     labels: tuple[str, ...]
     table: np.ndarray
+    rounding: float = 0.0
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -120,6 +121,8 @@ class OperatorKernel:
         n, d = len(labels), math.isqrt(table.shape[-1])
         if d < 1 or table.shape != (n, n, d * d, d * d):
             raise ValueError(f"table shape {table.shape} is not (n, n, d^2, d^2) for {n} labels")
+        if not self.rounding >= 0:
+            raise ValueError(f"rounding must be a non-negative bound, got {self.rounding!r}")
         table.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", table)
@@ -218,14 +221,15 @@ class PositivityReport:
     conditional test) and ``scale`` the largest absolute eigenvalue of the
     uncompressed one; their ratio, the margin of a pass or the depth of a
     failure, does not change when the kernel is multiplied by a positive
-    constant.  A failure carries a witness tuple (one with
-    ``sum a_i b_i = 0`` for the conditional test) whose quadratic form was
-    re-evaluated and found negative.
+    constant.  The test passed when ``min_eigenvalue >= -allowance``, eigh's
+    term plus ``rounding``; a failure carries a witness tuple (``sum a_i b_i
+    = 0`` for the conditional test) whose re-evaluated quadratic form is negative.
     """
 
     ok: bool
     min_eigenvalue: float
     scale: float
+    allowance: float
     witness: CpdWitness | None
 
     @property
@@ -276,24 +280,23 @@ def _choi_spectrum(kernel: OperatorKernel) -> tuple[np.ndarray, np.ndarray, np.n
     return herm, eigvals, eigvecs, float(np.max(np.abs(eigvals)))
 
 
-def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray,
+def _positivity(kernel: OperatorKernel, eigvals: np.ndarray, eigvecs: np.ndarray | None,
                 scale: float) -> PositivityReport:
-    """Pass when ``eigvals[0] >= -_allowance(_EIGH_BACKWARD * N, scale)``, N = n d^2."""
-    min_eig = float(eigvals[0])
-    order = kernel.table.shape[0] * kernel.table.shape[2]
-    if min_eig >= -_allowance(_EIGH_BACKWARD * order, scale):
-        return PositivityReport(True, min_eig, scale, None)
-    witness = _witness_from_eigenvector(kernel, eigvecs[:, 0])
-    return PositivityReport(False, min_eig, scale, witness)
+    """The one rule: pass when ``eigvals[0] >= -(_allowance(_EIGH_BACKWARD * N, scale)
+    + kernel.rounding)``, N = n d^2; else witness the failure by ``eigvecs[:, 0]``."""
+    min_eig, order = float(eigvals[0]), kernel.table.shape[0] * kernel.table.shape[2]
+    allowance = _allowance(_EIGH_BACKWARD * order, scale) + kernel.rounding
+    witness = None if min_eig >= -allowance else _witness_from_eigenvector(kernel, eigvecs[:, 0])
+    return PositivityReport(witness is None, min_eig, scale, allowance, witness)
 
 
 def is_cpd(kernel: OperatorKernel) -> PositivityReport:
     """Complete positive definiteness via block-Choi positivity.
 
     Raises :class:`KernelSymmetryError` when the kernel is not hermitian
-    symmetric.  On a negative verdict the result carries a witness tuple
-    whose quadratic form has a negative eigenvalue.  For one label this is
-    Choi's test: a map T is completely positive exactly when its kernel passes.
+    symmetric.  The one rule allows ``eigh``'s term plus ``kernel.rounding``;
+    below it, a witness tuple's quadratic form has a negative eigenvalue.  For
+    one label this is Choi's test: a map T is completely positive exactly when its kernel passes.
     """
     _, eigvals, eigvecs, scale = _choi_spectrum(kernel)
     return _positivity(kernel, eigvals, eigvecs, scale)
@@ -308,10 +311,11 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     the Choi index ``i*d + k``).  The kernel is conditionally completely
     positive definite exactly when ``V* H V`` is positive semidefinite, V
     an orthonormal basis of the orthogonal complement of ``omega``.  It
-    passes when the smallest eigenvalue of ``V* H V`` passes the rule of
-    :func:`is_cpd`.  The compression removes a drift ``b -> b beta_t +
-    beta_s* b``, which can make ``|H|_2``, the report's ``scale``, as large
-    as it likes; only ``eigh``'s rounding of H grows with it.
+    passes when the smallest eigenvalue of ``V* H V`` passes the one rule
+    of :func:`is_cpd`, ``eigh``'s term plus ``kernel.rounding``.  The
+    compression removes a drift ``b -> b beta_t + beta_s* b``, which can
+    make ``|H|_2``, the report's ``scale``, as large as it likes; only
+    ``eigh``'s rounding of H grows with it.
 
     Proof of the equivalence.  Write a vector v in label blocks v_s, each
     reshaped to a d x d matrix ``V_s[i, k] = v[s, i*d + k]``.
@@ -346,7 +350,7 @@ def is_conditionally_cpd(kernel: OperatorKernel) -> PositivityReport:
     herm, _, _, scale = _choi_spectrum(kernel)
     d, n = kernel.dim, len(kernel.labels)
     if scale == 0.0 or n * d * d == 1:
-        return PositivityReport(True, 0.0, scale, None)
+        return _positivity(kernel, np.zeros(1), None, scale)
     omega = np.tile(np.eye(d).reshape(-1), n) / np.sqrt(n * d)
     complement = np.linalg.svd(omega[None, :])[2][1:].T
     eigvals, eigvecs = np.linalg.eigh(dagger(complement) @ herm @ complement)

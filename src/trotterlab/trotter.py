@@ -361,7 +361,7 @@ def convergence_verdict(section: UnitExpression, extension: Extension,
     schedule approaches the limits.  A note gives the limit grams' gap
     when ``K^{zeta zeta}`` and ``K^{w w}`` differ under the same rule.  A
     pairing or limit map that overflows raises ``ValueError`` naming the
-    partition size; an allowance that reaches the entries raises it first.
+    verdict and the partition size (a refused allowance raises it first).
     """
     kernel, zeta = extension, extension.labels[-1]
     ambient_labels = tuple(s for s in kernel.labels if s != zeta)
@@ -392,8 +392,8 @@ def convergence_verdict(section: UnitExpression, extension: Extension,
                                         kernel) for s in ambient_labels}
         maps = [gram_map.rep, criterion_map.rep, *(m.rep for m in ambient_maps.values())]
         if not all(np.isfinite(m).all() for m in maps + limits):
-            raise ValueError(f"pairing or limit map is not finite at partition size "
-                             f"{partition.size} (horizon {horizon})")
+            raise ValueError(f"the verdict is {verdict}, but a pairing or limit map is not "
+                             f"finite at partition size {partition.size} (horizon {horizon})")
         gram_defect = superop_norm(gram_map - limit_gram)
         criterion_one = criterion_map.apply(eye)
         criterion_defect = float(np.linalg.norm(criterion_one - limit_gram_one, 2))

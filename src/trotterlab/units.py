@@ -27,9 +27,9 @@ is accepted only when it passes the conditional positivity test, which is
 precisely the condition for the limit unit to exist in some enlargement
 of the system, up to rounding.  It also checks the new row and column
 for hermitian symmetry, which nothing else guarantees.  The same pass sums
-each entry's maps by absolute value into |K|, which sizes the rounding
-allowed to the gate, and makes the :class:`Extension`'s criterion and
-verdict allowance, so :func:`_decide_verdict` only compares stored entries.
+each entry's maps by absolute value into |K|, which sizes the table's
+``rounding`` that the test reads, and makes the :class:`Extension`'s criterion
+and verdict allowance, so :func:`_decide_verdict` only compares stored entries.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Superoperator, dagger, left_right_rep, unit_element
-from .kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, OperatorKernel, _allowance,
-                      is_conditionally_cpd)
+from .kernels import NotCompletelyPositiveError, OperatorKernel, _allowance, is_conditionally_cpd
 
 __all__ = [
     "Segment",
@@ -197,10 +196,10 @@ def pair_derivative(e1: UnitExpression, e2: UnitExpression,
     return Superoperator(generator.dim, _pair_sum(*_term_pairs(e1, e2, generator)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Extension(OperatorKernel):
-    """An extended kernel K, zeta its last label, with the representation of its criterion
-    ``pair_derivative(zeta, section)`` and the ``allowance`` within which entries are equal."""
+    """An extended kernel K, zeta its last label, with its ``rounding``, its criterion
+    ``pair_derivative(zeta, section)``'s representation and the ``allowance`` of equal entries."""
 
     criterion: np.ndarray
     allowance: float
@@ -216,7 +215,8 @@ def _extended_tables(section: UnitExpression,
     and ``close``, once per stacked map, 2 m times over at most 2 m + 1 keys,
     d^2 times per matmul and k^2 - 1 times over term pairs, fewer than L =
     k^2 + 2 d^2 + 2 m + 3 in all, so it lies within ``_allowance(L, |K|)`` of
-    its exact value.  The criterion nests two L, so K's allowance is
+    its exact value, and K's ``rounding`` is ``_allowance(L, |C|_2)``, C the
+    block Choi matrix of |K|.  The criterion nests two L, so K's allowance is
     ``_allowance(2 L, M)``, M the largest entry of |K| or of the criterion
     summed over |K|.  ``ValueError`` when |K| overflows.
     """
@@ -237,8 +237,9 @@ def _extended_tables(section: UnitExpression,
     zeta = unit_expression(labels[-1], generator.dim)
     bound = _pair_sum(*_term_pairs(zeta, section, magnitudes), np.abs).max()
     allowance = _allowance(2 * roundings, max(magnitudes.table.real.max(), bound))
-    return (Extension(labels, kernel.table, pair_derivative(zeta, section, kernel).rep,
-                      allowance), magnitudes, roundings)
+    rounding = _allowance(roundings, float(np.linalg.norm(magnitudes.block_choi(), 2)))
+    return (Extension(labels, kernel.table, rounding=rounding, allowance=allowance,
+                      criterion=pair_derivative(zeta, section, kernel).rep), magnitudes, roundings)
 
 
 def _decide_verdict(extension: Extension, candidate: str | None) -> tuple[str, bool]:
@@ -275,13 +276,10 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Exte
 
     It refuses a non-finite value at t = 0, then one off the unit by more than
     its k products' rounding, ``_allowance(d + k + 1, sum |left| |right|)``
-    entrywise, then non-finite magnitudes; K with its criterion and allowance,
-    and |K|, come from :func:`_extended_tables`.  The conditional positivity
-    test must find the table hermitian (1e-9 relative, else
-    ``KernelSymmetryError``), and its smallest eigenvalue may fall below 0 by
-    ``eigh``'s backward error on H and, by Weyl's inequality, the table's:
-    ``_allowance(_EIGH_BACKWARD * N, |H|_2) + _allowance(L, |C|_2)``, C the
-    block Choi matrix of |K|; else ``NotCompletelyPositiveError``.
+    entrywise, then non-finite magnitudes; K with its rounding, criterion and
+    allowance comes from :func:`_extended_tables`.  K must pass
+    :func:`~trotterlab.kernels.is_conditionally_cpd` (hermitian to 1e-9
+    relative, else ``KernelSymmetryError``), else ``NotCompletelyPositiveError``.
     """
     d, terms = generator.dim, section.terms
     deviation = sum(t.left @ t.right for t in terms) - unit_element(d)
@@ -291,13 +289,11 @@ def extend_generator(section: UnitExpression, generator: OperatorKernel) -> Exte
         raise ValueError(
             f"section value at t=0 differs from the unit by {defect:.3e}; "
             "the term multipliers must sum to the identity")
-    kernel, magnitudes, roundings = _extended_tables(section, generator)
-
+    kernel = _extended_tables(section, generator)[0]
     report = is_conditionally_cpd(kernel)
-    allowance = (_allowance(_EIGH_BACKWARD * len(kernel.labels) * d * d, report.scale)
-                 + _allowance(roundings, float(np.linalg.norm(magnitudes.block_choi(), 2))))
-    if not report.min_eigenvalue >= -allowance:
+    if not report.ok:
         raise NotCompletelyPositiveError(
-            f"extended kernel is not conditionally positive definite (worst eigenvalue "
-            f"{report.min_eigenvalue:.3e} below the rounding allowance {-allowance:.3e})", report)
+            "extended kernel is not conditionally positive definite (worst eigenvalue "
+            f"{report.min_eigenvalue:.3e} below the rounding allowance {-report.allowance:.3e})",
+            report)
     return kernel

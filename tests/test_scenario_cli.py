@@ -769,6 +769,19 @@ def test_cli_cancellation_beyond_double_precision_is_refused(tmp_path, capsys):
     assert err.endswith("the section's terms cancel beyond double precision\n")
 
 
+def test_cli_overflowing_pairing_names_the_verdict_it_reached(tmp_path, capsys):
+    # The verdict reads the extension's entries before any pairing; at n = 8
+    # the pairings of 3000*u - 2999*v overflow, and the one line keeps the verdict.
+    scenario_path = tmp_path / "overflow.scenario"
+    scenario_path.write_text(
+        "dim 1\nlabels u v\ngenerator gamma [[0.7, 0.3], [0.3, 0.9]]\n"
+        "expression y = 3000*u - 2999*v\nschedule dyadic 3 6\n")
+    assert main(["run", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "y: numerical breakdown: the verdict is norm-convergent, but a pairing or limit map "
+        "is not finite at partition size 8 (horizon 1.0)\n")
+
+
 @pytest.mark.parametrize("epsilon", [1e-13, 1e-14])
 def test_cli_near_equal_entries_stay_outside_the_allowance(tmp_path, capsys, epsilon):
     # K^{zeta zeta} = 1 + eps/2 and K_crit = 1 + eps/4 differ by eps/4.  At

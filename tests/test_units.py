@@ -15,8 +15,9 @@ from trotterlab.algebra import (
     superop_norm,
     unit_element,
 )
-from trotterlab.kernels import (_EIGH_BACKWARD, NotCompletelyPositiveError, OperatorKernel,
-                                _allowance, is_conditionally_cpd, scalar_kernel)
+from trotterlab.kernels import (NotCompletelyPositiveError, OperatorKernel, _allowance,
+                                christensen_evans_kernel, is_conditionally_cpd,
+                                kernel_from_json_dict, scalar_kernel)
 from trotterlab.scenario import build_generator, parse_scenario
 from trotterlab.trotter import Partition, eval_pairing
 from trotterlab.units import (
@@ -266,6 +267,7 @@ def test_extension_gate_leaves_nine_tenths_of_its_allowance_unused():
     # twisted and sheared, with chains of 1-6 segments.  Each extension is
     # conditionally positive definite, so its smallest eigenvalue is rounding.
     # Without the table's own rounding, eigh's backward error alone is too small.
+    # The public test is the gate: it passes every extension, with no witness.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     rng = np.random.default_rng(32)
@@ -277,10 +279,9 @@ def test_extension_gate_leaves_nine_tenths_of_its_allowance_unused():
         section = _gate_sweep_section(rng, kind, dim, labels, mp)
         extension = extend_generator(section, gen)
         report = is_conditionally_cpd(extension)
-        _, magnitudes, roundings = _extended_tables(section, gen)
-        eigh = _allowance(_EIGH_BACKWARD * len(extension.labels) * dim * dim, report.scale)
-        table = _allowance(roundings, np.linalg.norm(magnitudes.block_choi(), 2))
-        worst = max(worst, -report.min_eigenvalue / (eigh + table))
+        assert report.ok and report.witness is None, (i, kind, dim, report)
+        eigh = report.allowance - extension.rounding  # the table's term is the rounding
+        worst = max(worst, -report.min_eigenvalue / report.allowance)
         beyond_eigh = max(beyond_eigh, -report.min_eigenvalue / eigh)
     assert worst <= 0.1
     assert beyond_eigh > 1.0
@@ -407,7 +408,36 @@ def test_extension_fails_on_bad_base_generator():
     bad = scalar_kernel(np.array([[0.0, 2.0], [2.0, -6.0]]), ("u", "v"))
     with pytest.raises(NotCompletelyPositiveError) as info:
         extend_generator(affine_expression([0.5, 0.5], ["u", "v"], 1), bad)
-    assert info.value.result.witness is not None
+    result = info.value.result
+    assert result.ok is False and result.witness is not None
+    assert str(info.value).endswith(f" below the rounding allowance {-result.allowance:.3e})")
+
+
+def test_input_tables_carry_no_rounding():
+    rng = np.random.default_rng(36)
+    eta = {s: random_matrix(rng, 2) for s in ("u", "v")}
+    beta = {s: random_matrix(rng, 2) for s in ("u", "v")}
+    document = {"dim": 1, "labels": ["a"], "entries": {"a|a": [[1.0, 0.0]]}}
+    for kernel in (kernel_from_json_dict(document), scalar_kernel(np.eye(2), ("u", "v")),
+                   christensen_evans_kernel(("u", "v"), 2, eta, beta)):
+        assert kernel.rounding == 0.0
+    for rounding in (-1e-300, float("nan")):
+        with pytest.raises(ValueError, match="non-negative bound"):
+            OperatorKernel(("a",), np.zeros((1, 1, 1, 1)), rounding)
+
+
+@pytest.mark.parametrize("name", ["affine_42", "counterexample_41"])
+def test_the_extension_rounding_enters_the_gate_once(name):
+    # The same table with and without its rounding: one eigendecomposition,
+    # and allowances apart by exactly the rounding, added once, in the rule.
+    scenario = bundled_scenario(name)
+    for section in scenario.expressions.values():
+        extension = extend_generator(section, build_generator(scenario))
+        carried = is_conditionally_cpd(extension)
+        bare = is_conditionally_cpd(OperatorKernel(extension.labels, extension.table))
+        assert extension.rounding > 0.0
+        assert carried.min_eigenvalue == bare.min_eigenvalue
+        assert carried.allowance == bare.allowance + extension.rounding
 
 
 def test_modified_expression_extension_matches_bilinear_forms(ce_generator):
