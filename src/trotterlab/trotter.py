@@ -205,8 +205,8 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
 
     * one :func:`trotterlab.algebra.expm_times` call exponentiates the whole
       stack at every width of the chunk, laid out key-major;
-    * a constant multiplier that is a multiple of the identity scales the
-      stack instead of multiplying it (:func:`_stack_matmul`);
+    * a multiplier that is a multiple of the identity scales the stack
+      instead of multiplying it, decided once by :func:`_multiplier`;
     * the chunk's blocks are multiplied in time order, earliest leftmost,
       by :func:`_tree_product`, and the chunk product is folded into the
       running product from the right.
@@ -215,34 +215,33 @@ def _batched_pairing(e1: UnitExpression, e2: UnitExpression, partition: Partitio
     calls; memory is O(chunk * keys * d^4), however long the partition.
     """
     stack, pairs = _term_pairs(e1, e2, generator)
+    pairs = [(_multiplier(o, left=True), keys, _multiplier(c, left=False)) for o, keys, c in pairs]
     step = max(_CHUNK_MIN_INTERVALS, _CHUNK_BYTES // stack.nbytes)
     parts = np.asarray(partition.parts)
     total = None
     for start in range(0, parts.size, step):
         exps = np.ascontiguousarray(expm_times(stack, parts[start:start + step]).swapaxes(0, 1))
         blocks = 0.0
-        for open_, keys, close in pairs:
-            acc = open_
-            for k in keys:
-                acc = _stack_matmul(acc, exps[k])
-            blocks = blocks + _stack_matmul(acc, close)
+        for open_, (first, *rest), close in pairs:
+            acc = open_(exps[first])
+            for k in rest:
+                acc = acc @ exps[k]
+            blocks = blocks + close(acc)
         product = _tree_product(blocks)
         total = product if total is None else total @ product
     return Superoperator(generator.dim, total)
 
 
-def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, skipping the product where one side is a single multiple of the identity.
+def _multiplier(m: np.ndarray, left: bool):
+    """``m`` applied to a stack from the left or the right; a scaling where ``m == c * I``.
 
     The multipliers of affine sections are such multiples, so their
     pairings scale a stack instead of running one small matmul per slice.
     """
-    if a.ndim != b.ndim:
-        const, stack = (a, b) if a.ndim == 2 else (b, a)
-        scale = const[0, 0]
-        if np.array_equal(const, scale * np.eye(len(const))):
-            return stack if scale == 1 else scale * stack
-    return a @ b
+    scale = m[0, 0]
+    if np.array_equal(m, scale * np.eye(len(m))):
+        return (lambda stack: stack) if scale == 1 else (lambda stack: scale * stack)
+    return (lambda stack: m @ stack) if left else (lambda stack: stack @ m)
 
 
 # -- reports ------------------------------------------------------------------

@@ -137,7 +137,7 @@ def unit_expression(label: str, dim: int) -> UnitExpression:
 
 def _merged_segments(t1: Term, t2: Term) -> list[tuple[float, str, str]]:
     """(width, label1, label2) over the union of both terms' cut fractions, in time order."""
-    grid = np.unique(np.concatenate(([0.0, 1.0], t1.cuts, t2.cuts)))
+    grid = np.array(sorted({0.0, 1.0, *t1.cuts.tolist(), *t2.cuts.tolist()}))
     mids = (grid[:-1] + grid[1:]) / 2.0
     labels1, labels2 = ([t.segments[i].label for i in t.segment_index(mids)] for t in (t1, t2))
     return list(zip(np.diff(grid).tolist(), labels1, labels2))
@@ -160,7 +160,7 @@ def _term_pairs(e1: UnitExpression, e2: UnitExpression, generator: OperatorKerne
     missing = used - set(generator.labels)
     if missing:
         raise KeyError(f"expression uses unknown unit labels {sorted(missing)}")
-    eye = np.eye(generator.dim)
+    eye, at = np.eye(generator.dim), {label: i for i, label in enumerate(generator.labels)}
     maps: dict[tuple, np.ndarray] = {}
     for side, expr in ((1, e1), (2, e2)):
         for i, term in enumerate(expr.terms):
@@ -173,7 +173,7 @@ def _term_pairs(e1: UnitExpression, e2: UnitExpression, generator: OperatorKerne
             chain = _merged_segments(t1, t2)
             for fraction, s, t in chain:
                 if (fraction, s, t) not in maps:
-                    maps[fraction, s, t] = fraction * generator[(s, t)].rep
+                    maps[fraction, s, t] = fraction * generator.table[at[s], at[t]]
             twists = (((1, i), t1.twist_side), ((2, j), t2.twist_side))
             keys = ([key for key, side in twists if side == "right"] + chain
                     + [key for key, side in twists if side == "left"])

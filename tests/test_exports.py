@@ -89,6 +89,23 @@ def test_scipy_loads_only_at_the_first_limit_map(tmp_path):
     assert run_code == 0 and run_loaded
 
 
+def test_the_extension_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on first use, an import that a refusal exiting
+    # before any limit map would pay for; the extension builds its grids without it.
+    import trotterlab
+    src = Path(trotterlab.__file__).resolve().parents[1]
+    probe = ("import sys\nfrom importlib import resources\n"
+             "from trotterlab.scenario import build_generator, parse_scenario\n"
+             "from trotterlab.units import extend_generator\n"
+             "path = resources.files('trotterlab') / 'scenarios' / 'affine_42.scenario'\n"
+             "scenario = parse_scenario(path.read_text())\n"
+             "extend_generator(scenario.expressions['y'], build_generator(scenario))\n"
+             "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports (``__future__`` aside) and neither uses nor lists in ``__all__``."""
     imported = []
